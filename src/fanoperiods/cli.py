@@ -38,7 +38,7 @@ from .laurent import (
     laurent_to_json,
     support,
 )
-from .polytope import build_document, polar_from_support
+from .polytope import UnboundedPolytopeError, build_document, polar_from_support
 from .selfcheck import run_all
 from .young import BoxContext
 
@@ -171,7 +171,14 @@ def _cmd_period(args):
 def _cmd_polytope(args):
     f = laurent_from_json(_load_json(args.poly))
     system = polar_from_support(support(f))
-    return build_document(system, tuple(range(1, args.order + 1)))
+    document = build_document(system, tuple(range(1, args.order + 1)))
+    if args.order and not document["lattice_counts"]:
+        # build_document leaves requested counts out only for an unbounded polytope
+        raise UnboundedPolytopeError(
+            "the polar polytope is unbounded (the origin is not interior to the "
+            "convex hull of the support), so it has no lattice counts"
+        )
+    return document
 
 
 def _cmd_grassmannian(args):

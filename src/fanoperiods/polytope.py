@@ -1,9 +1,11 @@
-"""Rational polytopes given by halfspaces, with exact vertex enumeration.
+"""Rational polytopes given by halfspaces: exact vertices and lattice counts.
 
 A halfspace is {v : <normal, v> >= offset} with an integer normal and a
 rational offset.  Vertex enumeration solves every dimension-sized facet
-subsystem exactly and keeps the feasible solutions, which is fine at the
-dimensions this package meets (at most 8).
+subsystem exactly and keeps the feasible solutions; it refuses systems
+needing more than MAX_SUBSET_SOLVES such solves.  Lattice counts and
+boundedness come from a Fourier-Motzkin projection chain built once per
+system, so counting never enumerates vertices.
 """
 
 from __future__ import annotations
@@ -11,12 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from fanoperiods.laurent import _as_fraction
 
-_MAX_ENUMERATION_DIM = 8
+# C(facets, dim) square solves allowed in vertex enumeration; the NO body
+# of Gr(3,6) needs C(14, 9) = 2002, that of Gr(3,7) C(19, 12) = 50388.
+MAX_SUBSET_SOLVES = 100_000
 
 
 class UnboundedPolytopeError(ValueError):
@@ -66,6 +72,10 @@ class HalfspaceSystem:
 
     def contains(self, point: Sequence[Fraction], scale: int = 1) -> bool:
         return all(f.holds_at(point, scale) for f in self.facets)
+
+    @cached_property
+    def _chain(self) -> _ProjectionChain:
+        return _projection_chain(self)
 
 
 def polar_from_support(exponents: Iterable[Sequence[int]]) -> HalfspaceSystem:
@@ -145,10 +155,16 @@ def _rank_and_kernel_vector(rows: Sequence[Sequence[Fraction]], dim: int):
 
 
 def vertices(system: HalfspaceSystem) -> list[tuple[Fraction, ...]]:
-    """All basic feasible solutions, each listed once, sorted."""
-    if system.dim > _MAX_ENUMERATION_DIM:
+    """All basic feasible solutions, each listed once, sorted.
+
+    Refuses (ValueError) when the C(facets, dim) square subsystems to solve
+    exceed MAX_SUBSET_SOLVES.
+    """
+    solves = math.comb(len(system.facets), system.dim)
+    if solves > MAX_SUBSET_SOLVES:
         raise ValueError(
-            f"vertex enumeration is capped at dimension {_MAX_ENUMERATION_DIM}"
+            f"vertex enumeration needs C({len(system.facets)}, {system.dim}) = "
+            f"{solves} subset solves, over the limit of {MAX_SUBSET_SOLVES}"
         )
     found: set[tuple[Fraction, ...]] = set()
     for subset in combinations(system.facets, system.dim):
@@ -160,24 +176,137 @@ def vertices(system: HalfspaceSystem) -> list[tuple[Fraction, ...]]:
     return sorted(found)
 
 
-def _has_recession_ray(system: HalfspaceSystem) -> bool:
-    normals = [[Fraction(c) for c in f.normal] for f in system.facets]
-    rank, kernel = _rank_and_kernel_vector(normals, system.dim)
-    if rank < system.dim:
-        return True  # a whole line survives in the recession cone
-    distinct = sorted({f.normal for f in system.facets})
-    for subset in combinations(distinct, system.dim - 1):
-        rows = [[Fraction(c) for c in n] for n in subset]
-        sub_rank, direction = _rank_and_kernel_vector(rows, system.dim)
-        if sub_rank != system.dim - 1 or direction is None:
-            continue
-        for ray in (direction, tuple(-c for c in direction)):
-            if all(
-                sum((Fraction(a) * r for a, r in zip(f.normal, ray)), Fraction(0)) >= 0
-                for f in system.facets
-            ):
-                return True
-    return False
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin projection chain
+#
+# Coordinates are eliminated one at a time, each time the one whose
+# elimination pairs the fewest rows, and counted in the reverse order.
+# Level j bounds coordinate order[j] given order[0..j-1]; its row
+# (normal, coef, offset) is the integer inequality
+#     <normal, v[order[0..j-1]]> + coef * v[order[j]] >= offset * dilation,
+# with coef > 0 (a lower bound) or coef < 0 (an upper bound).
+#
+# Every derived row remembers the set of facets it combines.  The rows
+# that matter combine a minimal set of facets; all others are implied by
+# them.  So after k eliminations a row combining more than k + 1 facets
+# is dropped (Chernikov's rule), and of two rows combining the same set
+# only the first is kept.  That keeps the chain small without changing
+# the polyhedron at any level.
+
+
+def _primitive(
+    normal: tuple[int, ...], offset: Fraction
+) -> tuple[tuple[int, ...], Fraction]:
+    g = math.gcd(*normal)
+    return tuple(a // g for a in normal), offset / g
+
+
+class _ProjectionChain(NamedTuple):
+    """levels[j] = (lower, upper): the rows bounding the j-th counted coordinate.
+
+    Offsets are linear in the dilation, so one chain serves every dilation
+    and, read with all offsets 0, describes the recession cone.
+    """
+
+    levels: tuple[tuple[tuple, tuple], ...]
+    empty: bool  # some derived row reads 0 >= b with b > 0
+
+    @property
+    def bounded(self) -> bool:
+        # the recession cone is {0} exactly when every coordinate is pinned
+        # from both sides once the coordinates before it are
+        return all(lower and upper for lower, upper in self.levels)
+
+
+def _level(j: int, order: tuple[int, ...], rows) -> tuple:
+    """Integer rows of level j, keeping the tightest offset per normal."""
+    tightest: dict[tuple[int, ...], Fraction] = {}
+    for _, normal, offset in rows:
+        if normal not in tightest or offset > tightest[normal]:
+            tightest[normal] = offset
+    return tuple(
+        (
+            tuple(b.denominator * n[k] for k in order[:j]),
+            b.denominator * n[order[j]],
+            b.numerator,
+        )
+        for n, b in tightest.items()
+    )
+
+
+def _pairs_to_combine(rows: dict, i: int) -> int:
+    """Lower-upper row pairs that eliminating coordinate i would combine."""
+    lower = sum(1 for n, _ in rows.values() if n[i] > 0)
+    upper = sum(1 for n, _ in rows.values() if n[i] < 0)
+    return lower * upper
+
+
+def _projection_chain(system: HalfspaceSystem) -> _ProjectionChain:
+    """Eliminate every coordinate, keeping the rows that bound each one.
+
+    The last elimination leaves rows 0 >= b, so an empty rational range
+    anywhere shows up as `empty`.
+    """
+    rows = {
+        frozenset([k]): _primitive(f.normal, f.offset)
+        for k, f in enumerate(system.facets)
+    }
+    alive = list(range(system.dim))
+    eliminated = []
+    empty = False
+    while alive:
+        i = min(alive, key=lambda i: _pairs_to_combine(rows, i))
+        alive.remove(i)
+        lower = [(h, n, b) for h, (n, b) in rows.items() if n[i] > 0]
+        upper = [(h, n, b) for h, (n, b) in rows.items() if n[i] < 0]
+        below = {h: row for h, row in rows.items() if not row[0][i]}
+        for hp, p, bp in lower:
+            for hq, q, bq in upper:
+                h = hp | hq
+                if len(h) > len(eliminated) + 2 or h in below:
+                    continue
+                normal = tuple(p[i] * y - q[i] * x for x, y in zip(p, q))
+                offset = p[i] * bq - q[i] * bp
+                if any(normal):
+                    below[h] = _primitive(normal, offset)
+                elif offset > 0:
+                    empty = True
+        eliminated.append((i, lower, upper))
+        rows = below
+    order = tuple(i for i, _, _ in reversed(eliminated))
+    levels = tuple(
+        (_level(j, order, lower), _level(j, order, upper))
+        for j, (_, lower, upper) in enumerate(reversed(eliminated))
+    )
+    return _ProjectionChain(levels, empty)
+
+
+def _count_points(chain: _ProjectionChain, dilation: int) -> int:
+    """Integer points of the dilated polytope, walked level by level."""
+    levels = [
+        (
+            [(a, c, b * dilation) for a, c, b in lower],
+            [(a, c, b * dilation) for a, c, b in upper],
+        )
+        for lower, upper in chain.levels
+    ]
+    last = len(levels) - 1
+    prefix: list[int] = []
+
+    def walk(j: int) -> int:
+        lower, upper = levels[j]
+        lo = max(-((sum(map(mul, a, prefix)) - b) // c) for a, c, b in lower)
+        hi = min((b - sum(map(mul, a, prefix))) // c for a, c, b in upper)
+        if j == last:
+            return max(hi - lo + 1, 0)
+        total = 0
+        for x in range(lo, hi + 1):
+            prefix.append(x)
+            total += walk(j + 1)
+            prefix.pop()
+        return total
+
+    return walk(0)
 
 
 class GeometryFlags(NamedTuple):
@@ -188,7 +317,7 @@ class GeometryFlags(NamedTuple):
 
 def geometry_flags(system: HalfspaceSystem) -> GeometryFlags:
     """Boundedness, full-dimensionality of the vertex hull, origin strictly inside."""
-    bounded = not _has_recession_ray(system)
+    bounded = system._chain.bounded
     vs = vertices(system)
     if len(vs) < 2:
         full_dimensional = False
@@ -207,28 +336,20 @@ def geometry_flags(system: HalfspaceSystem) -> GeometryFlags:
 def lattice_point_count(system: HalfspaceSystem, dilation: int) -> int:
     """Number of integer vectors v with <a, v> >= dilation * offset for all facets.
 
-    Dilation scales offsets only; the enumeration walks the integer
-    bounding box of the dilated vertex set.
+    Dilation scales offsets only.  The count walks the system's
+    Fourier-Motzkin chain: each coordinate ranges over the exact integer
+    interval its level allows given the coordinates before it, and the
+    last coordinate adds its interval length instead of visiting points.
+    An empty polytope counts 0 at every dilation, including 0.
     """
     if dilation < 0:
         raise ValueError("dilation must be non-negative")
-    if _has_recession_ray(system):
+    chain = system._chain
+    if not chain.bounded:
         raise UnboundedPolytopeError("lattice counts require a bounded polytope")
-    vs = vertices(system)
-    if not vs:
+    if chain.empty:
         return 0
-    lo = [
-        math.ceil(min(v[i] for v in vs) * dilation) for i in range(system.dim)
-    ]
-    hi = [
-        math.floor(max(v[i] for v in vs) * dilation) for i in range(system.dim)
-    ]
-    count = 0
-    for candidate in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        point = tuple(Fraction(c) for c in candidate)
-        if system.contains(point, scale=dilation):
-            count += 1
-    return count
+    return _count_points(chain, dilation)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +366,9 @@ def build_document(
 ) -> dict:
     vs = vertices(system)
     counts: dict[str, int] = {}
-    if dilations:
-        bounded = not _has_recession_ray(system)
-        if bounded:
-            for r in sorted(set(dilations)):
-                counts[str(r)] = lattice_point_count(system, r)
+    if dilations and system._chain.bounded:
+        for r in sorted(set(dilations)):
+            counts[str(r)] = lattice_point_count(system, r)
     return {
         "dim": system.dim,
         "facets": [

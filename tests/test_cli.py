@@ -8,12 +8,17 @@ the console script would produce; primary output is read back from
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from fanoperiods.cli import CatalogEntry, catalog, run
+import fanoperiods
+from fanoperiods.cli import CatalogEntry, catalog, main, run
 from fanoperiods.laurent import classical_periods
 from fanoperiods.polytope import geometry_flags, parse_document
 
@@ -141,6 +146,18 @@ class TestPolytopeSubcommand:
         assert run(["polytope", "--poly", p2_poly_file, "--order", "3"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert sorted(data["lattice_counts"]) == ["1", "2", "3"]
+
+    def test_unbounded_polar_is_domain_error(self, tmp_path, capsys):
+        # x + y: the support spans only a quadrant, so the polar is unbounded
+        terms = [{"coeff": "1", "exp": [1, 0]}, {"coeff": "1", "exp": [0, 1]}]
+        path = tmp_path / "quadrant.json"
+        path.write_text(json.dumps({"vars": ["x", "y"], "terms": terms}))
+        assert run(["polytope", "--poly", str(path), "--order", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "polar polytope is unbounded" in captured.err
+        assert run(["polytope", "--poly", str(path), "--order", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["lattice_counts"] == {}
 
 
 class TestGrassmannianSubcommand:
@@ -308,6 +325,24 @@ class TestDeterminism:
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestModuleEntryPoint:
+    def test_python_m_matches_main(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["fanoperiods", "catalog", "list"])
+        with pytest.raises(SystemExit) as stop:
+            main()
+        assert stop.value.code == 0
+        expected = capsys.readouterr().out.encode()
+        src = str(Path(fanoperiods.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "fanoperiods", "catalog", "list"],
+            capture_output=True, env=env, check=False,
+        )
+        assert done.returncode == 0
+        assert done.stdout == expected
 
 
 class TestSelfcheckSubcommand:

@@ -2,7 +2,9 @@
 
 Counts for the standard polar triangle come from the closed form
 binomial(3r+2, 2); squares from (2r+1)^2.  Both are computed here
-independently of the library.
+independently of the library.  Random systems are checked against two
+slow oracles kept here: the integer bounding-box scan over the vertex set
+and the recession-ray search over (dim - 1)-subsets of facet normals.
 """
 
 from __future__ import annotations
@@ -10,13 +12,18 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fanoperiods.polytope import (
+    MAX_SUBSET_SOLVES,
     Halfspace,
     HalfspaceSystem,
     UnboundedPolytopeError,
+    _rank_and_kernel_vector,
     build_document,
     geometry_flags,
     lattice_point_count,
@@ -24,6 +31,41 @@ from fanoperiods.polytope import (
     polar_from_support,
     vertices,
 )
+
+
+def _has_recession_ray(system):
+    """Oracle: a line in the recession cone, or a ray spanned by the kernel
+    of dim - 1 facet normals."""
+    normals = [[Fraction(c) for c in f.normal] for f in system.facets]
+    rank, _ = _rank_and_kernel_vector(normals, system.dim)
+    if rank < system.dim:
+        return True  # a whole line survives in the recession cone
+    distinct = sorted({f.normal for f in system.facets})
+    for subset in combinations(distinct, system.dim - 1):
+        rows = [[Fraction(c) for c in n] for n in subset]
+        sub_rank, direction = _rank_and_kernel_vector(rows, system.dim)
+        if sub_rank != system.dim - 1 or direction is None:
+            continue
+        for ray in (direction, tuple(-c for c in direction)):
+            if all(
+                sum((Fraction(a) * r for a, r in zip(f.normal, ray)), Fraction(0)) >= 0
+                for f in system.facets
+            ):
+                return True
+    return False
+
+
+def _box_scan_count(system, dilation):
+    """Oracle: test every integer point of the dilated vertex bounding box."""
+    vs = vertices(system)
+    if not vs:
+        return 0
+    lo = [math.ceil(min(v[i] for v in vs) * dilation) for i in range(system.dim)]
+    hi = [math.floor(max(v[i] for v in vs) * dilation) for i in range(system.dim)]
+    return sum(
+        system.contains(tuple(Fraction(c) for c in candidate), scale=dilation)
+        for candidate in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    )
 
 
 def _frac(x):
@@ -104,12 +146,24 @@ def test_redundant_facet_changes_nothing():
     assert set(vertices(padded)) == set(vertices(system))
 
 
-def test_vertex_enumeration_dimension_cap():
-    big = HalfspaceSystem(
-        9, tuple(Halfspace(tuple(int(i == j) for j in range(9)), Fraction(-1)) for i in range(9))
-    )
-    with pytest.raises(ValueError):
+def test_vertex_enumeration_refuses_over_budget():
+    # 20 facets in dimension 9: C(20, 9) = 167960 square solves
+    normals = [tuple(int(i == j) for j in range(9)) for i in range(9)]
+    normals += [tuple(-c for c in n) for n in normals]
+    normals += [(1,) * 9, (-1,) * 9]
+    big = HalfspaceSystem(9, tuple(Halfspace(n, Fraction(-1)) for n in normals))
+    assert math.comb(20, 9) > MAX_SUBSET_SOLVES
+    with pytest.raises(ValueError, match=f"167960 subset solves.*{MAX_SUBSET_SOLVES}"):
         vertices(big)
+
+
+def test_nine_dimensional_simplex():
+    # {x_i >= 0, sum x_i <= 1}: past the old dimension cap of 8
+    facets = [Halfspace(tuple(int(i == j) for j in range(9)), Fraction(0)) for i in range(9)]
+    simplex = HalfspaceSystem(9, (*facets, Halfspace((-1,) * 9, Fraction(-1))))
+    assert len(vertices(simplex)) == 10
+    for r in range(4):
+        assert lattice_point_count(simplex, r) == math.comb(r + 9, 9)
 
 
 def test_triangle_lattice_counts():
@@ -150,6 +204,81 @@ def test_lattice_count_of_empty_polytope():
         1, (Halfspace((1,), Fraction(1)), Halfspace((-1,), Fraction(1)))
     )
     assert lattice_point_count(empty, 1) == 0
+
+
+def test_five_dimensional_polar_matches_box_scan():
+    # eliminating five coordinates exercises the pruned projection chain
+    system = polar_from_support([
+        (-1, -1, -1, 1, 0), (-1, 1, 0, 0, 1), (-1, 1, 1, 0, 1), (0, 0, 0, 0, 1),
+        (0, 1, 1, -1, -1), (1, -1, 1, 0, 1), (1, 0, 0, -1, 1), (1, 0, 1, 0, 0),
+        (1, 1, -1, 1, -1), (1, 1, 0, -1, -1), (1, 1, 1, -1, 1),
+    ])
+    assert lattice_point_count(system, 1) == _box_scan_count(system, 1) == 63
+
+
+def test_empty_polytope_counts_zero_at_dilation_zero():
+    # the dilation-0 system Av >= 0 holds at the origin, but the polytope is empty
+    empty = HalfspaceSystem(
+        2,
+        (
+            Halfspace((1, 0), Fraction(1)),
+            Halfspace((-1, 0), Fraction(1)),
+            Halfspace((0, 1), Fraction(-1)),
+            Halfspace((0, -1), Fraction(-1)),
+        ),
+    )
+    assert geometry_flags(empty).bounded
+    assert lattice_point_count(empty, 0) == 0
+    assert lattice_point_count(_triangle(), 0) == 1
+
+
+@st.composite
+def _small_systems(draw):
+    dim = draw(st.integers(1, 3))
+    normal = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    offset = st.builds(Fraction, st.integers(-3, 2), st.integers(1, 2))
+    facets = draw(st.lists(st.builds(Halfspace, normal, offset), min_size=1, max_size=6))
+    return HalfspaceSystem(dim, tuple(facets))
+
+
+_EMPTY_SQUARE = HalfspaceSystem(
+    2,
+    (
+        Halfspace((1, 0), Fraction(1, 2)),
+        Halfspace((-1, 0), Fraction(0)),
+        Halfspace((0, 1), Fraction(-1)),
+        Halfspace((0, -1), Fraction(-1)),
+    ),
+)
+_POINT = HalfspaceSystem(
+    3,
+    (
+        Halfspace((1, 0, 0), Fraction(1, 2)),
+        Halfspace((0, 1, 0), Fraction(-1)),
+        Halfspace((0, 0, 1), Fraction(0)),
+        Halfspace((-1, -1, -1), Fraction(1, 2)),
+    ),
+)
+_WEDGE = HalfspaceSystem(
+    2, (Halfspace((1, 1), Fraction(-1)), Halfspace((1, -1), Fraction(-1)))
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(system=_small_systems(), dilation=st.integers(0, 3))
+@example(system=_EMPTY_SQUARE, dilation=0)
+@example(system=_EMPTY_SQUARE, dilation=2)
+@example(system=_POINT, dilation=0)
+@example(system=_POINT, dilation=2)
+@example(system=_WEDGE, dilation=1)
+def test_counts_and_boundedness_match_the_oracles(system, dilation):
+    bounded = not _has_recession_ray(system)
+    assert geometry_flags(system).bounded == bounded
+    if not bounded:
+        with pytest.raises(UnboundedPolytopeError):
+            lattice_point_count(system, dilation)
+        return
+    assert lattice_point_count(system, dilation) == _box_scan_count(system, dilation)
 
 
 def test_geometry_flags_triangle():
