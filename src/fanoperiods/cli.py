@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .frobenius import (
     PeriodSequence,
+    StructureTable,
     extend_series,
     periods_from_json,
     periods_to_json,
@@ -123,7 +124,10 @@ def _entry_document(entry: CatalogEntry) -> dict:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: the JSON nests too deeply to read") from None
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -202,6 +206,12 @@ def _cmd_grassmannian(args):
 
 def _cmd_frobenius(args):
     periods = periods_from_json(_load_json(args.periods))
+    if args.max_p > max(periods.order, 1):
+        # N_p is trusted only to tail index order - p, and N_{p+1} needs index 1 of N_p
+        raise ValueError(
+            f"--max-p {args.max_p} needs a period file of order at least "
+            f"{args.max_p}; this file has order {periods.order}"
+        )
     series = [reconstruct_N1(periods)]
     while len(series) < args.max_p:
         series.append(extend_series(series))
@@ -222,15 +232,11 @@ def _cmd_frobenius(args):
             )
         return payload
     table = structure_table(series, args.max_p)
-    if args.q == "keep":
-        return table_records(table)
-    records = []
-    for p in range(table.total + 1):
-        for q in range(table.total + 1 - p):
-            for r in range(p + q + 1):
-                value = table.entry(p, q, r).specialize_q(1)
-                records.append({"p": p, "q": q, "r": r, "value": str(value)})
-    return records
+    if args.q == "one":
+        table = StructureTable(
+            table.total, {key: _set_q_to_one(c) for key, c in table.entries.items()}
+        )
+    return table_records(table)
 
 
 def _cmd_catalog(args):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial, gcd
 from typing import Mapping, Sequence
 
-from .laurent import QPolynomial, Rational
+from .laurent import QPolynomial, Rational, parse_rational
 
 
 class UntrustedCoefficientError(ValueError):
@@ -72,17 +72,6 @@ class PeriodSequence:
                 )
             coeffs.append(QPolynomial.of(amount, d // index))
         return cls(tuple(coeffs))
-
-    def grading_warnings(self, index: int) -> list[str]:
-        """Coefficients that sit off the expected q^(d/index) grading."""
-        messages = []
-        for d, coeff in enumerate(self.coeffs):
-            bad = [p for p, _ in coeff.items() if p * index != d]
-            if bad:
-                messages.append(
-                    f"c_{d} carries q powers {bad} instead of d/{index}"
-                )
-        return messages
 
 
 def _as_coefficient(value) -> QPolynomial:
@@ -484,7 +473,8 @@ def unregularize(periods: PeriodSequence) -> list[QPolynomial]:
 # JSON serialization
 #
 # {"index": 3, "coeffs": ["1", "0", "0", "6", ...]}
-# Coefficient strings are plain rationals; the Novikov power of c_d is
+# Coefficient strings are decimal integers or "p/q" fractions, read by
+# laurent.parse_rational; the Novikov power of c_d is
 # implied as d / index, so parsing re-decorates what emitting strips.
 
 
@@ -543,8 +533,7 @@ def periods_from_json(data: Mapping) -> PeriodSequence:
     ):
         raise InconsistentPeriodsError('"coeffs" must be a list of strings')
     try:
-        return PeriodSequence.from_plain(values, index)
-    except (ValueError, ZeroDivisionError) as err:
-        if isinstance(err, InconsistentPeriodsError):
-            raise
+        amounts = [parse_rational(v) for v in values]
+    except ValueError as err:
         raise InconsistentPeriodsError(f"unreadable coefficient: {err}") from err
+    return PeriodSequence.from_plain(amounts, index)

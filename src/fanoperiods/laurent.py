@@ -9,7 +9,10 @@ anywhere in this package.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -284,9 +287,6 @@ class LaurentPolynomial:
             return multiply(self, other)
         return NotImplemented
 
-    def __pow__(self, degree: int) -> LaurentPolynomial:
-        return power(self, degree)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -319,16 +319,6 @@ def multiply(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
     return LaurentPolynomial(f.names, total)
 
 
-def power(f: LaurentPolynomial, degree: int) -> LaurentPolynomial:
-    """f**degree by iterated multiplication; degree 0 gives 1 for every f."""
-    if degree < 0:
-        raise ValueError("negative powers of Laurent polynomials are not supported")
-    result = LaurentPolynomial.one(f.names)
-    for _ in range(degree):
-        result = multiply(result, f)
-    return result
-
-
 def constant_term(f: LaurentPolynomial) -> QPolynomial:
     """Coefficient of the zero exponent vector."""
     return f.coefficient((0,) * f.rank)
@@ -337,18 +327,65 @@ def constant_term(f: LaurentPolynomial) -> QPolynomial:
 def classical_periods(f: LaurentPolynomial, order: int) -> list[QPolynomial]:
     """Constant terms of f**d for d = 0..order.
 
-    Computed incrementally with one multiplication per degree; c_0 is 1
-    even for the zero polynomial (empty product convention).
+    c_0 is 1 even for the zero polynomial (empty product convention).
+    The work is done over plain ints: f is scaled by the lcm L of its
+    coefficient denominators, each Novikov power is folded into an extra
+    last exponent coordinate, and only the powers f^k with
+    k <= ceil(order/2) are built.  Each c_d is then read off as
+    sum_e [f^a]_e [f^b]_{-e} with a = floor(d/2), b = d - a, and divided
+    by L^d.
     """
     if order < 0:
         raise ValueError("period order must be non-negative")
+    scale = lcm(
+        *(c.denominator for coeff in f.terms.values() for _, c in coeff.items())
+    )
+    folded = {
+        e + (p,): int(c * scale)
+        for e, coeff in f.terms.items()
+        for p, c in coeff.items()
+    }
+    if not folded:
+        return [QPolynomial.one()] + [QPolynomial.zero()] * order
+    powers = _low_powers(folded, f.rank, order)
     out: list[QPolynomial] = []
-    current = LaurentPolynomial.one(f.names)
     for d in range(order + 1):
-        out.append(constant_term(current))
-        if d < order:
-            current = multiply(current, f)
+        low, high = powers[d // 2], powers[d - d // 2]
+        total: dict[int, int] = {}
+        for e, q_coeffs in low.items():
+            partner = high.get(tuple(-x for x in e))
+            if partner is None:
+                continue
+            for p, c in q_coeffs.items():
+                for p2, c2 in partner.items():
+                    total[p + p2] = total.get(p + p2, 0) + c * c2
+        denominator = scale**d
+        out.append(QPolynomial({p: Fraction(c, denominator) for p, c in total.items()}))
     return out
+
+
+def _low_powers(
+    folded: dict[tuple[int, ...], int], rank: int, order: int
+) -> list[dict[ExponentVector, dict[int, int]]]:
+    """Powers W^k, k = 0..ceil(order/2), indexed by Laurent part, then q-power.
+
+    `folded` is W itself: it maps (exponent vector, q-power) to an int
+    coefficient.
+    """
+    current = {(0,) * (rank + 1): 1}
+    powers = [{(0,) * rank: {0: 1}}]
+    for _ in range((order + 1) // 2):
+        step: dict[tuple[int, ...], int] = {}
+        for key, c in current.items():
+            for key2, c2 in folded.items():
+                new = tuple(map(add, key, key2))
+                step[new] = step.get(new, 0) + c * c2
+        current = {key: c for key, c in step.items() if c}
+        grouped: dict[ExponentVector, dict[int, int]] = {}
+        for key, c in current.items():
+            grouped.setdefault(key[:-1], {})[key[-1]] = c
+        powers.append(grouped)
+    return powers
 
 
 def tropical_value(f: LaurentPolynomial, direction: Sequence[Rational]) -> Fraction:
@@ -386,6 +423,24 @@ def min_exponent_vector(f: LaurentPolynomial) -> tuple[ExponentVector, bool]:
 # {"vars": ["x", "y"], "terms": [{"coeff": "3/2", "q": 0, "exp": [1, -1]}]}
 # Coefficient strings are decimal integers or "p/q" fractions; "q" is the
 # power of the Novikov parameter and defaults to 0.
+
+_RATIONAL_STRING = r"-?[0-9]+(/[0-9]+)?"
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read a coefficient string: a decimal integer or "p/q" with q nonzero.
+
+    Anything else, such as "1e3", "1.5", "1_000" or " 3", is rejected
+    with a ValueError, although Fraction itself would accept it.
+    """
+    if not isinstance(text, str) or not re.fullmatch(_RATIONAL_STRING, text):
+        raise ValueError(
+            f"bad coefficient string {text!r}: expected a decimal integer or p/q"
+        )
+    _, slash, denominator = text.partition("/")
+    if slash and not int(denominator):
+        raise ValueError(f"bad coefficient string {text!r}: zero denominator")
+    return Fraction(text)
 
 
 def laurent_to_json(f: LaurentPolynomial) -> dict:
@@ -429,13 +484,7 @@ def laurent_from_json(data: Mapping) -> LaurentPolynomial:
         if key in seen:
             raise ValueError(f"duplicate exponent entry {key!r}")
         seen.add(key)
-        raw = record.get("coeff")
-        if not isinstance(raw, str):
-            raise ValueError(f"coefficient must be a string, got {raw!r}")
-        try:
-            value = Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad coefficient string {raw!r}") from exc
+        value = parse_rational(record.get("coeff"))
         accumulated.setdefault(tuple(exp), {})[q_power] = value
     return LaurentPolynomial(
         tuple(names),

@@ -19,6 +19,12 @@ import pytest
 
 import fanoperiods
 from fanoperiods.cli import CatalogEntry, catalog, main, run
+from fanoperiods.frobenius import (
+    extend_series,
+    periods_from_json,
+    reconstruct_N1,
+    structure_table,
+)
 from fanoperiods.laurent import classical_periods
 from fanoperiods.polytope import geometry_flags, parse_document
 
@@ -95,6 +101,32 @@ class TestExitCodes:
         path.write_text(json.dumps({"vars": [], "terms": []}))
         assert run(["period", "--poly", str(path)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv", [["period", "--poly"], ["frobenius", "--periods"]]
+    )
+    def test_deeply_nested_json_is_domain_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run(argv + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nests too deeply" in captured.err
+
+    @pytest.mark.parametrize("coeff", ["1e3", "1.5", "1_000", " 3"])
+    def test_coefficient_outside_the_grammar_is_domain_error(
+        self, coeff, tmp_path, capsys
+    ):
+        poly = tmp_path / "poly.json"
+        terms = [{"coeff": coeff, "exp": [1]}, {"coeff": "1", "exp": [-1]}]
+        poly.write_text(json.dumps({"vars": ["x"], "terms": terms}))
+        assert run(["period", "--poly", str(poly), "--order", "2"]) == 1
+        periods = tmp_path / "periods.json"
+        periods.write_text(json.dumps({"index": 1, "coeffs": ["1", coeff]}))
+        assert run(["frobenius", "--periods", str(periods), "--max-p", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("bad coefficient string") == 2
 
     def test_impossible_box_is_domain_error(self, capsys):
         assert run(["grassmannian", "--k", "4", "--n", "2"]) == 1
@@ -249,6 +281,21 @@ class TestFrobeniusSubcommand:
         assert run(["frobenius", "--periods", str(path), "--max-p", "4"]) == 1
         capsys.readouterr()
 
+    def test_max_p_beyond_the_input_order_names_the_order(self, tmp_path, capsys):
+        values = [
+            str(factorial(d) // factorial(d // 3) ** 3) if d % 3 == 0 else "0"
+            for d in range(7)
+        ]
+        path = tmp_path / "order6.json"
+        path.write_text(json.dumps({"index": 3, "coeffs": values}))
+        assert run(["frobenius", "--periods", str(path), "--max-p", "6"]) == 0
+        capsys.readouterr()
+        assert run(["frobenius", "--periods", str(path), "--max-p", "7"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --max-p 7 needs a period file of order at least 7; "
+            "this file has order 6\n"
+        )
+
     def test_off_grading_input_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "off.json"
         path.write_text(json.dumps({"index": 3, "coeffs": ["1", "0", "5"]}))
@@ -318,6 +365,23 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert run(argv) == 0
         assert capsys.readouterr().out == first
+
+    def test_table_q_one_is_the_table_specialized_entrywise(
+        self, p2_periods_file, capsys
+    ):
+        assert run(["frobenius", "--periods", p2_periods_file, "--q", "one"]) == 0
+        printed = capsys.readouterr().out
+        series = [reconstruct_N1(periods_from_json(read_json(p2_periods_file)))]
+        while len(series) < 4:
+            series.append(extend_series(series))
+        table = structure_table(series, 4)
+        expected = [
+            {"p": p, "q": q, "r": r, "value": str(table.entry(p, q, r).specialize_q(1))}
+            for p in range(5)
+            for q in range(5 - p)
+            for r in range(p + q + 1)
+        ]
+        assert printed == json.dumps(expected, indent=2) + "\n"
 
     def test_file_and_rerun_identical(self, p2_poly_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

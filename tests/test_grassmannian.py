@@ -11,6 +11,7 @@ coefficients.
 from __future__ import annotations
 
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -340,6 +341,24 @@ class TestPeriods:
         for d in (1, 2, 3, 4):
             assert coeffs[d] == QPolynomial.zero(), d
         assert coeffs[5] == QPolynomial.of(360, 1)
+
+    def test_gr24_matches_the_quadric_closed_form_through_order_24(self):
+        # Gr(2,4) is the quadric Q^4: c_{4m} = (4m)!(2m)!/(m!)^6
+        coeffs = grass_periods(CTX24, 24)
+        for d, coeff in enumerate(coeffs):
+            if d % 4:
+                assert coeff == QPolynomial.zero(), d
+            else:
+                m = d // 4
+                closed = factorial(4 * m) * factorial(2 * m) // factorial(m) ** 6
+                assert coeff == QPolynomial.of(closed, m), d
+
+    def test_gr36_reaches_order_12(self):
+        coeffs = grass_periods(BoxContext(3, 6), 12)
+        assert coeffs[0] == QPolynomial.one()
+        assert coeffs[6] == QPolynomial.of(4320, 1)
+        assert coeffs[12] == QPolynomial.of(943034400, 2)
+        assert all(coeffs[d] == QPolynomial.zero() for d in range(1, 12) if d != 6)
 
     def test_matches_direct_period_extraction(self):
         chart = superpotential_chart(CTX12)

@@ -1,7 +1,8 @@
 """Tests for the exact Laurent-polynomial kernel.
 
 The period tests check against independently computed closed forms
-(central binomial and multinomial counts), not against the engine itself.
+(central binomial and multinomial counts), not against the engine itself,
+and against `_expand_periods`, the former engine kept here as the oracle.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanoperiods.laurent import (
@@ -25,10 +26,29 @@ from fanoperiods.laurent import (
     laurent_to_json,
     min_exponent_vector,
     multiply,
-    power,
     support,
     tropical_value,
 )
+
+
+def _power(f, degree):
+    """f**degree by iterated multiplication; degree 0 gives 1 for every f."""
+    result = LaurentPolynomial.one(f.names)
+    for _ in range(degree):
+        result = multiply(result, f)
+    return result
+
+
+def _expand_periods(f, order):
+    """Oracle for classical_periods: expand f**d in full over QPolynomial
+    coefficients, one multiplication per degree, and read each constant term."""
+    out = []
+    current = LaurentPolynomial.one(f.names)
+    for d in range(order + 1):
+        out.append(constant_term(current))
+        if d < order:
+            current = multiply(current, f)
+    return out
 
 
 def _poly(names, terms):
@@ -133,16 +153,16 @@ def test_multiply_name_mismatch():
 
 
 def test_power_zero_is_one():
-    assert power(_p2_mirror(), 0) == LaurentPolynomial.one(("x", "y"))
+    assert _power(_p2_mirror(), 0) == LaurentPolynomial.one(("x", "y"))
     zero = LaurentPolynomial.zero(("x",))
-    assert power(zero, 0) == LaurentPolynomial.one(("x",))
-    assert power(zero, 3) == zero
+    assert _power(zero, 0) == LaurentPolynomial.one(("x",))
+    assert _power(zero, 3) == zero
 
 
 def test_power_matches_repeated_multiplication():
     f = _p1_mirror()
     expected = _poly(("x",), {(3,): 1, (1,): 3, (-1,): 3, (-3,): 1})
-    assert power(f, 3) == expected
+    assert _power(f, 3) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +380,47 @@ def test_product_support_within_sumset(f, g):
 @settings(deadline=None, max_examples=20)
 @given(f=_small_polys(1))
 def test_incremental_periods_match_direct_powers(f):
-    cs = classical_periods(f, 5)
+    cs = _expand_periods(f, 5)
     for d in range(6):
-        assert cs[d] == constant_term(power(f, d))
+        assert cs[d] == constant_term(_power(f, d))
+
+
+def _period_test_polys():
+    """Ranks 1-3, exponents in [-2, 2]; coefficients are integers, fractions
+    or several Novikov powers at one exponent; the zero polynomial included."""
+    plain = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=4),
+    )
+    coeff = st.one_of(
+        plain.map(QPolynomial.constant),
+        st.dictionaries(st.integers(0, 3), plain, min_size=1, max_size=3).map(QPolynomial),
+    )
+
+    def of_rank(rank):
+        names = ("x", "y", "z")[:rank]
+        exponents = st.tuples(*[st.integers(-2, 2)] * rank)
+        return st.dictionaries(exponents, coeff, max_size=5).map(
+            lambda terms: LaurentPolynomial(names, terms)
+        )
+
+    return st.integers(1, 3).flatmap(of_rank)
+
+
+@settings(deadline=None, max_examples=150)
+@given(f=_period_test_polys(), order=st.integers(0, 8))
+@example(f=LaurentPolynomial.zero(("x", "y", "z")), order=8)
+@example(
+    f=LaurentPolynomial.from_dict(
+        ("x", "y"),
+        {
+            (1, 0): Fraction(1, 2),
+            (0, 1): QPolynomial({0: Fraction(2, 3), 1: Fraction(-1)}),
+            (-1, -1): QPolynomial({1: Fraction(3, 5), 2: Fraction(1)}),
+            (0, 0): Fraction(-1, 4),
+        },
+    ),
+    order=8,
+)
+def test_periods_match_the_expansion_oracle(f, order):
+    assert classical_periods(f, order) == _expand_periods(f, order)
