@@ -2,12 +2,13 @@
 
 A period sequence c_0, c_1, ... determines a Laurent series
 N_1 = t + sum_i a_i t^(-i) through the residue conditions
-N_1^d[t^0] = c_d; the recursion theta_n = theta_1 theta_{n-1} - lower
-terms then builds the whole ladder N_2, N_3, ... together with the
-multiplication table of the theta basis.  All series are truncated
-honestly: every value carries the largest tail index it trusts, and
-operations refuse to emit coefficients outside the joint window rather
-than zero-filling.
+N_1^d[t^0] = c_d, solved by Miller's power recurrence (the direct
+expansion of N_1^d is the test oracle); the recursion theta_n =
+theta_1 theta_{n-1} - lower terms then builds the whole ladder N_2, N_3,
+... together with the multiplication table of the theta basis.  All
+series are truncated honestly: every value carries the largest tail
+index it trusts, and operations refuse to emit coefficients outside the
+joint window rather than zero-filling.
 
 Tail coefficients satisfy a_i = i * N_{p,i}; the quotient N_{p,i} is
 exposed as `two_point` and feeds both the one-step constants
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 from typing import Mapping, Sequence
 
-from .laurent import QPolynomial, Rational, parse_rational
+from .laurent import QPolynomial, Rational, parse_rational, preview
 
 
 class UntrustedCoefficientError(ValueError):
@@ -214,41 +215,32 @@ def series_multiply(
     return TruncatedSeries(coeffs, floor)
 
 
-def _power_residue(tail: Mapping[int, QPolynomial], degree: int) -> QPolynomial:
-    """t^0 coefficient of (t + sum a_i t^(-i))^degree."""
-    base: dict[int, QPolynomial] = {1: QPolynomial.one()}
-    for i, value in tail.items():
-        base[-i] = value
-    current: dict[int, QPolynomial] = {0: QPolynomial.one()}
-    for _ in range(degree):
-        step: dict[int, QPolynomial] = {}
-        for e1, c1 in current.items():
-            for e2, c2 in base.items():
-                e = e1 + e2
-                value = c1 * c2
-                step[e] = step[e] + value if e in step else value
-        current = step
-    return current.get(0, QPolynomial.zero())
-
-
 def reconstruct_N1(periods: PeriodSequence) -> ThetaSeries:
     """The unique series t + sum a_i t^(-i) with N_1^d[t^0] = c_d.
 
-    At step i the only new contribution to c_{i+1} is a_i paired with
-    i+1 copies of the leading t, so a_i = (c_{i+1} - known part)/(i+1);
-    the round trip back through residue products is checked by the test
-    suite rather than assumed.
+    With N_1 = t phi(1/t), phi(u) = 1 + sum a_i u^(i+1), c_d = [u^d] phi^d.
+    Miller's recurrence (Knuth, TAOCP 4.7) for P_k = [u^k] phi^d,
+    P_k = (1/k) sum_j ((d+1) j - k) phi_j P_{k-j}, gives P_d from the known
+    prefix of phi; the unknown phi_d = a_{d-1} enters P_d only as d phi_d.
+    O(T^3) q-polynomial products in all; the test suite compares against
+    expanding N_1^d, and selfcheck multiplies back with residue_product.
     """
     coeffs = periods.coeffs
     order = periods.order
     if order >= 1 and not coeffs[1].is_zero():
         raise InconsistentPeriodsError("c_1 must vanish for a tail-free leading term")
     tail: dict[int, QPolynomial] = {}
-    for i in range(1, order):
-        known = _power_residue(tail, i + 1)
-        a_i = (coeffs[i + 1] - known) / (i + 1)
-        if a_i:
-            tail[i] = a_i
+    for d in range(2, order + 1):
+        powers = [QPolynomial.one()]
+        for k in range(1, d + 1):
+            total = QPolynomial.zero()
+            for i, a_i in tail.items():
+                if i < k and powers[k - i - 1]:
+                    total = total + a_i * powers[k - i - 1] * ((d + 1) * (i + 1) - k)
+            powers.append(total / k)
+        a = (coeffs[d] - powers[d]) / d
+        if a:
+            tail[d - 1] = a
     return ThetaSeries(1, tail, valid_to=max(order - 1, 0))
 
 
@@ -464,11 +456,6 @@ def associativity_check(
     return violations
 
 
-def unregularize(periods: PeriodSequence) -> list[QPolynomial]:
-    """Divide out the factorials: the d-th value is c_d / d!."""
-    return [coeff / factorial(d) for d, coeff in enumerate(periods.coeffs)]
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 #
@@ -526,7 +513,7 @@ def periods_from_json(data: Mapping) -> PeriodSequence:
         raise InconsistentPeriodsError("period JSON must be an object")
     index = data.get("index")
     if not isinstance(index, int) or isinstance(index, bool) or index <= 0:
-        raise InconsistentPeriodsError(f'bad grading "index" {index!r}')
+        raise InconsistentPeriodsError(f'bad grading "index" {preview(index)}')
     values = data.get("coeffs")
     if not isinstance(values, (list, tuple)) or not all(
         isinstance(v, str) for v in values

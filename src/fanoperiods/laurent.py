@@ -9,6 +9,7 @@ anywhere in this package.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from math import lcm
@@ -427,6 +428,15 @@ def min_exponent_vector(f: LaurentPolynomial) -> tuple[ExponentVector, bool]:
 _RATIONAL_STRING = r"-?[0-9]+(/[0-9]+)?"
 
 
+def preview(value) -> str:
+    """A parsed JSON value in a few words: echoing hostile input can run long."""
+    if isinstance(value, (Mapping, list, tuple)):
+        kind = "an object" if isinstance(value, Mapping) else "a list"
+        return f"{kind} of size {len(value)}"
+    text = json.dumps(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Read a coefficient string: a decimal integer or "p/q" with q nonzero.
 
@@ -435,11 +445,11 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str) or not re.fullmatch(_RATIONAL_STRING, text):
         raise ValueError(
-            f"bad coefficient string {text!r}: expected a decimal integer or p/q"
+            f"bad coefficient string {preview(text)}: expected a decimal integer or p/q"
         )
     _, slash, denominator = text.partition("/")
     if slash and not int(denominator):
-        raise ValueError(f"bad coefficient string {text!r}: zero denominator")
+        raise ValueError(f"bad coefficient string {preview(text)}: zero denominator")
     return Fraction(text)
 
 
@@ -467,22 +477,23 @@ def laurent_from_json(data: Mapping) -> LaurentPolynomial:
     rank = len(names)
     accumulated: dict[ExponentVector, dict[int, Fraction]] = {}
     seen: set[tuple[ExponentVector, int]] = set()
-    for record in records:
+    for n, record in enumerate(records):
+        where = f"term record {n}"
         if not isinstance(record, Mapping):
-            raise ValueError(f"bad term record {record!r}")
+            raise ValueError(f"{where} is {preview(record)}, not an object")
         exp = record.get("exp")
         if (
             not isinstance(exp, (list, tuple))
             or len(exp) != rank
             or not all(isinstance(e, int) and not isinstance(e, bool) for e in exp)
         ):
-            raise ValueError(f"bad exponent vector {exp!r} for rank {rank}")
+            raise ValueError(f"{where}: bad exponent vector {preview(exp)} for rank {rank}")
         q_power = record.get("q", 0)
         if not isinstance(q_power, int) or isinstance(q_power, bool) or q_power < 0:
-            raise ValueError(f"bad q-power {q_power!r}")
+            raise ValueError(f"{where}: bad q-power {preview(q_power)}")
         key = (tuple(exp), q_power)
         if key in seen:
-            raise ValueError(f"duplicate exponent entry {key!r}")
+            raise ValueError(f"{where} repeats an earlier exponent vector and q-power")
         seen.add(key)
         value = parse_rational(record.get("coeff"))
         accumulated.setdefault(tuple(exp), {})[q_power] = value

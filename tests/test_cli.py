@@ -7,6 +7,7 @@ the console script would produce; primary output is read back from
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -112,6 +113,32 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "nests too deeply" in captured.err
+
+    def test_nested_term_record_is_named_not_echoed(self, tmp_path, capsys):
+        nested = json.loads("[" * 900 + "]" * 900)
+        path = tmp_path / "nested-term.json"
+        path.write_text(json.dumps({"vars": ["x"], "terms": [nested]}))
+        assert run(["period", "--poly", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: term record 0 is a list of size 1, not an object\n"
+        )
+        for bad in (
+            {"exp": nested},
+            {"exp": [1], "q": nested},
+            {"exp": [1], "coeff": nested},
+        ):
+            path.write_text(json.dumps({"vars": ["x"], "terms": [bad]}))
+            assert run(["period", "--poly", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert "a list of size 1" in err and len(err) < 200, err
+        periods = tmp_path / "nested-index.json"
+        periods.write_text(json.dumps({"index": nested, "coeffs": ["1"]}))
+        assert run(["frobenius", "--periods", str(periods)]) == 1
+        assert capsys.readouterr().err == (
+            'error: bad grading "index" a list of size 1\n'
+        )
 
     @pytest.mark.parametrize("coeff", ["1e3", "1.5", "1_000", " 3"])
     def test_coefficient_outside_the_grammar_is_domain_error(
@@ -382,6 +409,41 @@ class TestDeterminism:
             for r in range(p + q + 1)
         ]
         assert printed == json.dumps(expected, indent=2) + "\n"
+
+    # sha256 of stdout recorded from the residue-expansion engine that
+    # preceded the power recurrence in reconstruct_N1.
+    @pytest.mark.parametrize(
+        "index, closed_form, order, argv, digest",
+        [
+            (
+                3,
+                lambda m: factorial(3 * m) // factorial(m) ** 3,
+                30,
+                ["--max-p", "12", "--emit", "table"],
+                "32ad56ccaba0eec32858166f933229a56564926b786e197b293f212ef17209f7",
+            ),
+            (
+                4,
+                lambda m: factorial(4 * m) * factorial(2 * m) // factorial(m) ** 6,
+                24,
+                ["--max-p", "8", "--emit", "series"],
+                "366c627aa5e7054f309bbbf441118675ef6b8475880c678e6a683b2e11b6b566",
+            ),
+        ],
+        ids=["p2-table", "gr24-series"],
+    )
+    def test_frobenius_output_is_frozen(
+        self, index, closed_form, order, argv, digest, tmp_path, capsys
+    ):
+        values = [
+            str(closed_form(d // index)) if d % index == 0 else "0"
+            for d in range(order + 1)
+        ]
+        path = tmp_path / "periods.json"
+        path.write_text(json.dumps({"index": index, "coeffs": values}))
+        assert run(["frobenius", "--periods", str(path)] + argv) == 0
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == digest
 
     def test_file_and_rerun_identical(self, p2_poly_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -11,9 +11,11 @@ a_8 = (1680 - 672 - 720)/9 q^3 = 32 q^3.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
+from typing import Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanoperiods.frobenius import (
@@ -32,7 +34,6 @@ from fanoperiods.frobenius import (
     series_multiply,
     structure_table,
     table_records,
-    unregularize,
 )
 from fanoperiods.laurent import LaurentPolynomial, QPolynomial, classical_periods
 
@@ -50,6 +51,54 @@ def p2_periods(order: int = 12) -> PeriodSequence:
 
 def trivial_periods(order: int) -> PeriodSequence:
     return PeriodSequence((ONE,) + (ZERO,) * order)
+
+
+def _power_residue(tail: Mapping[int, QPolynomial], degree: int) -> QPolynomial:
+    """t^0 coefficient of (t + sum a_i t^(-i))^degree, expanded in full."""
+    base: dict[int, QPolynomial] = {1: QPolynomial.one()}
+    for i, value in tail.items():
+        base[-i] = value
+    current: dict[int, QPolynomial] = {0: QPolynomial.one()}
+    for _ in range(degree):
+        step: dict[int, QPolynomial] = {}
+        for e1, c1 in current.items():
+            for e2, c2 in base.items():
+                e = e1 + e2
+                value = c1 * c2
+                step[e] = step[e] + value if e in step else value
+        current = step
+    return current.get(0, QPolynomial.zero())
+
+
+def _reconstruct_by_residues(periods: PeriodSequence) -> ThetaSeries:
+    """Oracle for reconstruct_N1: expand N_1^(i+1) afresh to find each a_i.
+
+    At step i the only new contribution to c_{i+1} is a_i paired with
+    i+1 copies of the leading t, so a_i = (c_{i+1} - known part)/(i+1).
+    """
+    coeffs = periods.coeffs
+    order = periods.order
+    if order >= 1 and coeffs[1]:
+        raise InconsistentPeriodsError("c_1 must vanish")
+    tail: dict[int, QPolynomial] = {}
+    for i in range(1, order):
+        a_i = (coeffs[i + 1] - _power_residue(tail, i + 1)) / (i + 1)
+        if a_i:
+            tail[i] = a_i
+    return ThetaSeries(1, tail, valid_to=max(order - 1, 0))
+
+
+# Mixed q-powers with negative, fractional and zero coefficients.
+Q_COEFFICIENTS = st.dictionaries(
+    st.integers(min_value=0, max_value=2),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    max_size=2,
+).map(QPolynomial)
+# Orders 0..7: c_0 = 1 alone, or c_0 = 1, c_1 = 0 and up to six more.
+PERIOD_COEFFICIENTS = st.one_of(
+    st.just((ONE,)),
+    st.lists(Q_COEFFICIENTS, max_size=6).map(lambda rest: (ONE, ZERO, *rest)),
+)
 
 
 def p2_series(order: int = 12, top: int = 4) -> list[ThetaSeries]:
@@ -184,6 +233,36 @@ class TestReconstruction:
         n1 = reconstruct_N1(periods)
         for d in range(len(coeffs)):
             assert residue_product([n1] * d) == coeffs[d], d
+
+    @settings(deadline=None, max_examples=80)
+    @given(PERIOD_COEFFICIENTS)
+    @example((ONE,) + (ZERO,) * 7)
+    @example((ONE, QPolynomial.of(3)))
+    @example((ONE, QPolynomial.of(Fraction(-1, 2), 1), QPolynomial.of(5)))
+    def test_matches_the_residue_oracle(self, coeffs):
+        periods = PeriodSequence(coeffs)
+        try:
+            expected = _reconstruct_by_residues(periods)
+        except InconsistentPeriodsError:
+            with pytest.raises(InconsistentPeriodsError):
+                reconstruct_N1(periods)
+            return
+        assert reconstruct_N1(periods) == expected
+
+    def test_p2_reaches_order_60(self):
+        values = [
+            factorial(d) // factorial(d // 3) ** 3 if d % 3 == 0 else 0
+            for d in range(61)
+        ]
+        periods = PeriodSequence.from_plain(values, 3)
+        n1 = reconstruct_N1(periods)
+        assert n1.valid_to == 59
+        assert n1.tail_term(2) == QPolynomial.of(2, 1)
+        for i in range(1, 60):
+            if i % 3 != 2:
+                assert n1.tail_term(i) == ZERO, i
+        for d in (12, 18, 24):
+            assert residue_product([n1] * d) == periods.coeffs[d], d
 
 
 class TestOneStepConstants:
@@ -355,18 +434,6 @@ class TestAssociativity:
         assert violations
         cells = {(v["p"], v["q"], v["r"], v["u"]) for v in violations}
         assert (1, 1, 1, 0) in cells
-
-
-class TestUnregularize:
-    def test_p2_values(self):
-        values = unregularize(p2_periods(6))
-        assert values[3] == QPolynomial.of(1, 1)
-        assert values[6] == QPolynomial.of(Fraction(1, 8), 2)
-
-    def test_trivial(self):
-        values = unregularize(trivial_periods(4))
-        assert values[0] == ONE
-        assert values[1:] == [ZERO] * 4
 
 
 class TestPeriodsJson:

@@ -316,6 +316,17 @@ def test_json_fractional_coefficients():
     assert f == _poly(("x",), {(2,): Fraction(-3, 7)})
 
 
+def test_json_errors_name_the_record_without_echoing_it():
+    good = {"coeff": "1", "exp": [1]}
+    duplicate = {"vars": ["x"], "terms": [good, {"coeff": "2", "exp": [0]}, good]}
+    with pytest.raises(ValueError, match="^term record 2 repeats"):
+        laurent_from_json(duplicate)
+    long_string = {"vars": ["x"], "terms": [{"coeff": "7x" * 500, "exp": [1]}]}
+    with pytest.raises(ValueError, match=r"\(1002 characters\)") as err:
+        laurent_from_json(long_string)
+    assert len(str(err.value)) < 200
+
+
 # ---------------------------------------------------------------------------
 # algebraic properties on small random inputs
 
