@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .frobenius import (
     PeriodSequence,
@@ -44,8 +43,7 @@ from .selfcheck import run_all
 from .young import BoxContext
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A built-in mirror with its expected regularized period head.
 
     The period head (c_0..c_6, exact strings) is regression data: the
@@ -414,15 +412,15 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as stop:
         return stop.code if isinstance(stop.code, int) else 2
+    code = 0
     try:
         payload = args.handler(args)
+        if isinstance(payload, tuple):
+            payload, code = payload
+        _emit(payload, args.out)
     except (OSError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    code = 0
-    if isinstance(payload, tuple):
-        payload, code = payload
-    _emit(payload, args.out)
     return code
 
 

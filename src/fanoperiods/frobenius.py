@@ -18,11 +18,11 @@ N_{1,q}^r = (q-r) N_{1,q-r} and the general table entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
+from ._record import Record
 from .laurent import QPolynomial, Rational, parse_rational, preview
 
 
@@ -38,17 +38,16 @@ class ReconstructionError(ValueError):
     """The extension recursion produced a series of the wrong shape."""
 
 
-@dataclass(frozen=True)
-class PeriodSequence:
+class PeriodSequence(Record):
     """Regularized period coefficients c_0..c_T with c_0 = 1."""
 
-    coeffs: tuple[QPolynomial, ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        clean = tuple(_as_coefficient(c) for c in self.coeffs)
+    def __init__(self, coeffs: Sequence[QPolynomial | Rational]):
+        clean = tuple(_as_coefficient(c) for c in coeffs)
         if not clean or clean[0] != QPolynomial.one():
             raise InconsistentPeriodsError("period sequences start with c_0 = 1")
-        object.__setattr__(self, "coeffs", clean)
+        self._store(clean)
 
     @property
     def order(self) -> int:
@@ -81,8 +80,7 @@ def _as_coefficient(value) -> QPolynomial:
     return QPolynomial.constant(value)
 
 
-@dataclass(frozen=True)
-class ThetaSeries:
+class ThetaSeries(Record):
     """A truncated series t^p + sum_{i > 0} a_i t^(-i).
 
     `tail` maps i to a_i; `valid_to` is the largest i whose coefficient
@@ -90,29 +88,29 @@ class ThetaSeries:
     mapping keeps plain dict storage.
     """
 
-    p: int
-    tail: dict[int, QPolynomial]
-    valid_to: int | None
+    __slots__ = _fields = ("p", "tail", "valid_to")
 
-    def __post_init__(self):
-        if self.p < 0:
-            raise ValueError(f"leading exponent must be non-negative, got {self.p}")
+    def __init__(
+        self, p: int, tail: Mapping[int, QPolynomial | Rational], valid_to: int | None
+    ):
+        if p < 0:
+            raise ValueError(f"leading exponent must be non-negative, got {p}")
         clean: dict[int, QPolynomial] = {}
-        for i, value in self.tail.items():
+        for i, value in tail.items():
             if not isinstance(i, int) or i <= 0:
                 raise ValueError(f"tail indices must be positive integers, got {i!r}")
             coeff = _as_coefficient(value)
             if coeff:
                 clean[i] = coeff
-        if self.valid_to is not None:
-            if self.valid_to < 0:
-                raise ValueError(f"valid_to must be non-negative, got {self.valid_to}")
-            beyond = [i for i in clean if i > self.valid_to]
+        if valid_to is not None:
+            if valid_to < 0:
+                raise ValueError(f"valid_to must be non-negative, got {valid_to}")
+            beyond = [i for i in clean if i > valid_to]
             if beyond:
                 raise ValueError(
-                    f"tail indices {sorted(beyond)} exceed valid_to={self.valid_to}"
+                    f"tail indices {sorted(beyond)} exceed valid_to={valid_to}"
                 )
-        object.__setattr__(self, "tail", clean)
+        self._store(p, clean, valid_to)
 
     def tail_term(self, i: int) -> QPolynomial:
         """a_i, refusing indices beyond the trusted window."""
@@ -129,23 +127,21 @@ class ThetaSeries:
         return self.tail_term(i) / i
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """A finite Laurent-series window: trusted exactly for exponents >= floor.
 
     floor = None means the series is exact everywhere.
     """
 
-    coeffs: dict[int, QPolynomial]
-    floor: int | None
+    __slots__ = _fields = ("coeffs", "floor")
 
-    def __post_init__(self):
+    def __init__(self, coeffs: Mapping[int, QPolynomial | Rational], floor: int | None):
         clean = {}
-        for e, c in self.coeffs.items():
+        for e, c in coeffs.items():
             coeff = _as_coefficient(c)
-            if coeff and (self.floor is None or e >= self.floor):
+            if coeff and (floor is None or e >= floor):
                 clean[e] = coeff
-        object.__setattr__(self, "coeffs", clean)
+        self._store(clean, floor)
 
     def coefficient(self, exponent: int) -> QPolynomial:
         if self.floor is not None and exponent < self.floor:
@@ -321,24 +317,26 @@ def extend_series(series: Sequence[ThetaSeries]) -> ThetaSeries:
     return ThetaSeries(n, tail, valid_to)
 
 
-@dataclass(frozen=True)
-class StructureTable:
+class StructureTable(Record):
     """Structure constants entry(p, q, r) for p + q <= total.
 
     Only nonzero entries are stored; the accessor fills in zeros for
     every in-range key.
     """
 
-    total: int
-    entries: dict[tuple[int, int, int], QPolynomial] = field(default_factory=dict)
+    __slots__ = _fields = ("total", "entries")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        total: int,
+        entries: Mapping[tuple[int, int, int], QPolynomial | Rational] | None = None,
+    ):
         clean = {
             key: _as_coefficient(value)
-            for key, value in self.entries.items()
+            for key, value in (entries or {}).items()
             if _as_coefficient(value)
         }
-        object.__setattr__(self, "entries", clean)
+        self._store(total, clean)
 
     def entry(self, p: int, q: int, r: int) -> QPolynomial:
         if p < 0 or q < 0 or p + q > self.total:

@@ -23,10 +23,10 @@ checks exhaustively at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
+from ._record import Record
 from .laurent import (
     LaurentPolynomial,
     QPolynomial,
@@ -54,22 +54,32 @@ class ChartError(ValueError):
     """A frozen Pluecker coordinate failed to restrict to a monomial."""
 
 
-@dataclass(frozen=True, eq=False)
-class GridNetwork:
+class GridNetwork(Record):
     """The grid network of the rectangles seed.
 
     `face_labels` lists the base face (empty diagram) followed by every
     rectangle in the box, the full box last; `variable_labels` drops
     the full box and matches `variable_names` position by position.
     `cell_weights` maps each grid cell to the exponent vector of its
-    face monomial.
+    face monomial.  Equality and hashing are by identity: a network is
+    an lru_cache key and its weight mapping is a plain dict.
     """
 
-    context: BoxContext
-    face_labels: tuple[YoungDiagram, ...]
-    variable_names: tuple[str, ...]
-    variable_labels: tuple[YoungDiagram, ...]
-    cell_weights: dict[Cell, tuple[int, ...]]
+    __slots__ = _fields = (
+        "context", "face_labels", "variable_names", "variable_labels", "cell_weights"
+    )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        context: BoxContext,
+        face_labels: tuple[YoungDiagram, ...],
+        variable_names: tuple[str, ...],
+        variable_labels: tuple[YoungDiagram, ...],
+        cell_weights: dict[Cell, tuple[int, ...]],
+    ):
+        self._store(context, face_labels, variable_names, variable_labels, cell_weights)
 
 
 @lru_cache(maxsize=None)
@@ -191,44 +201,6 @@ def flow_polynomial(net: GridNetwork, diagram: YoungDiagram) -> LaurentPolynomia
                 total = _vector_add(total, weight)
             terms[total] = terms.get(total, QPolynomial.zero()) + one
     return LaurentPolynomial(net.variable_names, terms)
-
-
-def path_matrix_entry(
-    net: GridNetwork, source_row: int, sink_column: int
-) -> LaurentPolynomial:
-    """All single-path weights between one source and one sink."""
-    terms: dict[tuple[int, ...], QPolynomial] = {}
-    one = QPolynomial.one()
-    for _, weight in _single_paths(net, source_row, sink_column):
-        terms[weight] = terms.get(weight, QPolynomial.zero()) + one
-    return LaurentPolynomial(net.variable_names, terms)
-
-
-def flow_determinant(net: GridNetwork, diagram: YoungDiagram) -> LaurentPolynomial:
-    """Determinant route to the flow polynomial.
-
-    The counterclockwise boundary ordering makes the disjoint-family
-    sum equal the plain determinant of the path matrix over ascending
-    sources and ascending sink columns, with positive sign; the test
-    suite holds the two routes together as a cross-check on the path
-    enumeration.
-    """
-    sources, columns = _terminals(net, diagram)
-    if not sources:
-        return LaurentPolynomial.one(net.variable_names)
-    matrix = [[path_matrix_entry(net, s, c) for c in columns] for s in sources]
-    return _determinant(matrix, net.variable_names)
-
-
-def _determinant(matrix, names) -> LaurentPolynomial:
-    if len(matrix) == 1:
-        return matrix[0][0]
-    total = LaurentPolynomial.zero(names)
-    for j, entry in enumerate(matrix[0]):
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = entry * _determinant(minor, names)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 def _monomial_quotient(

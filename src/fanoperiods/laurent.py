@@ -320,11 +320,6 @@ def multiply(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
     return LaurentPolynomial(f.names, total)
 
 
-def constant_term(f: LaurentPolynomial) -> QPolynomial:
-    """Coefficient of the zero exponent vector."""
-    return f.coefficient((0,) * f.rank)
-
-
 def classical_periods(f: LaurentPolynomial, order: int) -> list[QPolynomial]:
     """Constant terms of f**d for d = 0..order.
 
@@ -387,21 +382,6 @@ def _low_powers(
             grouped.setdefault(key[:-1], {})[key[-1]] = c
         powers.append(grouped)
     return powers
-
-
-def tropical_value(f: LaurentPolynomial, direction: Sequence[Rational]) -> Fraction:
-    """min over the support of the pairing with `direction`."""
-    if f.is_zero():
-        raise ZeroPolynomialError("the zero polynomial has no tropicalization")
-    v = tuple(_as_fraction(c) for c in direction)
-    if len(v) != f.rank:
-        raise RankMismatchError(
-            f"direction of length {len(v)} against rank {f.rank}"
-        )
-    return min(
-        sum((Fraction(e_i) * v_i for e_i, v_i in zip(e, v)), Fraction(0))
-        for e in f.terms
-    )
 
 
 def support(f: LaurentPolynomial) -> list[ExponentVector]:

@@ -11,13 +11,12 @@ system, so counting never enumerates vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from fanoperiods._record import Record
 from fanoperiods.laurent import _as_fraction
 
 # C(facets, dim) square solves allowed in vertex enumeration; the NO body
@@ -29,16 +28,13 @@ class UnboundedPolytopeError(ValueError):
     """Raised when a count requires a bounded polytope and none is given."""
 
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(Record):
     """The set {v : <normal, v> >= offset}."""
 
-    normal: tuple[int, ...]
-    offset: Fraction
+    __slots__ = _fields = ("normal", "offset")
 
-    def __post_init__(self):
-        object.__setattr__(self, "normal", tuple(self.normal))
-        object.__setattr__(self, "offset", _as_fraction(self.offset))
+    def __init__(self, normal: Sequence[int], offset: Fraction):
+        self._store(tuple(normal), _as_fraction(offset))
 
     def holds_at(self, point: Sequence[Fraction], scale: int = 1) -> bool:
         value = sum(
@@ -53,29 +49,35 @@ class Halfspace:
         return value == self.offset
 
 
-@dataclass(frozen=True)
-class HalfspaceSystem:
+class HalfspaceSystem(Record):
     """A finite intersection of halfspaces in a fixed dimension."""
 
-    dim: int
-    facets: tuple[Halfspace, ...]
+    __slots__ = ("dim", "facets", "_chain_cache")
+    _fields = ("dim", "facets")
 
-    def __post_init__(self):
-        object.__setattr__(self, "facets", tuple(self.facets))
-        for facet in self.facets:
-            if len(facet.normal) != self.dim:
+    def __init__(self, dim: int, facets: Iterable[Halfspace]):
+        facets = tuple(facets)
+        for facet in facets:
+            if len(facet.normal) != dim:
                 raise ValueError(
-                    f"facet normal {facet.normal!r} does not match dimension {self.dim}"
+                    f"facet normal {facet.normal!r} does not match dimension {dim}"
                 )
             if not any(facet.normal):
                 raise ValueError("facet normals must be nonzero")
+        self._store(dim, facets)
 
     def contains(self, point: Sequence[Fraction], scale: int = 1) -> bool:
         return all(f.holds_at(point, scale) for f in self.facets)
 
-    @cached_property
+    @property
     def _chain(self) -> _ProjectionChain:
-        return _projection_chain(self)
+        """The projection chain, built on first use and kept."""
+        try:
+            return self._chain_cache
+        except AttributeError:
+            chain = _projection_chain(self)
+            object.__setattr__(self, "_chain_cache", chain)
+            return chain
 
 
 def polar_from_support(exponents: Iterable[Sequence[int]]) -> HalfspaceSystem:
@@ -378,30 +380,3 @@ def build_document(
         "vertices": [[str(c) for c in v] for v in vs],
         "lattice_counts": counts,
     }
-
-
-def parse_document(data: Mapping):
-    """Parse a polytope document back into (system, vertices, counts)."""
-    if not isinstance(data, Mapping):
-        raise ValueError("polytope JSON must be an object")
-    dim = data.get("dim")
-    if not isinstance(dim, int) or dim <= 0:
-        raise ValueError(f'bad "dim" {dim!r}')
-    facets = []
-    for record in data.get("facets", []):
-        normal = record.get("normal")
-        if (
-            not isinstance(normal, (list, tuple))
-            or len(normal) != dim
-            or not all(isinstance(c, int) for c in normal)
-        ):
-            raise ValueError(f"bad facet normal {normal!r}")
-        facets.append(Halfspace(tuple(normal), Fraction(str(record.get("offset")))))
-    system = HalfspaceSystem(dim, tuple(facets))
-    parsed_vertices = [
-        tuple(Fraction(c) for c in v) for v in data.get("vertices", [])
-    ]
-    counts = {
-        int(r): int(c) for r, c in (data.get("lattice_counts") or {}).items()
-    }
-    return system, parsed_vertices, counts

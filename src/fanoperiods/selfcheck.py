@@ -9,10 +9,9 @@ install reports everything that is wrong at once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .frobenius import (
     PeriodSequence,
@@ -45,8 +44,7 @@ from .young import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

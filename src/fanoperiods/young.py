@@ -14,24 +14,24 @@ count by exactly one cell, which is what the valuation identities need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
+
+from ._record import Record
 
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class BoxContext:
+class BoxContext(Record):
     """Diagrams with at most n - k rows of length at most k."""
 
-    k: int
-    n: int
+    __slots__ = _fields = ("k", "n")
 
-    def __post_init__(self):
-        if not 0 < self.k < self.n:
-            raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
+    def __init__(self, k: int, n: int):
+        if not 0 < k < n:
+            raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+        self._store(k, n)
 
     @property
     def box_rows(self) -> int:
@@ -45,22 +45,20 @@ class BoxContext:
         return BoxContext(self.n - self.k, self.n)
 
 
-@dataclass(frozen=True)
-class YoungDiagram:
-    context: BoxContext
-    rows: tuple[int, ...]
+class YoungDiagram(Record):
+    __slots__ = _fields = ("context", "rows")
 
-    def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
+    def __init__(self, context: BoxContext, rows: Iterable[int]):
+        rows = tuple(int(r) for r in rows)
         while rows and rows[-1] == 0:
             rows = rows[:-1]
-        object.__setattr__(self, "rows", rows)
         if any(a < b for a, b in zip(rows, rows[1:])):
             raise ValueError(f"rows not weakly decreasing: {rows!r}")
-        if rows and (rows[0] > self.context.box_cols or any(r < 0 for r in rows)):
-            raise ValueError(f"rows {rows!r} leave the {self.context} box")
-        if len(rows) > self.context.box_rows:
-            raise ValueError(f"too many rows for the {self.context} box: {rows!r}")
+        if rows and (rows[0] > context.box_cols or any(r < 0 for r in rows)):
+            raise ValueError(f"rows {rows!r} leave the {context} box")
+        if len(rows) > context.box_rows:
+            raise ValueError(f"too many rows for the {context} box: {rows!r}")
+        self._store(context, rows)
 
     @classmethod
     def of(cls, context: BoxContext, rows: Iterable[int]) -> YoungDiagram:
@@ -84,27 +82,25 @@ class YoungDiagram:
         return not self.rows or all(r == self.rows[0] for r in self.rows)
 
 
-@dataclass(frozen=True)
-class StepSet:
+class StepSet(Record):
     """The positions of the south (or west) steps of a border path."""
 
-    context: BoxContext
-    direction: str
-    steps: frozenset[int]
+    __slots__ = _fields = ("context", "direction", "steps")
 
-    def __post_init__(self):
-        if self.direction not in ("south", "west"):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        object.__setattr__(self, "steps", frozenset(int(s) for s in self.steps))
-        n = self.context.n
-        if not self.steps <= set(range(1, n + 1)):
-            raise ValueError(f"steps {sorted(self.steps)!r} outside 1..{n}")
-        expected = self.context.box_rows if self.direction == "south" else self.context.k
-        if len(self.steps) != expected:
+    def __init__(self, context: BoxContext, direction: str, steps: Iterable[int]):
+        if direction not in ("south", "west"):
+            raise ValueError(f"unknown direction {direction!r}")
+        steps = frozenset(int(s) for s in steps)
+        n = context.n
+        if not steps <= set(range(1, n + 1)):
+            raise ValueError(f"steps {sorted(steps)!r} outside 1..{n}")
+        expected = context.box_rows if direction == "south" else context.k
+        if len(steps) != expected:
             raise ValueError(
-                f"a {self.direction} step set in {self.context} needs "
-                f"{expected} members, got {len(self.steps)}"
+                f"a {direction} step set in {context} needs "
+                f"{expected} members, got {len(steps)}"
             )
+        self._store(context, direction, steps)
 
 
 def to_steps(diagram: YoungDiagram, direction: str) -> StepSet:
@@ -231,44 +227,3 @@ def schur_dimension(shape: Union[YoungDiagram, Sequence[int]], n: int) -> int:
     if value.denominator != 1:
         raise ArithmeticError(f"hook content formula gave a non-integer: {value}")
     return int(value)
-
-
-# ---------------------------------------------------------------------------
-# JSON: {"k": 2, "n": 4, "rows": [2, 1]} and {"direction": "west", "steps": [1, 3]}
-
-
-def diagram_to_json(diagram: YoungDiagram) -> dict:
-    return {
-        "k": diagram.context.k,
-        "n": diagram.context.n,
-        "rows": list(diagram.rows),
-    }
-
-
-def diagram_from_json(data: Mapping) -> YoungDiagram:
-    if not isinstance(data, Mapping):
-        raise ValueError("diagram JSON must be an object")
-    k, n, rows = data.get("k"), data.get("n"), data.get("rows")
-    if not isinstance(k, int) or not isinstance(n, int):
-        raise ValueError('diagram JSON needs integer "k" and "n"')
-    if not isinstance(rows, (list, tuple)) or not all(
-        isinstance(r, int) and not isinstance(r, bool) for r in rows
-    ):
-        raise ValueError(f'bad "rows" {rows!r}')
-    return YoungDiagram(BoxContext(k, n), tuple(rows))
-
-
-def steps_to_json(steps: StepSet) -> dict:
-    return {"direction": steps.direction, "steps": sorted(steps.steps)}
-
-
-def steps_from_json(data: Mapping, ctx: BoxContext) -> StepSet:
-    if not isinstance(data, Mapping):
-        raise ValueError("steps JSON must be an object")
-    direction = data.get("direction")
-    members = data.get("steps")
-    if not isinstance(members, (list, tuple)) or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in members
-    ):
-        raise ValueError(f'bad "steps" {members!r}')
-    return StepSet(ctx, direction, frozenset(members))

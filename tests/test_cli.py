@@ -27,7 +27,8 @@ from fanoperiods.frobenius import (
     structure_table,
 )
 from fanoperiods.laurent import classical_periods
-from fanoperiods.polytope import geometry_flags, parse_document
+from fanoperiods.polytope import geometry_flags
+from test_polytope import parse_document
 
 P2_POLY = {
     "vars": ["x", "y"],
@@ -60,6 +61,16 @@ def p2_periods_file(tmp_path):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def run_python(*argv):
+    """Run a fresh interpreter with this package importable."""
+    src = str(Path(fanoperiods.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, env=env, check=False
+    )
 
 
 class TestExitCodes:
@@ -158,6 +169,18 @@ class TestExitCodes:
     def test_impossible_box_is_domain_error(self, capsys):
         assert run(["grassmannian", "--k", "4", "--n", "2"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("target", ["a directory", "a missing directory"])
+    def test_unwritable_out_is_domain_error(self, target, p2_poly_file, tmp_path):
+        out = tmp_path if target == "a directory" else tmp_path / "absent" / "p.json"
+        done = run_python(
+            "-m", "fanoperiods", "period", "--poly", p2_poly_file, "--out", str(out)
+        )
+        assert done.returncode == 1
+        assert done.stdout == b""
+        err = done.stderr.decode()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 class TestPeriodSubcommand:
@@ -460,15 +483,20 @@ class TestModuleEntryPoint:
             main()
         assert stop.value.code == 0
         expected = capsys.readouterr().out.encode()
-        src = str(Path(fanoperiods.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, PYTHONPATH=path)
-        done = subprocess.run(
-            [sys.executable, "-m", "fanoperiods", "catalog", "list"],
-            capture_output=True, env=env, check=False,
-        )
+        done = run_python("-m", "fanoperiods", "catalog", "list")
         assert done.returncode == 0
         assert done.stdout == expected
+
+    def test_import_leaves_out_dataclasses_and_inspect(self):
+        # Each CLI call pays for every module its import pulls in; these two
+        # (with ast, dis and tokenize behind them) cost about 20 ms a call.
+        done = run_python(
+            "-c",
+            "import sys, fanoperiods.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == b"[]\n"
 
 
 class TestSelfcheckSubcommand:

@@ -5,7 +5,8 @@ heads frozen here were computed by hand from the staircase-path model
 (weights are products of the face variables at the turning cells)
 before the module was written, and cross-checked against the classical
 short Pluecker relations and a word count for the low period
-coefficients.
+coefficients.  `flow_determinant`, the path-matrix determinant route to
+the flow polynomial, is kept here as an oracle.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import pytest
 from fanoperiods.grassmannian import (
     ChartError,
     _monomial_quotient,
+    _single_paths,
+    _terminals,
     build_rectangles_network,
-    flow_determinant,
     flow_polynomial,
     grass_periods,
     nobody_polytope,
-    path_matrix_entry,
     superpotential_chart,
     theta_restriction,
     verify_valuations,
@@ -55,6 +56,40 @@ CTX35 = BoxContext(3, 5)
 SMALL_CONTEXTS = [
     BoxContext(k, n) for n in range(2, 7) for k in range(1, n)
 ]
+
+
+def path_matrix_entry(net, source_row, sink_column):
+    """All single-path weights between one source and one sink."""
+    terms = {}
+    one = QPolynomial.one()
+    for _, weight in _single_paths(net, source_row, sink_column):
+        terms[weight] = terms.get(weight, QPolynomial.zero()) + one
+    return LaurentPolynomial(net.variable_names, terms)
+
+
+def flow_determinant(net, diagram):
+    """Oracle for flow_polynomial: the determinant route.
+
+    The counterclockwise boundary ordering makes the disjoint-family
+    sum equal the plain determinant of the path matrix over ascending
+    sources and ascending sink columns, with positive sign.
+    """
+    sources, columns = _terminals(net, diagram)
+    if not sources:
+        return LaurentPolynomial.one(net.variable_names)
+    matrix = [[path_matrix_entry(net, s, c) for c in columns] for s in sources]
+    return _determinant(matrix, net.variable_names)
+
+
+def _determinant(matrix, names):
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = LaurentPolynomial.zero(names)
+    for j, entry in enumerate(matrix[0]):
+        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        term = entry * _determinant(minor, names)
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 def unit(names, *exponent_vectors):

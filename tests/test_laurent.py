@@ -20,15 +20,34 @@ from fanoperiods.laurent import (
     QPolynomial,
     RankMismatchError,
     ZeroPolynomialError,
+    _as_fraction,
     classical_periods,
-    constant_term,
     laurent_from_json,
     laurent_to_json,
     min_exponent_vector,
     multiply,
     support,
-    tropical_value,
 )
+
+
+def constant_term(f):
+    """Coefficient of the zero exponent vector."""
+    return f.coefficient((0,) * f.rank)
+
+
+def tropical_value(f, direction):
+    """min over the support of the pairing with `direction`."""
+    if f.is_zero():
+        raise ZeroPolynomialError("the zero polynomial has no tropicalization")
+    v = tuple(_as_fraction(c) for c in direction)
+    if len(v) != f.rank:
+        raise RankMismatchError(
+            f"direction of length {len(v)} against rank {f.rank}"
+        )
+    return min(
+        sum((Fraction(e_i) * v_i for e_i, v_i in zip(e, v)), Fraction(0))
+        for e in f.terms
+    )
 
 
 def _power(f, degree):

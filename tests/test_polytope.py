@@ -5,12 +5,15 @@ binomial(3r+2, 2); squares from (2r+1)^2.  Both are computed here
 independently of the library.  Random systems are checked against two
 slow oracles kept here: the integer bounding-box scan over the vertex set
 and the recession-ray search over (dim - 1)-subsets of facet normals.
+`parse_document` reads an emitted polytope document back; the CLI tests
+use it too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -27,10 +30,36 @@ from fanoperiods.polytope import (
     build_document,
     geometry_flags,
     lattice_point_count,
-    parse_document,
     polar_from_support,
     vertices,
 )
+
+
+def parse_document(data):
+    """Parse a polytope document back into (system, vertices, counts)."""
+    if not isinstance(data, Mapping):
+        raise ValueError("polytope JSON must be an object")
+    dim = data.get("dim")
+    if not isinstance(dim, int) or dim <= 0:
+        raise ValueError(f'bad "dim" {dim!r}')
+    facets = []
+    for record in data.get("facets", []):
+        normal = record.get("normal")
+        if (
+            not isinstance(normal, (list, tuple))
+            or len(normal) != dim
+            or not all(isinstance(c, int) for c in normal)
+        ):
+            raise ValueError(f"bad facet normal {normal!r}")
+        facets.append(Halfspace(tuple(normal), Fraction(str(record.get("offset")))))
+    system = HalfspaceSystem(dim, tuple(facets))
+    parsed_vertices = [
+        tuple(Fraction(c) for c in v) for v in data.get("vertices", [])
+    ]
+    counts = {
+        int(r): int(c) for r, c in (data.get("lattice_counts") or {}).items()
+    }
+    return system, parsed_vertices, counts
 
 
 def _has_recession_ray(system):

