@@ -23,7 +23,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from ._record import Record
-from .laurent import QPolynomial, Rational, parse_rational, preview
+from .laurent import QPolynomial, Rational, _as_qpolynomial, parse_rational, preview
 
 
 class UntrustedCoefficientError(ValueError):
@@ -44,7 +44,7 @@ class PeriodSequence(Record):
     __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[QPolynomial | Rational]):
-        clean = tuple(_as_coefficient(c) for c in coeffs)
+        clean = tuple(_as_qpolynomial(c) for c in coeffs)
         if not clean or clean[0] != QPolynomial.one():
             raise InconsistentPeriodsError("period sequences start with c_0 = 1")
         self._store(clean)
@@ -74,12 +74,6 @@ class PeriodSequence(Record):
         return cls(tuple(coeffs))
 
 
-def _as_coefficient(value) -> QPolynomial:
-    if isinstance(value, QPolynomial):
-        return value
-    return QPolynomial.constant(value)
-
-
 class ThetaSeries(Record):
     """A truncated series t^p + sum_{i > 0} a_i t^(-i).
 
@@ -99,7 +93,7 @@ class ThetaSeries(Record):
         for i, value in tail.items():
             if not isinstance(i, int) or i <= 0:
                 raise ValueError(f"tail indices must be positive integers, got {i!r}")
-            coeff = _as_coefficient(value)
+            coeff = _as_qpolynomial(value)
             if coeff:
                 clean[i] = coeff
         if valid_to is not None:
@@ -138,7 +132,7 @@ class TruncatedSeries(Record):
     def __init__(self, coeffs: Mapping[int, QPolynomial | Rational], floor: int | None):
         clean = {}
         for e, c in coeffs.items():
-            coeff = _as_coefficient(c)
+            coeff = _as_qpolynomial(c)
             if coeff and (floor is None or e >= floor):
                 clean[e] = coeff
         self._store(clean, floor)
@@ -181,25 +175,17 @@ def _floor_of_product(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
 
 
 def series_multiply(
-    a: ThetaSeries | TruncatedSeries,
-    b: ThetaSeries | TruncatedSeries,
-    floor: int | None = None,
+    a: ThetaSeries | TruncatedSeries, b: ThetaSeries | TruncatedSeries
 ) -> TruncatedSeries:
     """Exact product within the joint validity window.
 
-    The window floor is max(floor_a + top_b, floor_b + top_a); asking
-    for a lower floor raises UntrustedCoefficientError instead of
-    emitting contaminated coefficients.
+    The window floor is max(floor_a + top_b, floor_b + top_a); the
+    unknown low-order terms of the factors reach every exponent below
+    it, so those are dropped.
     """
     left = _as_truncated(a)
     right = _as_truncated(b)
-    trusted = _floor_of_product(left, right)
-    if floor is None:
-        floor = trusted
-    elif trusted is not None and floor < trusted:
-        raise UntrustedCoefficientError(
-            f"requested floor {floor} is below the trusted floor {trusted}"
-        )
+    floor = _floor_of_product(left, right)
     coeffs: dict[int, QPolynomial] = {}
     for e1, c1 in left.coeffs.items():
         for e2, c2 in right.coeffs.items():
@@ -264,8 +250,9 @@ def extend_series(series: Sequence[ThetaSeries]) -> ThetaSeries:
     N_n = N_1 N_{n-1} - sum_{j>=1} N_{1,n-1}^j N_j - c_0 where the
     constant c_0 = a_1(N_{n-1}) + (n-1) N_{1,n-1} removes the t^0 term.
     The result must come out as t^n plus a strictly negative tail with
-    unit leading coefficient; anything else raises ReconstructionError,
-    which is the diagnostic for non-geometric input periods.
+    unit leading coefficient.  The input series' shape makes that
+    automatic for every period sequence, so the ReconstructionError
+    raised otherwise guards this module's arithmetic, not the input.
     """
     if not series:
         raise ValueError("the extension recursion needs at least N_1")
@@ -332,9 +319,9 @@ class StructureTable(Record):
         entries: Mapping[tuple[int, int, int], QPolynomial | Rational] | None = None,
     ):
         clean = {
-            key: _as_coefficient(value)
+            key: _as_qpolynomial(value)
             for key, value in (entries or {}).items()
-            if _as_coefficient(value)
+            if _as_qpolynomial(value)
         }
         self._store(total, clean)
 
@@ -408,21 +395,13 @@ def _entry_or_zero(table: StructureTable, p: int, q: int, r: int) -> QPolynomial
     return table.entry(p, q, r)
 
 
-def associativity_check(
-    table: StructureTable, q_cutoff: int | None = None
-) -> list[dict]:
+def associativity_check(table: StructureTable) -> list[dict]:
     """Compare (theta_p theta_q) theta_r with theta_p (theta_q theta_r).
 
     Runs over every triple with p + q + r <= the table's total degree
-    and every target u; a violation record names the cell and both
-    sides.  q_cutoff compares only Novikov powers up to the cutoff;
-    None compares exactly.
+    and every target u, comparing exactly; a violation record names the
+    cell and both sides.
     """
-
-    def trim(value: QPolynomial) -> QPolynomial:
-        if q_cutoff is None:
-            return value
-        return QPolynomial({p: c for p, c in value.items() if p <= q_cutoff})
 
     violations = []
     total = table.total
@@ -440,7 +419,7 @@ def associativity_check(
                         right = right + table.entry(q, r, s) * _entry_or_zero(
                             table, p, s, u
                         )
-                    if trim(left) != trim(right):
+                    if left != right:
                         violations.append(
                             {
                                 "p": p,

@@ -24,7 +24,7 @@ checks exhaustively at desk scale.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 from ._record import Record
 from .laurent import (
@@ -37,7 +37,6 @@ from .laurent import (
 from .polytope import HalfspaceSystem, polar_from_support
 from .young import (
     BoxContext,
-    StepSet,
     YoungDiagram,
     all_diagrams,
     boundary_rectangle,
@@ -104,7 +103,7 @@ def build_rectangles_network(ctx: BoxContext) -> GridNetwork:
     for row in range(1, k + 1):
         for column in range(1, width + 1):
             west = (frozenset(range(1, k + 1)) - {row}) | {n + 1 - column}
-            label = from_steps(StepSet(ctx, "west", west))
+            label = from_steps(ctx, west)
             cell_weights[(row, column)] = valuation_vector(
                 label, tuple(variable_labels)
             )
@@ -164,7 +163,7 @@ def _single_paths(
 def _terminals(net: GridNetwork, diagram: YoungDiagram) -> tuple[list[int], list[int]]:
     """Source rows and sink columns of the flow labeled by `diagram`."""
     ctx = net.context
-    west = to_steps(diagram, "west").steps
+    west = to_steps(diagram)
     sources = [r for r in range(1, ctx.k + 1) if r not in west]
     columns = sorted(ctx.n + 1 - s for s in west if s > ctx.k)
     return sources, columns
@@ -191,15 +190,16 @@ def flow_polynomial(net: GridNetwork, diagram: YoungDiagram) -> LaurentPolynomia
         return LaurentPolynomial.one(net.variable_names)
     terms: dict[tuple[int, ...], QPolynomial] = {}
     one = QPolynomial.one()
-    for assignment in permutations(columns):
-        options = [_single_paths(net, s, c) for s, c in zip(sources, assignment)]
-        for family in product(*options):
-            if not _cell_disjoint(family):
-                continue
-            total = family[0][1]
-            for _, weight in family[1:]:
-                total = _vector_add(total, weight)
-            terms[total] = terms.get(total, QPolynomial.zero()) + one
+    # The network is planar with sources and sinks in boundary order, so
+    # only the order-preserving pairing can give disjoint families.
+    options = [_single_paths(net, s, c) for s, c in zip(sources, columns)]
+    for family in product(*options):
+        if not _cell_disjoint(family):
+            continue
+        total = family[0][1]
+        for _, weight in family[1:]:
+            total = _vector_add(total, weight)
+        terms[total] = terms.get(total, QPolynomial.zero()) + one
     return LaurentPolynomial(net.variable_names, terms)
 
 

@@ -36,17 +36,11 @@ class Halfspace(Record):
     def __init__(self, normal: Sequence[int], offset: Fraction):
         self._store(tuple(normal), _as_fraction(offset))
 
-    def holds_at(self, point: Sequence[Fraction], scale: int = 1) -> bool:
+    def holds_at(self, point: Sequence[Fraction]) -> bool:
         value = sum(
             (Fraction(a) * x for a, x in zip(self.normal, point)), Fraction(0)
         )
-        return value >= self.offset * scale
-
-    def active_at(self, point: Sequence[Fraction]) -> bool:
-        value = sum(
-            (Fraction(a) * x for a, x in zip(self.normal, point)), Fraction(0)
-        )
-        return value == self.offset
+        return value >= self.offset
 
 
 class HalfspaceSystem(Record):
@@ -66,8 +60,8 @@ class HalfspaceSystem(Record):
                 raise ValueError("facet normals must be nonzero")
         self._store(dim, facets)
 
-    def contains(self, point: Sequence[Fraction], scale: int = 1) -> bool:
-        return all(f.holds_at(point, scale) for f in self.facets)
+    def contains(self, point: Sequence[Fraction]) -> bool:
+        return all(f.holds_at(point) for f in self.facets)
 
     @property
     def _chain(self) -> _ProjectionChain:
@@ -107,53 +101,26 @@ def polar_from_support(exponents: Iterable[Sequence[int]]) -> HalfspaceSystem:
 # exact linear algebra on Fractions
 
 
-def _solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve a square system exactly; None if the matrix is singular."""
+def _reduce(rows: list[list[Fraction]], dim: int) -> list[list[Fraction]] | None:
+    """Gauss-Jordan elimination of `rows` in place over the first `dim` columns.
+
+    Returns the rows, the first `dim` of them reduced to the identity in
+    those columns, or None at the first column without a pivot, that is
+    when the rows have rank below `dim`.
+    """
     n = len(rows)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
+    for col in range(dim):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col]
+        rows[col] = [x / inv for x in rows[col]]
         for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
-
-
-def _rank_and_kernel_vector(rows: Sequence[Sequence[Fraction]], dim: int):
-    """Row-reduce; return (rank, one kernel vector or None)."""
-    a = [list(row) for row in rows]
-    pivots: list[int] = []
-    row = 0
-    for col in range(dim):
-        pivot = next((r for r in range(row, len(a)) if a[r][col]), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = a[row][col]
-        a[row] = [x / inv for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(a):
-            break
-    rank = len(pivots)
-    if rank == dim:
-        return rank, None
-    free = next(c for c in range(dim) if c not in pivots)
-    vector = [Fraction(0)] * dim
-    vector[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vector[col] = -a[r][free]
-    return rank, tuple(vector)
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return rows
 
 
 def vertices(system: HalfspaceSystem) -> list[tuple[Fraction, ...]]:
@@ -170,10 +137,12 @@ def vertices(system: HalfspaceSystem) -> list[tuple[Fraction, ...]]:
         )
     found: set[tuple[Fraction, ...]] = set()
     for subset in combinations(system.facets, system.dim):
-        rows = [[Fraction(c) for c in f.normal] for f in subset]
-        rhs = [f.offset for f in subset]
-        point = _solve_square(rows, rhs)
-        if point is not None and system.contains(point):
+        # Fraction(c): the pivot division must stay exact on int normals.
+        rows = [[Fraction(c) for c in f.normal] + [f.offset] for f in subset]
+        if _reduce(rows, system.dim) is None:
+            continue
+        point = tuple(row[-1] for row in rows)
+        if system.contains(point):
             found.add(point)
     return sorted(found)
 
@@ -321,16 +290,8 @@ def geometry_flags(system: HalfspaceSystem) -> GeometryFlags:
     """Boundedness, full-dimensionality of the vertex hull, origin strictly inside."""
     bounded = system._chain.bounded
     vs = vertices(system)
-    if len(vs) < 2:
-        full_dimensional = False
-    else:
-        base = vs[0]
-        rows = [
-            [x - b for x, b in zip(v, base)]
-            for v in vs[1:]
-        ]
-        rank, _ = _rank_and_kernel_vector(rows, system.dim)
-        full_dimensional = rank == system.dim
+    rows = [[x - b for x, b in zip(v, vs[0])] for v in vs[1:]]
+    full_dimensional = _reduce(rows, system.dim) is not None
     origin_interior = all(f.offset < 0 for f in system.facets)
     return GeometryFlags(bounded, full_dimensional, origin_interior)
 

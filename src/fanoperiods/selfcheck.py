@@ -33,7 +33,6 @@ from .laurent import LaurentPolynomial, QPolynomial, classical_periods
 from .polytope import geometry_flags, lattice_point_count
 from .young import (
     BoxContext,
-    StepSet,
     YoungDiagram,
     all_diagrams,
     from_steps,
@@ -120,9 +119,7 @@ def check_flow_soundness() -> str:
                 )
 
         def coordinate(west: set[int]) -> LaurentPolynomial:
-            return flow_polynomial(
-                net, from_steps(StepSet(ctx, "west", frozenset(west)))
-            )
+            return flow_polynomial(net, from_steps(ctx, west))
 
         labels = range(1, n + 1)
         for quad in combinations(labels, 4):

@@ -1,11 +1,12 @@
-"""Young diagrams bounded by a rectangle, lattice-path step sets, and the
+"""Young diagrams bounded by a rectangle, their west-step sets, and the
 diagonal statistic driving Grassmannian valuations.
 
 Conventions.  A context (k, n) bounds diagrams inside a box with n - k
 rows of length at most k.  A diagram is identified with the monotone
 lattice path cutting its southeast border, read from the northeast
 corner of the box: n steps total, k of them west and n - k south,
-indexed 1..n.  Cells are (row, column), 1-indexed, top-left justified.
+indexed 1..n; `to_steps` and `from_steps` pass between a diagram and
+the positions of its west steps.  Cells are (row, column), 1-indexed, top-left justified.
 The statistic `max_diag` counts cells of a set difference lying on a
 single northwest-to-southeast diagonal (constant column - row); on
 these diagonals the boundary-rectangle variations below change the
@@ -75,60 +76,32 @@ class YoungDiagram(Record):
     def cells(self) -> set[Cell]:
         return {(i, j) for i, r in enumerate(self.rows, 1) for j in range(1, r + 1)}
 
-    def size(self) -> int:
-        return sum(self.rows)
-
     def is_rectangle(self) -> bool:
         return not self.rows or all(r == self.rows[0] for r in self.rows)
 
 
-class StepSet(Record):
-    """The positions of the south (or west) steps of a border path."""
-
-    __slots__ = _fields = ("context", "direction", "steps")
-
-    def __init__(self, context: BoxContext, direction: str, steps: Iterable[int]):
-        if direction not in ("south", "west"):
-            raise ValueError(f"unknown direction {direction!r}")
-        steps = frozenset(int(s) for s in steps)
-        n = context.n
-        if not steps <= set(range(1, n + 1)):
-            raise ValueError(f"steps {sorted(steps)!r} outside 1..{n}")
-        expected = context.box_rows if direction == "south" else context.k
-        if len(steps) != expected:
-            raise ValueError(
-                f"a {direction} step set in {context} needs "
-                f"{expected} members, got {len(steps)}"
-            )
-        self._store(context, direction, steps)
-
-
-def to_steps(diagram: YoungDiagram, direction: str) -> StepSet:
-    """Step positions of the diagram's border path.
+def to_steps(diagram: YoungDiagram) -> frozenset[int]:
+    """Positions of the west steps of the diagram's border path.
 
     Row i of the (zero-padded) diagram contributes the south step at
     position i + k - rows[i]; west steps fill the complement.
     """
     ctx = diagram.context
-    south = frozenset(
-        i + ctx.k - r for i, r in enumerate(diagram.padded_rows(), 1)
-    )
-    if direction == "south":
-        return StepSet(ctx, "south", south)
-    if direction == "west":
-        return StepSet(ctx, "west", frozenset(range(1, ctx.n + 1)) - south)
-    raise ValueError(f"unknown direction {direction!r}")
+    south = {i + ctx.k - r for i, r in enumerate(diagram.padded_rows(), 1)}
+    return frozenset(range(1, ctx.n + 1)) - south
 
 
-def from_steps(steps: StepSet) -> YoungDiagram:
-    """Inverse of `to_steps`; direction conversion goes through complements."""
-    ctx = steps.context
-    if steps.direction == "west":
-        south = sorted(set(range(1, ctx.n + 1)) - steps.steps)
-    else:
-        south = sorted(steps.steps)
-    rows = tuple(i + ctx.k - s for i, s in enumerate(south, 1))
-    return YoungDiagram(ctx, rows)
+def from_steps(ctx: BoxContext, west: Iterable[int]) -> YoungDiagram:
+    """Inverse of `to_steps`: the diagram whose west steps are `west`."""
+    west = frozenset(west)
+    labels = frozenset(range(1, ctx.n + 1))
+    if len(west) != ctx.k or not west <= labels:
+        raise ValueError(
+            f"a west step set in {ctx} needs {ctx.k} members of 1..{ctx.n}, "
+            f"got {sorted(west)!r}"
+        )
+    south = sorted(labels - west)
+    return YoungDiagram(ctx, (i + ctx.k - s for i, s in enumerate(south, 1)))
 
 
 def _cyclic_label(value: int, n: int) -> int:
@@ -144,7 +117,7 @@ def boundary_rectangle(index: int, ctx: BoxContext) -> YoungDiagram:
     west = frozenset(
         _cyclic_label(index + t, ctx.n) for t in range(1, ctx.k + 1)
     )
-    return from_steps(StepSet(ctx, "west", west))
+    return from_steps(ctx, west)
 
 
 def boundary_rectangle_box(index: int, ctx: BoxContext) -> YoungDiagram:
@@ -156,7 +129,7 @@ def boundary_rectangle_box(index: int, ctx: BoxContext) -> YoungDiagram:
         _cyclic_label(index + t, ctx.n) for t in range(1, ctx.k)
     }
     west.add(_cyclic_label(index + ctx.k + 1, ctx.n))
-    return from_steps(StepSet(ctx, "west", frozenset(west)))
+    return from_steps(ctx, west)
 
 
 def max_diag(diagram: YoungDiagram, removed: YoungDiagram) -> int:
@@ -173,9 +146,9 @@ def max_diag(diagram: YoungDiagram, removed: YoungDiagram) -> int:
 
 def sigma_reflect(diagram: YoungDiagram) -> YoungDiagram:
     """Reflection into the transposed box: south steps become west steps."""
-    south = to_steps(diagram, "south").steps
-    ctx_t = diagram.context.transposed()
-    return from_steps(StepSet(ctx_t, "west", south))
+    ctx = diagram.context
+    south = frozenset(range(1, ctx.n + 1)) - to_steps(diagram)
+    return from_steps(ctx.transposed(), south)
 
 
 def valuation_vector(
@@ -200,7 +173,7 @@ def theta_valuation_delta(i: int, j: int, ctx: BoxContext) -> int:
 def all_diagrams(ctx: BoxContext) -> list[YoungDiagram]:
     """Every diagram in the box, ordered by west-step set."""
     return [
-        from_steps(StepSet(ctx, "west", frozenset(members)))
+        from_steps(ctx, members)
         for members in combinations(range(1, ctx.n + 1), ctx.k)
     ]
 

@@ -468,6 +468,31 @@ class TestDeterminism:
         printed = capsys.readouterr().out.encode()
         assert hashlib.sha256(printed).hexdigest() == digest
 
+    # sha256 of stdout recorded before the flow sum dropped the sink
+    # permutations and vertex enumeration moved to a single elimination.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--k", "4", "--n", "8", "--emit", "superpotential"],
+                "aa3c6caadb6c579c2946dfff302c7ac6c1383658164003ecf6c271a699c20af7",
+            ),
+            (
+                ["--k", "2", "--n", "5", "--emit", "polytope", "--order", "2"],
+                "d564a11997072b452eacd0838b7ed99d5d09b9557bf55c7cb429022bbe7ddee5",
+            ),
+            (
+                ["--k", "2", "--n", "6", "--emit", "polytope", "--order", "1"],
+                "21ecb27cb3a8580a2d25b695fa592d1d8c85979b2a0e2d157a7d003dc48c405f",
+            ),
+        ],
+        ids=["gr48-superpotential", "gr25-polytope", "gr26-polytope"],
+    )
+    def test_grassmannian_output_is_frozen(self, argv, digest, capsys):
+        assert run(["grassmannian"] + argv) == 0
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == digest
+
     def test_file_and_rerun_identical(self, p2_poly_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["period", "--poly", p2_poly_file, "--order", "8"]

@@ -175,13 +175,6 @@ class TestSeriesMultiply:
         with pytest.raises(UntrustedCoefficientError):
             square.coefficient(-4)
 
-    def test_explicit_floor_requests(self):
-        series = ThetaSeries(1, {1: QPolynomial.of(3)}, valid_to=4)
-        widened = series_multiply(series, series, floor=-1)
-        assert widened.floor == -1
-        with pytest.raises(UntrustedCoefficientError):
-            series_multiply(series, series, floor=-5)
-
     def test_residue_identity(self):
         series = p2_series(top=3)
         n1, n2 = series[0], series[1]

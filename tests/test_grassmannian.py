@@ -39,7 +39,6 @@ from fanoperiods.laurent import (
 from fanoperiods.polytope import geometry_flags, lattice_point_count
 from fanoperiods.young import (
     BoxContext,
-    StepSet,
     YoungDiagram,
     all_diagrams,
     boundary_rectangle,
@@ -98,8 +97,7 @@ def unit(names, *exponent_vectors):
 
 
 def plucker(net, west):
-    diagram = from_steps(StepSet(net.context, "west", frozenset(west)))
-    return flow_polynomial(net, diagram)
+    return flow_polynomial(net, from_steps(net.context, west))
 
 
 class TestNetworkShape:
@@ -218,7 +216,12 @@ class TestPluckerRelations:
 
 
 class TestDeterminantCrossCheck:
-    @pytest.mark.parametrize("ctx", [CTX24, CTX25, CTX35])
+    # (3,6), (3,7) and (4,8) have flows with three and four sources.
+    @pytest.mark.parametrize(
+        "ctx",
+        [CTX24, CTX25, CTX35]
+        + [BoxContext(k, n) for k, n in ((3, 6), (2, 7), (3, 7), (4, 8))],
+    )
     def test_determinant_equals_flow_sum(self, ctx):
         net = build_rectangles_network(ctx)
         for diagram in all_diagrams(ctx):

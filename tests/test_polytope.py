@@ -26,7 +26,6 @@ from fanoperiods.polytope import (
     Halfspace,
     HalfspaceSystem,
     UnboundedPolytopeError,
-    _rank_and_kernel_vector,
     build_document,
     geometry_flags,
     lattice_point_count,
@@ -62,6 +61,41 @@ def parse_document(data):
     return system, parsed_vertices, counts
 
 
+def _rank_and_kernel_vector(rows, dim):
+    """Row-reduce; return (rank, one kernel vector or None).
+
+    The recession-ray oracle's own elimination, independent of the
+    library's.
+    """
+    a = [list(row) for row in rows]
+    pivots = []
+    row = 0
+    for col in range(dim):
+        pivot = next((r for r in range(row, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        inv = a[row][col]
+        a[row] = [x / inv for x in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col]:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(a):
+            break
+    rank = len(pivots)
+    if rank == dim:
+        return rank, None
+    free = next(c for c in range(dim) if c not in pivots)
+    vector = [Fraction(0)] * dim
+    vector[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        vector[col] = -a[r][free]
+    return rank, tuple(vector)
+
+
 def _has_recession_ray(system):
     """Oracle: a line in the recession cone, or a ray spanned by the kernel
     of dim - 1 facet normals."""
@@ -92,7 +126,10 @@ def _box_scan_count(system, dilation):
     lo = [math.ceil(min(v[i] for v in vs) * dilation) for i in range(system.dim)]
     hi = [math.floor(max(v[i] for v in vs) * dilation) for i in range(system.dim)]
     return sum(
-        system.contains(tuple(Fraction(c) for c in candidate), scale=dilation)
+        all(
+            sum(a * c for a, c in zip(f.normal, candidate)) >= f.offset * dilation
+            for f in system.facets
+        )
         for candidate in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
     )
 
@@ -341,6 +378,36 @@ def test_geometry_flags_point_not_full_dimensional():
     assert flags.bounded
     assert not flags.full_dimensional
     assert not flags.origin_interior  # origin sits on the boundary
+
+
+def _halfspaces(dim, *rows):
+    return HalfspaceSystem(dim, tuple(Halfspace(n, Fraction(b)) for n, b in rows))
+
+
+@pytest.mark.parametrize(
+    "segment, ends",
+    [
+        # x = 0 and -1 <= y <= 1
+        (
+            _halfspaces(2, ((1, 0), 0), ((-1, 0), 0), ((0, 1), -1), ((0, -1), -1)),
+            [(0, -1), (0, 1)],
+        ),
+        # x = y and -2 <= x + y <= 2: solving it divides by 2
+        (
+            _halfspaces(2, ((1, -1), 0), ((-1, 1), 0), ((1, 1), -2), ((-1, -1), -2)),
+            [(-1, -1), (1, 1)],
+        ),
+    ],
+    ids=["axis", "diagonal"],
+)
+def test_geometry_flags_segment_in_the_plane(segment, ends):
+    flags = geometry_flags(segment)
+    assert flags.bounded
+    assert not flags.full_dimensional
+    vs = vertices(segment)
+    assert vs == [tuple(_frac(c) for c in v) for v in ends]
+    # -1.0 == Fraction(-1), so only the type shows that the solve stayed exact
+    assert all(type(c) is Fraction for v in vs for c in v)
 
 
 def test_geometry_flags_shifted_square():

@@ -1,4 +1,4 @@
-"""Tests for bounded Young diagrams, step sets, diagonal statistics, and
+"""Tests for bounded Young diagrams, west-step sets, diagonal statistics, and
 boundary rectangles.
 
 The small tables for (k, n) = (2, 4) and (2, 5) were worked out by hand
@@ -17,7 +17,6 @@ import pytest
 
 from fanoperiods.young import (
     BoxContext,
-    StepSet,
     YoungDiagram,
     all_diagrams,
     boundary_rectangle,
@@ -83,16 +82,7 @@ WEST_TABLE_24 = {
 
 def test_west_steps_table_for_2_4():
     for rows, west in WEST_TABLE_24.items():
-        assert to_steps(_d(CTX24, *rows), "west").steps == frozenset(west)
-
-
-def test_south_steps_complement_west():
-    for rows in WEST_TABLE_24:
-        lam = _d(CTX24, *rows)
-        south = to_steps(lam, "south").steps
-        west = to_steps(lam, "west").steps
-        assert south | west == {1, 2, 3, 4}
-        assert not south & west
+        assert to_steps(_d(CTX24, *rows)) == frozenset(west)
 
 
 def test_full_box_path_shape():
@@ -100,8 +90,7 @@ def test_full_box_path_shape():
     for k, n in [(1, 3), (2, 4), (2, 5), (3, 7)]:
         ctx = BoxContext(k, n)
         full = _d(ctx, *([k] * (n - k)))
-        assert to_steps(full, "south").steps == frozenset(range(1, n - k + 1))
-        assert to_steps(full, "west").steps == frozenset(range(n - k + 1, n + 1))
+        assert to_steps(full) == frozenset(range(n - k + 1, n + 1))
 
 
 def test_from_steps_round_trip_exhaustive():
@@ -109,19 +98,17 @@ def test_from_steps_round_trip_exhaustive():
         for k in range(1, n):
             ctx = BoxContext(k, n)
             for members in combinations(range(1, n + 1), k):
-                step_set = StepSet(ctx, "west", frozenset(members))
-                lam = from_steps(step_set)
-                assert to_steps(lam, "west") == step_set
-                assert from_steps(to_steps(lam, "south")) == lam
+                lam = from_steps(ctx, members)
+                assert to_steps(lam) == frozenset(members)
 
 
 def test_step_cardinality_enforced():
     with pytest.raises(ValueError):
-        StepSet(CTX24, "west", frozenset({1}))
+        from_steps(CTX24, {1})
     with pytest.raises(ValueError):
-        StepSet(CTX24, "south", frozenset({1, 2, 3}))
+        from_steps(CTX24, {1, 2, 3})
     with pytest.raises(ValueError):
-        StepSet(CTX24, "west", frozenset({0, 1}))
+        from_steps(CTX24, {0, 1})
 
 
 def test_all_diagrams_count():
@@ -277,7 +264,7 @@ def test_schur_dimension_too_many_rows():
 
 
 # ---------------------------------------------------------------------------
-# JSON: {"k": 2, "n": 4, "rows": [2, 1]} and {"direction": "west", "steps": [1, 3]}
+# JSON: {"k": 2, "n": 4, "rows": [2, 1]}
 
 
 def diagram_to_json(diagram):
@@ -301,34 +288,11 @@ def diagram_from_json(data):
     return YoungDiagram(BoxContext(k, n), tuple(rows))
 
 
-def steps_to_json(steps):
-    return {"direction": steps.direction, "steps": sorted(steps.steps)}
-
-
-def steps_from_json(data, ctx):
-    if not isinstance(data, Mapping):
-        raise ValueError("steps JSON must be an object")
-    direction = data.get("direction")
-    members = data.get("steps")
-    if not isinstance(members, (list, tuple)) or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in members
-    ):
-        raise ValueError(f'bad "steps" {members!r}')
-    return StepSet(ctx, direction, frozenset(members))
-
-
 def test_diagram_json_round_trip():
     lam = _d(CTX24, 2, 1)
     blob = json.dumps(diagram_to_json(lam))
     assert diagram_from_json(json.loads(blob)) == lam
     assert diagram_to_json(lam) == {"k": 2, "n": 4, "rows": [2, 1]}
-
-
-def test_steps_json_round_trip():
-    step_set = to_steps(_d(CTX24, 1), "west")
-    blob = json.dumps(steps_to_json(step_set))
-    assert steps_from_json(json.loads(blob), CTX24) == step_set
-    assert steps_to_json(step_set) == {"direction": "west", "steps": [1, 3]}
 
 
 def test_diagram_json_rejects_bad_rows():
