@@ -40,7 +40,7 @@ def main() -> None:
     print("two-point invariants N_{1,i} = a_i / i from the leading series")
     n1 = series[0]
     for i in range(1, 9):
-        value = n1.two_point(i)
+        value = n1.tail_term(i) / i
         if not value.is_zero():
             print(f"  N_1,{i} = {value}")
 

@@ -7,13 +7,13 @@ expansion of N_1^d is the test oracle); the recursion theta_n =
 theta_1 theta_{n-1} - lower terms then builds the whole ladder N_2, N_3,
 ... together with the multiplication table of the theta basis.  All
 series are truncated honestly: every value carries the largest tail
-index it trusts, and operations refuse to emit coefficients outside the
-joint window rather than zero-filling.
+index it trusts, a finite integer, and operations refuse to emit
+coefficients outside the joint window rather than zero-filling.
 
-Tail coefficients satisfy a_i = i * N_{p,i}; the quotient N_{p,i} is
-exposed as `two_point` and feeds both the one-step constants
-N_{1,q}^r = (q-r) N_{1,q-r} and the general table entry
-[p-r] N_{q,p-r} + [q-r] N_{p,q-r} (bracket [b] = b for b >= 0, else 0).
+Tail coefficients satisfy a_i(N_p) = i * N_{p,i} with N_{p,i} the
+two-point invariants, and the structure constants below the leading one
+are C(p,q,r) = a_{p-r}(N_q) + a_{q-r}(N_p), a term counting only when
+its index is positive; the ladder step uses the row p = 1.
 """
 
 from __future__ import annotations
@@ -78,15 +78,12 @@ class ThetaSeries(Record):
     """A truncated series t^p + sum_{i > 0} a_i t^(-i).
 
     `tail` maps i to a_i; `valid_to` is the largest i whose coefficient
-    is trusted (None means the series is exact).  Do not hash: the tail
-    mapping keeps plain dict storage.
+    is trusted.  Do not hash: the tail mapping keeps plain dict storage.
     """
 
     __slots__ = _fields = ("p", "tail", "valid_to")
 
-    def __init__(
-        self, p: int, tail: Mapping[int, QPolynomial | Rational], valid_to: int | None
-    ):
+    def __init__(self, p: int, tail: Mapping[int, QPolynomial | Rational], valid_to: int):
         if p < 0:
             raise ValueError(f"leading exponent must be non-negative, got {p}")
         clean: dict[int, QPolynomial] = {}
@@ -96,57 +93,47 @@ class ThetaSeries(Record):
             coeff = _as_qpolynomial(value)
             if coeff:
                 clean[i] = coeff
-        if valid_to is not None:
-            if valid_to < 0:
-                raise ValueError(f"valid_to must be non-negative, got {valid_to}")
-            beyond = [i for i in clean if i > valid_to]
-            if beyond:
-                raise ValueError(
-                    f"tail indices {sorted(beyond)} exceed valid_to={valid_to}"
-                )
+        if valid_to < 0:
+            raise ValueError(f"valid_to must be non-negative, got {valid_to}")
+        beyond = [i for i in clean if i > valid_to]
+        if beyond:
+            raise ValueError(f"tail indices {sorted(beyond)} exceed valid_to={valid_to}")
         self._store(p, clean, valid_to)
 
     def tail_term(self, i: int) -> QPolynomial:
         """a_i, refusing indices beyond the trusted window."""
         if i <= 0:
             raise ValueError(f"tail index must be positive, got {i}")
-        if self.valid_to is not None and i > self.valid_to:
+        if i > self.valid_to:
             raise UntrustedCoefficientError(
                 f"tail index {i} exceeds trusted window {self.valid_to}"
             )
         return self.tail.get(i, QPolynomial.zero())
 
-    def two_point(self, i: int) -> QPolynomial:
-        """The quotient N_{p,i} = a_i / i."""
-        return self.tail_term(i) / i
-
 
 class TruncatedSeries(Record):
-    """A finite Laurent-series window: trusted exactly for exponents >= floor.
-
-    floor = None means the series is exact everywhere.
-    """
+    """A finite Laurent-series window: trusted exactly for exponents >= floor."""
 
     __slots__ = _fields = ("coeffs", "floor")
 
-    def __init__(self, coeffs: Mapping[int, QPolynomial | Rational], floor: int | None):
+    def __init__(self, coeffs: Mapping[int, QPolynomial | Rational], floor: int):
         clean = {}
         for e, c in coeffs.items():
             coeff = _as_qpolynomial(c)
-            if coeff and (floor is None or e >= floor):
+            if coeff and e >= floor:
                 clean[e] = coeff
         self._store(clean, floor)
 
     def coefficient(self, exponent: int) -> QPolynomial:
-        if self.floor is not None and exponent < self.floor:
+        if exponent < self.floor:
             raise UntrustedCoefficientError(
                 f"exponent {exponent} lies below the trusted floor {self.floor}"
             )
         return self.coeffs.get(exponent, QPolynomial.zero())
 
     @property
-    def top(self) -> int | None:
-        return max(self.coeffs) if self.coeffs else None
+    def top(self) -> int:
+        return max(self.coeffs, default=self.floor)
 
 
 def _as_truncated(series: ThetaSeries | TruncatedSeries) -> TruncatedSeries:
@@ -155,23 +142,7 @@ def _as_truncated(series: ThetaSeries | TruncatedSeries) -> TruncatedSeries:
     coeffs: dict[int, QPolynomial] = {series.p: QPolynomial.one()}
     for i, value in series.tail.items():
         coeffs[-i] = value
-    floor = None if series.valid_to is None else -series.valid_to
-    return TruncatedSeries(coeffs, floor)
-
-
-def _floor_of_product(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
-    """Largest exponent that unknown low-order terms could contaminate."""
-    candidates = []
-    for known, other in ((a, b), (b, a)):
-        if known.floor is None:
-            continue
-        top = other.top
-        if top is None:
-            top = other.floor
-        if top is None:
-            continue
-        candidates.append(known.floor + top)
-    return max(candidates) if candidates else None
+    return TruncatedSeries(coeffs, -series.valid_to)
 
 
 def series_multiply(
@@ -179,18 +150,17 @@ def series_multiply(
 ) -> TruncatedSeries:
     """Exact product within the joint validity window.
 
-    The window floor is max(floor_a + top_b, floor_b + top_a); the
-    unknown low-order terms of the factors reach every exponent below
-    it, so those are dropped.
+    The unknown low-order terms of the factors reach every exponent below
+    max(floor_a + top_b, floor_b + top_a), so those are dropped.
     """
     left = _as_truncated(a)
     right = _as_truncated(b)
-    floor = _floor_of_product(left, right)
+    floor = max(left.floor + right.top, right.floor + left.top)
     coeffs: dict[int, QPolynomial] = {}
     for e1, c1 in left.coeffs.items():
         for e2, c2 in right.coeffs.items():
             e = e1 + e2
-            if floor is not None and e < floor:
+            if e < floor:
                 continue
             value = c1 * c2
             coeffs[e] = coeffs[e] + value if e in coeffs else value
@@ -226,14 +196,16 @@ def reconstruct_N1(periods: PeriodSequence) -> ThetaSeries:
     return ThetaSeries(1, tail, valid_to=max(order - 1, 0))
 
 
-def one_step_constants(n1: ThetaSeries, q_order: int, r: int) -> QPolynomial:
-    """(q_order - r) times N_{1, q_order - r}, zero when the gap closes."""
-    if not 0 <= r < 1 + q_order:
-        raise ValueError(f"constant index {r} outside 0..{q_order}")
-    gap = q_order - r
-    if gap <= 0:
-        return QPolynomial.zero()
-    return n1.two_point(gap) * gap
+def _structure_constant(
+    series: Sequence[ThetaSeries], p: int, q: int, r: int
+) -> QPolynomial:
+    """C(p,q,r) = a_{p-r}(N_q) + a_{q-r}(N_p) for r < p + q, from the ladder
+    series = [N_1, N_2, ...]; N_0 = 1 has an empty tail."""
+    value = QPolynomial.zero()
+    for index, owner in ((p - r, q), (q - r, p)):
+        if index > 0 and owner:
+            value = value + series[owner - 1].tail_term(index)
+    return value
 
 
 def _require_ladder(series: Sequence[ThetaSeries]) -> None:
@@ -247,8 +219,8 @@ def _require_ladder(series: Sequence[ThetaSeries]) -> None:
 def extend_series(series: Sequence[ThetaSeries]) -> ThetaSeries:
     """N_n from N_1..N_{n-1} via the product recursion.
 
-    N_n = N_1 N_{n-1} - sum_{j>=1} N_{1,n-1}^j N_j - c_0 where the
-    constant c_0 = a_1(N_{n-1}) + (n-1) N_{1,n-1} removes the t^0 term.
+    N_n = N_1 N_{n-1} - sum_{r=1}^{n-1} C(1,n-1,r) N_r - C(1,n-1,0), the
+    constant C(1,n-1,0) = a_1(N_{n-1}) + a_{n-1}(N_1) removing the t^0 term.
     The result must come out as t^n plus a strictly negative tail with
     unit leading coefficient.  The input series' shape makes that
     automatic for every period sequence, so the ReconstructionError
@@ -263,32 +235,23 @@ def extend_series(series: Sequence[ThetaSeries]) -> ThetaSeries:
     product = series_multiply(n1, previous)
     coeffs = dict(product.coeffs)
     floor = product.floor
-
-    def subtract(scalar: QPolynomial, portion: TruncatedSeries) -> None:
-        nonlocal floor
-        if portion.floor is not None:
-            floor = portion.floor if floor is None else max(floor, portion.floor)
-        for e, c in portion.coeffs.items():
-            value = scalar * c
-            coeffs[e] = coeffs[e] - value if e in coeffs else -value
-
-    for j in range(1, n):
-        scalar = one_step_constants(n1, n - 1, j)
+    for r in range(1, n):
+        scalar = _structure_constant(series, 1, n - 1, r)
         if scalar:
-            subtract(scalar, _as_truncated(series[j - 1]))
-    constant = previous.tail_term(1) + n1.two_point(n - 1) * (n - 1)
+            portion = _as_truncated(series[r - 1])
+            floor = max(floor, portion.floor)
+            for e, c in portion.coeffs.items():
+                value = scalar * c
+                coeffs[e] = coeffs[e] - value if e in coeffs else -value
+    constant = _structure_constant(series, 1, n - 1, 0)
     if constant:
         coeffs[0] = coeffs.get(0, QPolynomial.zero()) - constant
 
-    if floor is not None and floor > 0:
+    if floor > 0:
         raise UntrustedCoefficientError(
             f"validity window floor {floor} cannot certify the leading form"
         )
-    survivors = {
-        e: c
-        for e, c in coeffs.items()
-        if c and (floor is None or e >= floor)
-    }
+    survivors = {e: c for e, c in coeffs.items() if c and e >= floor}
     if survivors.get(n) != QPolynomial.one():
         raise ReconstructionError(f"leading term of N_{n} is not t^{n}")
     stray = sorted(e for e in survivors if 0 <= e < n)
@@ -300,8 +263,7 @@ def extend_series(series: Sequence[ThetaSeries]) -> ThetaSeries:
     if high:
         raise ReconstructionError(f"N_{n} has terms above t^{n} at {high}")
     tail = {-e: c for e, c in survivors.items() if e < 0}
-    valid_to = None if floor is None else -floor
-    return ThetaSeries(n, tail, valid_to)
+    return ThetaSeries(n, tail, -floor)
 
 
 class StructureTable(Record):
@@ -336,21 +298,14 @@ class StructureTable(Record):
 def structure_table(series: Sequence[ThetaSeries], total: int) -> StructureTable:
     """All structure constants with p + q <= total.
 
-    entry(p,q,p+q) = 1; otherwise [p-r] N_{q,p-r} + [q-r] N_{p,q-r}
-    with [b] = b for b >= 0 and 0 below.  The q = 0 row degenerates to
-    the identity since the constant series has an empty tail.
+    entry(p,q,p+q) = 1; otherwise a_{p-r}(N_q) + a_{q-r}(N_p).  The
+    q = 0 row degenerates to the identity since N_0 = 1 has an empty tail.
     """
     _require_ladder(series)
     if total > len(series):
         raise ValueError(
             f"need series through N_{total} for total degree {total}"
         )
-
-    def n_value(q: int, i: int) -> QPolynomial:
-        if q == 0:
-            return QPolynomial.zero()
-        return series[q - 1].two_point(i)
-
     entries: dict[tuple[int, int, int], QPolynomial] = {}
     for p in range(total + 1):
         for q in range(total + 1 - p):
@@ -358,11 +313,7 @@ def structure_table(series: Sequence[ThetaSeries], total: int) -> StructureTable
                 if r == p + q:
                     value = QPolynomial.one()
                 else:
-                    value = QPolynomial.zero()
-                    if p - r > 0:
-                        value = value + n_value(q, p - r) * (p - r)
-                    if q - r > 0:
-                        value = value + n_value(p, q - r) * (q - r)
+                    value = _structure_constant(series, p, q, r)
                 if value:
                     entries[(p, q, r)] = value
     return StructureTable(total, entries)
@@ -381,9 +332,11 @@ def table_records(table: StructureTable) -> list[dict]:
 
 
 def residue_product(series: Sequence[ThetaSeries | TruncatedSeries]) -> QPolynomial:
-    """t^0 coefficient of the exact windowed product of the factors."""
-    accumulated = TruncatedSeries({0: QPolynomial.one()}, None)
-    for item in series:
+    """t^0 coefficient of the windowed product of the factors; 1 for none."""
+    if not series:
+        return QPolynomial.one()
+    accumulated = _as_truncated(series[0])
+    for item in series[1:]:
         accumulated = series_multiply(accumulated, item)
     return accumulated.coefficient(0)
 

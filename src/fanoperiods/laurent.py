@@ -220,18 +220,7 @@ class LaurentPolynomial(Record):
 
     @classmethod
     def one(cls, names: Sequence[str]) -> LaurentPolynomial:
-        return cls.monomial(names, (0,) * len(tuple(names)))
-
-    @classmethod
-    def monomial(
-        cls,
-        names: Sequence[str],
-        exponents: Sequence[int],
-        coeff: QPolynomial | Rational = 1,
-        q_power: int = 0,
-    ) -> LaurentPolynomial:
-        value = _as_qpolynomial(coeff).shift_q(q_power)
-        return cls(names, {tuple(exponents): value})
+        return cls(names, {(0,) * len(names): QPolynomial.one()})
 
     @classmethod
     def from_dict(

@@ -401,6 +401,17 @@ class TestCatalog:
         capsys.readouterr()
 
 
+def _graded(index: int, closed_form, order: int) -> list[str]:
+    """Period strings c_0..c_order: closed_form(d / index) on the grading."""
+    return [
+        str(closed_form(d // index)) if d % index == 0 else "0" for d in range(order + 1)
+    ]
+
+
+# Fractional and negative periods, with zeros inside the sequence.
+FRACTIONAL_PERIODS = ["1", "0", "1/2", "-3", "5/7", "0", "2", "-1/3", "4"]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -433,35 +444,60 @@ class TestDeterminism:
         ]
         assert printed == json.dumps(expected, indent=2) + "\n"
 
-    # sha256 of stdout recorded from the residue-expansion engine that
-    # preceded the power recurrence in reconstruct_N1.
+    # sha256 of stdout: the p2 and gr24 cases recorded from the
+    # residue-expansion engine that preceded the power recurrence in
+    # reconstruct_N1, the fractional cases before the theta ladder
+    # dropped its exact (unwindowed) series.  max-p 8 on the order-8
+    # fractional file is the tightest window the CLI accepts.
     @pytest.mark.parametrize(
-        "index, closed_form, order, argv, digest",
+        "index, values, argv, digest",
         [
             (
                 3,
-                lambda m: factorial(3 * m) // factorial(m) ** 3,
-                30,
+                _graded(3, lambda m: factorial(3 * m) // factorial(m) ** 3, 30),
                 ["--max-p", "12", "--emit", "table"],
                 "32ad56ccaba0eec32858166f933229a56564926b786e197b293f212ef17209f7",
             ),
             (
                 4,
-                lambda m: factorial(4 * m) * factorial(2 * m) // factorial(m) ** 6,
-                24,
+                _graded(
+                    4,
+                    lambda m: factorial(4 * m) * factorial(2 * m) // factorial(m) ** 6,
+                    24,
+                ),
                 ["--max-p", "8", "--emit", "series"],
                 "366c627aa5e7054f309bbbf441118675ef6b8475880c678e6a683b2e11b6b566",
             ),
+            (
+                1,
+                FRACTIONAL_PERIODS,
+                ["--max-p", "8", "--emit", "table"],
+                "c6b9b75159493f6c37ce16392eda04ba481f876e8fbeb18914fc61ddc4d15002",
+            ),
+            (
+                1,
+                FRACTIONAL_PERIODS,
+                ["--max-p", "8", "--emit", "series", "--q", "one"],
+                "ef9bf3a323ecec5d74606016f39dea2b894a15eae3ace3118a79cd1942cd725e",
+            ),
+            (
+                1,
+                FRACTIONAL_PERIODS,
+                ["--max-p", "5", "--emit", "table", "--q", "one"],
+                "8ad39d8e46b4b3602b0a5b46303fbe758e91f55cdfa7b75d7595fed320aa399d",
+            ),
         ],
-        ids=["p2-table", "gr24-series"],
+        ids=[
+            "p2-table",
+            "gr24-series",
+            "fractional-table",
+            "fractional-series-q-one",
+            "fractional-table-q-one",
+        ],
     )
     def test_frobenius_output_is_frozen(
-        self, index, closed_form, order, argv, digest, tmp_path, capsys
+        self, index, values, argv, digest, tmp_path, capsys
     ):
-        values = [
-            str(closed_form(d // index)) if d % index == 0 else "0"
-            for d in range(order + 1)
-        ]
         path = tmp_path / "periods.json"
         path.write_text(json.dumps({"index": index, "coeffs": values}))
         assert run(["frobenius", "--periods", str(path)] + argv) == 0

@@ -26,7 +26,6 @@ from fanoperiods.frobenius import (
     UntrustedCoefficientError,
     associativity_check,
     extend_series,
-    one_step_constants,
     periods_from_json,
     periods_to_json,
     reconstruct_N1,
@@ -147,22 +146,20 @@ class TestThetaSeries:
         with pytest.raises(UntrustedCoefficientError):
             series.tail_term(5)
 
-    def test_two_point_quotient(self):
-        series = ThetaSeries(1, {2: QPolynomial.of(2, 1)}, valid_to=4)
-        assert series.two_point(2) == QPolynomial.of(1, 1)
-
-    def test_exact_series_has_no_ceiling(self):
-        series = ThetaSeries(3, {}, valid_to=None)
-        assert series.tail_term(1000) == ZERO
+    def test_window_is_required(self):
+        with pytest.raises(TypeError):
+            ThetaSeries(3, {}, valid_to=None)
 
 
 class TestSeriesMultiply:
     def test_plain_monomials(self):
-        t = ThetaSeries(1, {}, valid_to=None)
+        t = ThetaSeries(1, {}, valid_to=4)
         product = series_multiply(t, t)
-        assert product.floor is None
+        assert product.floor == -3
         assert product.coefficient(2) == ONE
-        assert product.coefficient(-7) == ZERO
+        assert product.coefficient(-3) == ZERO
+        with pytest.raises(UntrustedCoefficientError):
+            product.coefficient(-4)
 
     def test_square_with_tail(self):
         series = ThetaSeries(1, {1: QPolynomial.of(3)}, valid_to=4)
@@ -179,7 +176,7 @@ class TestSeriesMultiply:
         series = p2_series(top=3)
         n1, n2 = series[0], series[1]
         residue = series_multiply(n1, n2).coefficient(0)
-        expected = n1.two_point(2) * 2 + n2.two_point(1) * 1
+        expected = n1.tail_term(2) + n2.tail_term(1)
         assert residue == expected == QPolynomial.of(6, 1)
 
 
@@ -258,27 +255,6 @@ class TestReconstruction:
             assert residue_product([n1] * d) == periods.coeffs[d], d
 
 
-class TestOneStepConstants:
-    def test_trivial(self):
-        n1 = reconstruct_N1(trivial_periods(8))
-        for q_order in range(1, 6):
-            for r in range(q_order + 1):
-                assert one_step_constants(n1, q_order, r) == ZERO
-
-    def test_p2_values(self):
-        n1 = reconstruct_N1(p2_periods(12))
-        assert one_step_constants(n1, 3, 1) == QPolynomial.of(2, 1)
-        assert one_step_constants(n1, 2, 1) == ZERO
-        assert one_step_constants(n1, 2, 2) == ZERO
-
-    def test_range_validation(self):
-        n1 = reconstruct_N1(trivial_periods(6))
-        with pytest.raises(ValueError):
-            one_step_constants(n1, 3, 4)
-        with pytest.raises(ValueError):
-            one_step_constants(n1, 3, -1)
-
-
 class TestExtendSeries:
     def test_trivial_tower(self):
         series = [reconstruct_N1(trivial_periods(8))]
@@ -303,6 +279,26 @@ class TestExtendSeries:
         assert n3.p == 3
         assert n3.tail_term(1) == ZERO
         assert n3.tail_term(3) == QPolynomial.of(27, 2)
+
+    @pytest.mark.parametrize(
+        "periods",
+        [
+            p2_periods(12),
+            PeriodSequence.from_plain(
+                ["1", "0", "1/2", "-3", "5/7", "0", "2", "-1/3", "4"], 1
+            ),
+        ],
+        ids=["p2-order-12", "fractional-order-8"],
+    )
+    def test_ladder_windows(self, periods):
+        # N_p is trusted to tail index T - p, so the ladder reaches N_T and
+        # no further; the frobenius --max-p guard relies on this.
+        series = [reconstruct_N1(periods)]
+        while len(series) < periods.order:
+            series.append(extend_series(series))
+        assert [item.valid_to for item in series] == [
+            periods.order - p for p in range(1, periods.order + 1)
+        ]
 
     def test_requires_consecutive_leading_exponents(self):
         n1 = reconstruct_N1(trivial_periods(8))
@@ -384,7 +380,7 @@ class TestStructureTable:
 
 class TestResidueProduct:
     def test_monomials_only(self):
-        t2 = ThetaSeries(2, {}, valid_to=None)
+        t2 = ThetaSeries(2, {}, valid_to=4)
         assert residue_product([t2, t2]) == ZERO
 
     def test_empty_product(self):

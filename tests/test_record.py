@@ -47,8 +47,8 @@ SAMPLES = [
     [Halfspace((1, 0), -1), Halfspace([1, 0], Fraction(1, 2))],
     [polar_from_support(TRIANGLE), HalfspaceSystem(1, [Halfspace((1,), 0)])],
     [PeriodSequence([1, 0, 2]), PeriodSequence([QPolynomial.one()])],
-    [ThetaSeries(1, {1: 2, 3: 0}, 3), ThetaSeries(0, {}, None)],
-    [TruncatedSeries({0: 1, -2: 5, -7: 1}, -3), TruncatedSeries({}, None)],
+    [ThetaSeries(1, {1: 2, 3: 0}, 3), ThetaSeries(0, {}, 0)],
+    [TruncatedSeries({0: 1, -2: 5, -7: 1}, -3), TruncatedSeries({}, 0)],
     [StructureTable(3, {(1, 1, 0): 2, (0, 1, 0): 0}), StructureTable(1)],
     [
         LaurentPolynomial.from_dict(("x", "y"), {(1, 0): 1, (-1, -1): QPolynomial.of(2, 1)}),
@@ -161,7 +161,7 @@ def test_fields_cannot_be_assigned_or_deleted(record):
 def test_keyword_construction():
     assert BoxContext(k=2, n=4) == CTX24
     assert YoungDiagram(context=CTX24, rows=(1,)) == YoungDiagram(CTX24, (1,))
-    assert ThetaSeries(p=1, tail={}, valid_to=None).tail == {}
+    assert ThetaSeries(p=1, tail={}, valid_to=0).tail == {}
     table = StructureTable(3)
     assert table.entries == {}
     assert table.entry(1, 1, 0) == QPolynomial.zero()
