@@ -19,6 +19,9 @@ class Record:
     def __init_subclass__(cls):
         # `_values(record)` is the field tuple; an attrgetter builds it
         # about four times faster than a generator over `_fields`.
+        if not cls._fields:
+            cls._values = staticmethod(lambda record: ())
+            return
         get = attrgetter(*cls._fields)
         single = len(cls._fields) == 1
         cls._values = staticmethod((lambda record: (get(record),)) if single else get)

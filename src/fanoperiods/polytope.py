@@ -1,18 +1,21 @@
 """Rational polytopes given by halfspaces: exact vertices and lattice counts.
 
 A halfspace is {v : <normal, v> >= offset} with an integer normal and a
-rational offset.  Vertex enumeration solves every dimension-sized facet
-subsystem exactly and keeps the feasible solutions; it refuses systems
-needing more than MAX_SUBSET_SOLVES such solves.  Lattice counts and
-boundedness come from a Fourier-Motzkin projection chain built once per
-system, so counting never enumerates vertices.
+rational offset.  Vertex enumeration walks the dimension-sized facet
+subsets depth first, growing one fraction-free integer elimination per
+shared prefix and pruning every subset whose prefix is already
+dependent; only feasible solutions become Fractions.  It refuses systems
+with more than MAX_SUBSET_SOLVES such subsets (the Gr(3,7) NO body,
+50,388 subsets, takes about 1 s).  Lattice counts and boundedness come
+from a Fourier-Motzkin projection chain built once per system, so
+counting never enumerates vertices; a count walking more than
+MAX_WALK_NODES nodes is refused rather than left to run for hours.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -22,6 +25,11 @@ from fanoperiods.laurent import _as_fraction
 # C(facets, dim) square solves allowed in vertex enumeration; the NO body
 # of Gr(3,6) needs C(14, 9) = 2002, that of Gr(3,7) C(19, 12) = 50388.
 MAX_SUBSET_SOLVES = 100_000
+
+# Nodes a lattice count may visit on its Fourier-Motzkin levels, about
+# 3.5 us each; Gr(3,6) at dilation 2 visits 3,129,218, while Gr(1,20) at
+# dilation 1 (C(39, 19) points) would run for days.
+MAX_WALK_NODES = 10_000_000
 
 
 class UnboundedPolytopeError(ValueError):
@@ -98,52 +106,80 @@ def polar_from_support(exponents: Iterable[Sequence[int]]) -> HalfspaceSystem:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on Fractions
+# fraction-free elimination
+#
+# A facet <a, v> >= p/q becomes the integer row (q*a | p).  A basis is a
+# list of (pivot column, row) in which every row is zero in every other
+# row's pivot column; rows are kept divided by their gcd, so entries stay
+# small without ever forming a Fraction.
 
 
-def _reduce(rows: list[list[Fraction]], dim: int) -> list[list[Fraction]] | None:
-    """Gauss-Jordan elimination of `rows` in place over the first `dim` columns.
+def _insert(basis: list, row: Sequence[int], dim: int) -> list | None:
+    """The basis grown by `row`, or None if `row` is dependent on it.
 
-    Returns the rows, the first `dim` of them reduced to the identity in
-    those columns, or None at the first column without a pivot, that is
-    when the rows have rank below `dim`.
+    Dependence is decided in the first `dim` columns; later columns (the
+    right-hand side) are carried along.  `basis` is left unchanged.
     """
-    n = len(rows)
-    for col in range(dim):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col]
-        rows[col] = [x / inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return rows
+    for col, b in basis:
+        f = row[col]
+        if f:
+            p = b[col]
+            row = [p * x - f * y for x, y in zip(row, b)]
+    col = next((c for c in range(dim) if row[c]), None)
+    if col is None:
+        return None
+    g = math.gcd(*row)
+    row = [x // g for x in row]
+    p = row[col]
+    grown = []
+    for c, b in basis:
+        f = b[col]
+        if f:
+            b = [p * y - f * x for x, y in zip(row, b)]
+            g = math.gcd(*b)
+            b = [y // g for y in b]
+        grown.append((c, b))
+    grown.append((col, row))
+    return grown
 
 
 def vertices(system: HalfspaceSystem) -> list[tuple[Fraction, ...]]:
     """All basic feasible solutions, each listed once, sorted.
 
-    Refuses (ValueError) when the C(facets, dim) square subsystems to solve
-    exceed MAX_SUBSET_SOLVES.
+    Facet subsets are walked depth first in `combinations` order, one
+    elimination per prefix: a facet dependent on its prefix prunes every
+    subset that extends the prefix.  Refuses (ValueError) when the
+    C(facets, dim) square subsystems exceed MAX_SUBSET_SOLVES.
     """
-    solves = math.comb(len(system.facets), system.dim)
+    dim = system.dim
+    solves = math.comb(len(system.facets), dim)
     if solves > MAX_SUBSET_SOLVES:
         raise ValueError(
-            f"vertex enumeration needs C({len(system.facets)}, {system.dim}) = "
+            f"vertex enumeration needs C({len(system.facets)}, {dim}) = "
             f"{solves} subset solves, over the limit of {MAX_SUBSET_SOLVES}"
         )
+    rows = [
+        [f.offset.denominator * a for a in f.normal] + [f.offset.numerator]
+        for f in system.facets
+    ]
     found: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(system.facets, system.dim):
-        # Fraction(c): the pivot division must stay exact on int normals.
-        rows = [[Fraction(c) for c in f.normal] + [f.offset] for f in subset]
-        if _reduce(rows, system.dim) is None:
-            continue
-        point = tuple(row[-1] for row in rows)
-        if system.contains(point):
-            found.add(point)
+
+    def walk(basis: list, start: int) -> None:
+        if len(basis) == dim:
+            # diagonal: coordinate c is rhs_c / pivot_c = point[c] / det
+            det = math.lcm(*(b[c] for c, b in basis))
+            point = [0] * dim
+            for c, b in basis:
+                point[c] = b[dim] * (det // b[c])
+            if all(sum(map(mul, row, point)) >= row[dim] * det for row in rows):
+                found.add(tuple(Fraction(x, det) for x in point))
+            return
+        for j in range(start, len(rows) - dim + len(basis) + 1):
+            grown = _insert(basis, rows[j], dim)
+            if grown is not None:
+                walk(grown, j + 1)
+
+    walk([], 0)
     return sorted(found)
 
 
@@ -263,8 +299,16 @@ def _count_points(chain: _ProjectionChain, dilation: int) -> int:
     ]
     last = len(levels) - 1
     prefix: list[int] = []
+    nodes = 0
 
     def walk(j: int) -> int:
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_WALK_NODES:
+            raise ValueError(
+                f"lattice count at dilation {dilation} walks more than "
+                f"the limit of {MAX_WALK_NODES} nodes"
+            )
         lower, upper = levels[j]
         lo = max(-((sum(map(mul, a, prefix)) - b) // c) for a, c, b in lower)
         hi = min((b - sum(map(mul, a, prefix))) // c for a, c, b in upper)
@@ -290,8 +334,13 @@ def geometry_flags(system: HalfspaceSystem) -> GeometryFlags:
     """Boundedness, full-dimensionality of the vertex hull, origin strictly inside."""
     bounded = system._chain.bounded
     vs = vertices(system)
-    rows = [[x - b for x, b in zip(v, vs[0])] for v in vs[1:]]
-    full_dimensional = _reduce(rows, system.dim) is not None
+    basis: list = []
+    for v in vs[1:]:
+        diff = [x - b for x, b in zip(v, vs[0])]
+        scale = math.lcm(*(d.denominator for d in diff))
+        row = [d.numerator * (scale // d.denominator) for d in diff]
+        basis = _insert(basis, row, system.dim) or basis
+    full_dimensional = len(basis) == system.dim
     origin_interior = all(f.offset < 0 for f in system.facets)
     return GeometryFlags(bounded, full_dimensional, origin_interior)
 
@@ -303,7 +352,8 @@ def lattice_point_count(system: HalfspaceSystem, dilation: int) -> int:
     Fourier-Motzkin chain: each coordinate ranges over the exact integer
     interval its level allows given the coordinates before it, and the
     last coordinate adds its interval length instead of visiting points.
-    An empty polytope counts 0 at every dilation, including 0.
+    An empty polytope counts 0 at every dilation, including 0.  A walk
+    past MAX_WALK_NODES nodes is refused (ValueError).
     """
     if dilation < 0:
         raise ValueError("dilation must be non-negative")

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import fanoperiods
+from fanoperiods import polytope
 from fanoperiods.cli import CatalogEntry, catalog, main, run
 from fanoperiods.frobenius import (
     extend_series,
@@ -281,6 +282,16 @@ class TestGrassmannianSubcommand:
         ) == 0
         assert json.loads(capsys.readouterr().out) == []
 
+    def test_lattice_walk_past_the_limit_exits_one(self, monkeypatch, capsys):
+        # the Gr(2,5) count at dilation 1 walks 1,191 nodes
+        monkeypatch.setattr(polytope, "MAX_WALK_NODES", 1000)
+        argv = ["grassmannian", "--k", "2", "--n", "5", "--emit", "polytope", "--order", "1"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dilation 1" in captured.err
+        assert "limit of 1000 nodes" in captured.err
+
 
 class TestFrobeniusSubcommand:
     def test_table_example_record(self, p2_periods_file, tmp_path):
@@ -521,8 +532,14 @@ class TestDeterminism:
                 ["--k", "2", "--n", "6", "--emit", "polytope", "--order", "1"],
                 "21ecb27cb3a8580a2d25b695fa592d1d8c85979b2a0e2d157a7d003dc48c405f",
             ),
+            # recorded while vertex enumeration still solved every subset
+            # over Fractions
+            (
+                ["--k", "3", "--n", "6", "--emit", "polytope", "--order", "0"],
+                "63c7ac8ae064a035b5fb8d35949ef4c01cb94c0503761b30765982e4c686426b",
+            ),
         ],
-        ids=["gr48-superpotential", "gr25-polytope", "gr26-polytope"],
+        ids=["gr48-superpotential", "gr25-polytope", "gr26-polytope", "gr36-polytope"],
     )
     def test_grassmannian_output_is_frozen(self, argv, digest, capsys):
         assert run(["grassmannian"] + argv) == 0
@@ -558,6 +575,21 @@ class TestModuleEntryPoint:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == b"[]\n"
+
+
+class TestBenchTracer:
+    def test_traced_call_exits_zero_and_records_polytope_spans(self, tmp_path):
+        # the tracer wraps every module it names right after importing the
+        # CLI, so this fails if one of them stops being imported eagerly
+        tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        spans_file = tmp_path / "spans.json"
+        done = run_python(
+            str(tracer), str(spans_file), "0",
+            "grassmannian", "--k", "2", "--n", "4", "--emit", "polytope", "--order", "1",
+        )
+        assert done.returncode == 0, done.stderr
+        names = {span[2] for span in read_json(spans_file)["spans"]}
+        assert {"polytope.vertices", "polytope.lattice_point_count"} <= names
 
 
 class TestSelfcheckSubcommand:

@@ -2,9 +2,11 @@
 
 Counts for the standard polar triangle come from the closed form
 binomial(3r+2, 2); squares from (2r+1)^2.  Both are computed here
-independently of the library.  Random systems are checked against two
-slow oracles kept here: the integer bounding-box scan over the vertex set
-and the recession-ray search over (dim - 1)-subsets of facet normals.
+independently of the library.  Random systems are checked against slow
+oracles kept here: the integer bounding-box scan over the vertex set, the
+recession-ray search over (dim - 1)-subsets of facet normals, and the
+earlier vertex enumeration that solves every dim-subset of facets over
+Fractions.
 `parse_document` reads an emitted polytope document back; the CLI tests
 use it too.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, product
@@ -21,6 +24,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fanoperiods import polytope
+from fanoperiods.grassmannian import nobody_polytope
 from fanoperiods.polytope import (
     MAX_SUBSET_SOLVES,
     Halfspace,
@@ -32,6 +37,7 @@ from fanoperiods.polytope import (
     polar_from_support,
     vertices,
 )
+from fanoperiods.young import BoxContext
 
 
 def parse_document(data):
@@ -118,6 +124,47 @@ def _has_recession_ray(system):
     return False
 
 
+def _reduce(rows, dim):
+    """Gauss-Jordan elimination of `rows` in place over the first `dim` columns.
+
+    Returns the rows, the first `dim` of them reduced to the identity in
+    those columns, or None at the first column without a pivot, that is
+    when the rows have rank below `dim`.
+    """
+    n = len(rows)
+    for col in range(dim):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col]
+        rows[col] = [x / inv for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return rows
+
+
+def _vertices_by_fractions(system):
+    """Oracle: solve every dim-subset of facets from scratch over Fractions."""
+    found = set()
+    for subset in combinations(system.facets, system.dim):
+        rows = [[Fraction(c) for c in f.normal] + [f.offset] for f in subset]
+        if _reduce(rows, system.dim) is None:
+            continue
+        point = tuple(row[-1] for row in rows)
+        if system.contains(point):
+            found.add(point)
+    return sorted(found)
+
+
+def _full_dimensional_by_fractions(vs, dim):
+    """Oracle: the vertex differences have rank dim."""
+    rows = [[x - b for x, b in zip(v, vs[0])] for v in vs[1:]]
+    return _reduce(rows, dim) is not None
+
+
 def _box_scan_count(system, dilation):
     """Oracle: test every integer point of the dilated vertex bounding box."""
     vs = vertices(system)
@@ -134,8 +181,8 @@ def _box_scan_count(system, dilation):
     )
 
 
-def _frac(x):
-    return Fraction(x)
+def _frac(*x):
+    return Fraction(*x)
 
 
 def _triangle():
@@ -145,6 +192,10 @@ def _triangle():
 
 def _square():
     return polar_from_support([(1, 0), (-1, 0), (0, 1), (0, -1)])
+
+
+def _halfspaces(dim, *rows):
+    return HalfspaceSystem(dim, tuple(Halfspace(n, Fraction(b)) for n, b in rows))
 
 
 def test_polar_facets_of_triangle():
@@ -221,6 +272,24 @@ def test_vertex_enumeration_refuses_over_budget():
     assert math.comb(20, 9) > MAX_SUBSET_SOLVES
     with pytest.raises(ValueError, match=f"167960 subset solves.*{MAX_SUBSET_SOLVES}"):
         vertices(big)
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 5), (2, 6), (3, 6), (2, 7)])
+def test_nobody_polytope_has_one_vertex_per_schubert_cell(k, n):
+    # observed, not proven: the NO body of Gr(k, n) has C(n, k) vertices,
+    # as many as the rectangles seed has Plucker coordinates
+    system = nobody_polytope(BoxContext(k, n))
+    start = time.perf_counter()
+    assert len(vertices(system)) == math.comb(n, k)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_lattice_count_refuses_a_walk_past_the_node_limit(monkeypatch):
+    # Gr(2,5) at dilation 1 walks 1,191 nodes, Gr(2,4) at dilation 2 walks 376
+    monkeypatch.setattr(polytope, "MAX_WALK_NODES", 1000)
+    with pytest.raises(ValueError, match="dilation 1 .* limit of 1000 nodes"):
+        lattice_point_count(nobody_polytope(BoxContext(2, 5)), 1)
+    assert lattice_point_count(nobody_polytope(BoxContext(2, 4)), 2) == 825
 
 
 def test_nine_dimensional_simplex():
@@ -347,6 +416,76 @@ def test_counts_and_boundedness_match_the_oracles(system, dilation):
     assert lattice_point_count(system, dilation) == _box_scan_count(system, dilation)
 
 
+_rational = st.builds(Fraction, st.integers(-4, 3), st.integers(1, 3))
+
+
+@st.composite
+def _vertex_systems(draw):
+    """Systems in dimension 1-5 with repeated and parallel normals, and
+    with facets forced through one point so that it is a degenerate vertex."""
+    dim = draw(st.integers(1, 5))
+    normal = st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
+    pool = draw(st.lists(normal, min_size=1, max_size=dim + 2))
+    centre = draw(st.tuples(*[_rational] * dim))
+    facets = []
+    for _ in range(draw(st.integers(1, dim + 4))):
+        scale = draw(st.sampled_from((1, 2, -1)))
+        a = tuple(scale * c for c in draw(st.sampled_from(pool)))
+        if draw(st.booleans()):
+            offset = sum((c * x for c, x in zip(a, centre)), Fraction(0))
+        else:
+            offset = draw(_rational)
+        facets.append(Halfspace(a, offset))
+    return HalfspaceSystem(dim, tuple(facets))
+
+
+# a square pyramid over [-1, 1]^2: five facets meet at the apex (0, 0, 1)
+_PYRAMID = _halfspaces(
+    3,
+    ((0, 0, 1), 0),
+    ((-1, 0, -1), -1),
+    ((1, 0, -1), -1),
+    ((0, -1, -1), -1),
+    ((0, 1, -1), -1),
+    ((0, 0, -1), -1),
+)
+
+# vertices (0, 0), (1/2, 1), (1, 1/3): the differences' numerators alone
+# are parallel, so the rank test must clear denominators first
+_THIN_TRIANGLE = _halfspaces(2, ((2, -1), 0), ((-1, 3), 0), ((-4, -3), -5))
+
+
+@settings(deadline=None, max_examples=200)
+@given(system=_vertex_systems())
+@example(system=_EMPTY_SQUARE)
+@example(system=_WEDGE)
+@example(system=_POINT)
+@example(system=_PYRAMID)
+@example(system=_THIN_TRIANGLE)
+@example(system=_halfspaces(2, ((1, 0), -1)))
+@example(system=_halfspaces(2, ((1, -1), 0), ((-1, 1), 0), ((1, 1), -2), ((-1, -1), -2)))
+def test_vertices_and_flags_match_the_fraction_solves(system):
+    vs = vertices(system)
+    assert vs == _vertices_by_fractions(system)
+    assert all(type(c) is Fraction for v in vs for c in v)
+    full = _full_dimensional_by_fractions(vs, system.dim)
+    assert geometry_flags(system).full_dimensional == full
+
+
+def test_explicit_vertex_examples():
+    assert vertices(_EMPTY_SQUARE) == []
+    assert vertices(_WEDGE) == [(_frac(-1), _frac(0))]
+    assert vertices(_POINT) == [(_frac(1, 2), _frac(-1), _frac(0))]
+    assert len(vertices(_PYRAMID)) == 5
+    assert geometry_flags(_PYRAMID).full_dimensional
+    assert vertices(_THIN_TRIANGLE) == [
+        (_frac(0), _frac(0)), (_frac(1, 2), _frac(1)), (_frac(1), _frac(1, 3))
+    ]
+    assert geometry_flags(_THIN_TRIANGLE).full_dimensional
+    assert not geometry_flags(_POINT).full_dimensional
+    assert not geometry_flags(_EMPTY_SQUARE).full_dimensional
+
+
 def test_geometry_flags_triangle():
     flags = geometry_flags(_triangle())
     assert flags.bounded and flags.full_dimensional and flags.origin_interior
@@ -378,10 +517,6 @@ def test_geometry_flags_point_not_full_dimensional():
     assert flags.bounded
     assert not flags.full_dimensional
     assert not flags.origin_interior  # origin sits on the boundary
-
-
-def _halfspaces(dim, *rows):
-    return HalfspaceSystem(dim, tuple(Halfspace(n, Fraction(b)) for n, b in rows))
 
 
 @pytest.mark.parametrize(

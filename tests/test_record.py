@@ -92,6 +92,10 @@ class _OtherPair(_Pair):
     __slots__ = ()
 
 
+class _Empty(Record):
+    __slots__ = ()
+
+
 @pytest.mark.parametrize("record", DATACLASS_RECORDS)
 def test_repr_and_hash_match_a_frozen_dataclass(record):
     oracle = _as_dataclass(record)
@@ -122,6 +126,16 @@ def test_equal_fields_in_another_class_are_unequal():
     assert _Pair(1, 2) != (1, 2)
     assert CTX24 != (2, 4)
     assert YoungDiagram(CTX24, ()) != YoungDiagram(BoxContext(2, 5), ())
+
+
+def test_a_record_without_fields_is_a_value():
+    a, b = _Empty(), _Empty()
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash(())
+    assert repr(a) == "_Empty()"
+    assert copy.copy(a) == copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert a != _Pair(1, 2)
 
 
 def test_normalized_fields_decide_equality_and_hash():
