@@ -18,17 +18,28 @@ class Record:
 
     def __init_subclass__(cls):
         # `_values(record)` is the field tuple; an attrgetter builds it
-        # about four times faster than a generator over `_fields`.
-        if not cls._fields:
-            cls._values = staticmethod(lambda record: ())
+        # about four times faster than a generator over `_fields`.  `_store`
+        # calls the slot setters, unrolled for one and two fields: half the
+        # cost of a loop of `object.__setattr__` by name.
+        fields = cls._fields
+        get = attrgetter(*fields) if fields else (lambda record: ())
+        setters = tuple(getattr(cls, name).__set__ for name in fields)
+        if len(fields) == 1:
+            (put,) = setters
+            cls._values = staticmethod(lambda record: (get(record),))
+            cls._store = lambda record, value: put(record, value)
             return
-        get = attrgetter(*cls._fields)
-        single = len(cls._fields) == 1
-        cls._values = staticmethod((lambda record: (get(record),)) if single else get)
+        cls._values = staticmethod(get)
+        if len(fields) == 2:
+            put_a, put_b = setters
+            cls._store = lambda record, a, b: (put_a(record, a), put_b(record, b))
+            return
 
-    def _store(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        def store(record, *values):
+            for put, value in zip(setters, values):
+                put(record, value)
+
+        cls._store = store
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -341,47 +341,38 @@ def residue_product(series: Sequence[ThetaSeries | TruncatedSeries]) -> QPolynom
     return accumulated.coefficient(0)
 
 
-def _entry_or_zero(table: StructureTable, p: int, q: int, r: int) -> QPolynomial:
-    """Table lookup extended by the vanishing above r = p + q."""
-    if r > p + q:
-        return QPolynomial.zero()
-    return table.entry(p, q, r)
-
-
 def associativity_check(table: StructureTable) -> list[dict]:
     """Compare (theta_p theta_q) theta_r with theta_p (theta_q theta_r).
 
     Runs over every triple with p + q + r <= the table's total degree
     and every target u, comparing exactly; a violation record names the
-    cell and both sides.
+    cell and both sides.  Each side sums products of nonzero entries
+    only, looked up by their pair (p, q); entry(p, q, r) vanishes for
+    r > p + q.
     """
-
-    violations = []
     total = table.total
+    nonzero: dict[tuple[int, int], list[tuple[int, QPolynomial]]] = {}
+    for (p, q, r), value in table.entries.items():
+        if 0 <= p and 0 <= q and p + q <= total and 0 <= r <= p + q:
+            nonzero.setdefault((p, q), []).append((r, value))
+    zero = QPolynomial.zero()
+    violations = []
     for p in range(total + 1):
         for q in range(total + 1 - p):
             for r in range(total + 1 - p - q):
+                left: dict[int, QPolynomial] = {}
+                for s, c in nonzero.get((p, q), ()):
+                    for u, d in nonzero.get((s, r), ()):
+                        left[u] = left[u] + c * d if u in left else c * d
+                right: dict[int, QPolynomial] = {}
+                for s, c in nonzero.get((q, r), ()):
+                    for u, d in nonzero.get((p, s), ()):
+                        right[u] = right[u] + c * d if u in right else c * d
                 for u in range(p + q + r + 1):
-                    left = QPolynomial.zero()
-                    for s in range(p + q + 1):
-                        left = left + table.entry(p, q, s) * _entry_or_zero(
-                            table, s, r, u
-                        )
-                    right = QPolynomial.zero()
-                    for s in range(q + r + 1):
-                        right = right + table.entry(q, r, s) * _entry_or_zero(
-                            table, p, s, u
-                        )
-                    if left != right:
+                    lhs, rhs = left.get(u, zero), right.get(u, zero)
+                    if lhs != rhs:
                         violations.append(
-                            {
-                                "p": p,
-                                "q": q,
-                                "r": r,
-                                "u": u,
-                                "left": str(left),
-                                "right": str(right),
-                            }
+                            dict(p=p, q=q, r=r, u=u, left=str(lhs), right=str(rhs))
                         )
     return violations
 

@@ -54,9 +54,7 @@ class QPolynomial(Record):
                 frac = _as_fraction(value)
                 if frac:
                     clean[to_power] = frac
-        # The package's most frequent construction: storing directly
-        # costs half of what the loop in `_store` does.
-        object.__setattr__(self, "_coeffs", clean)
+        self._store(clean)
 
     @classmethod
     def zero(cls) -> QPolynomial:

@@ -95,11 +95,12 @@ def check_reflection_symmetry() -> str:
     for n in range(2, 7):
         for k in range(1, n):
             diagrams = all_diagrams(BoxContext(k, n))
-            for mu in diagrams:
-                for lam in diagrams:
-                    assert max_diag(mu, lam) == max_diag(
-                        sigma_reflect(lam), sigma_reflect(mu)
-                    ), f"reflection mismatch at k={k} n={n} {mu.rows} {lam.rows}"
+            reflected = [sigma_reflect(mu) for mu in diagrams]
+            for mu, mu_image in zip(diagrams, reflected):
+                for lam, lam_image in zip(diagrams, reflected):
+                    assert max_diag(mu, lam) == max_diag(lam_image, mu_image), (
+                        f"reflection mismatch at k={k} n={n} {mu.rows} {lam.rows}"
+                    )
                     pairs += 1
     return f"diagonal statistic is reflection symmetric on {pairs} diagram pairs, n <= 6"
 

@@ -7,10 +7,22 @@ lattice path cutting its southeast border, read from the northeast
 corner of the box: n steps total, k of them west and n - k south,
 indexed 1..n; `to_steps` and `from_steps` pass between a diagram and
 the positions of its west steps.  Cells are (row, column), 1-indexed, top-left justified.
-The statistic `max_diag` counts cells of a set difference lying on a
-single northwest-to-southeast diagonal (constant column - row); on
-these diagonals the boundary-rectangle variations below change the
-count by exactly one cell, which is what the valuation identities need.
+
+The statistic `max_diag(lam, mu)` is the largest number of cells of
+cells(lam) - cells(mu) on one northwest-to-southeast diagonal (constant
+content column - row); on these diagonals the boundary-rectangle
+variations below change the count by exactly one cell, which is what
+the valuation identities need.  Pad both row tuples with zeros to a
+common length L and let m(c) = #{i <= L : lam_i - i >= c}.  The
+contents lam_i - i strictly decrease, so those rows are 1..m(c), and
+the cells on diagonal c fill the rows -c < i <= m(c): both diagrams'
+cells on a diagonal form runs from the same cell, differing in
+m_lam(c) - m_mu(c) cells when that is positive.  The maximum sits
+where m_lam steps up, at c = lam_t - t, so
+
+    max_diag(lam, mu) = max(0, max_t (t - #{j <= L : mu_j - j >= lam_t - t})),
+
+which `max_diag` evaluates in one merge of the two content sequences.
 """
 
 from __future__ import annotations
@@ -20,8 +32,6 @@ from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 from ._record import Record
-
-Cell = tuple[int, int]
 
 
 class BoxContext(Record):
@@ -34,14 +44,6 @@ class BoxContext(Record):
             raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
         self._store(k, n)
 
-    @property
-    def box_rows(self) -> int:
-        return self.n - self.k
-
-    @property
-    def box_cols(self) -> int:
-        return self.k
-
     def transposed(self) -> BoxContext:
         return BoxContext(self.n - self.k, self.n)
 
@@ -50,34 +52,21 @@ class YoungDiagram(Record):
     __slots__ = _fields = ("context", "rows")
 
     def __init__(self, context: BoxContext, rows: Iterable[int]):
-        rows = tuple(int(r) for r in rows)
-        while rows and rows[-1] == 0:
+        rows = tuple(map(int, rows))
+        while rows and not rows[-1]:
             rows = rows[:-1]
-        if any(a < b for a, b in zip(rows, rows[1:])):
-            raise ValueError(f"rows not weakly decreasing: {rows!r}")
-        if rows and (rows[0] > context.box_cols or any(r < 0 for r in rows)):
-            raise ValueError(f"rows {rows!r} leave the {context} box")
-        if len(rows) > context.box_rows:
-            raise ValueError(f"too many rows for the {context} box: {rows!r}")
+        if rows:
+            if rows != tuple(sorted(rows, reverse=True)):
+                raise ValueError(f"rows not weakly decreasing: {rows!r}")
+            if rows[0] > context.k or rows[-1] < 0:
+                raise ValueError(f"rows {rows!r} leave the {context} box")
+            if len(rows) > context.n - context.k:
+                raise ValueError(f"too many rows for the {context} box: {rows!r}")
         self._store(context, rows)
 
     @classmethod
     def of(cls, context: BoxContext, rows: Iterable[int]) -> YoungDiagram:
         return cls(context, tuple(rows))
-
-    @classmethod
-    def full_box(cls, context: BoxContext) -> YoungDiagram:
-        return cls(context, (context.box_cols,) * context.box_rows)
-
-    def padded_rows(self) -> tuple[int, ...]:
-        pad = self.context.box_rows - len(self.rows)
-        return self.rows + (0,) * pad
-
-    def cells(self) -> set[Cell]:
-        return {(i, j) for i, r in enumerate(self.rows, 1) for j in range(1, r + 1)}
-
-    def is_rectangle(self) -> bool:
-        return not self.rows or all(r == self.rows[0] for r in self.rows)
 
 
 def to_steps(diagram: YoungDiagram) -> frozenset[int]:
@@ -87,21 +76,23 @@ def to_steps(diagram: YoungDiagram) -> frozenset[int]:
     position i + k - rows[i]; west steps fill the complement.
     """
     ctx = diagram.context
-    south = {i + ctx.k - r for i, r in enumerate(diagram.padded_rows(), 1)}
+    rows = diagram.rows + (0,) * (ctx.n - ctx.k - len(diagram.rows))
+    south = {i + ctx.k - r for i, r in enumerate(rows, 1)}
     return frozenset(range(1, ctx.n + 1)) - south
 
 
 def from_steps(ctx: BoxContext, west: Iterable[int]) -> YoungDiagram:
     """Inverse of `to_steps`: the diagram whose west steps are `west`."""
-    west = frozenset(west)
-    labels = frozenset(range(1, ctx.n + 1))
-    if len(west) != ctx.k or not west <= labels:
+    west = set(west)
+    k, n = ctx.k, ctx.n
+    # k members leaving n - k of the labels 1..n unused lie inside 1..n
+    south = [s for s in range(1, n + 1) if s not in west]
+    if len(west) != k or len(south) != n - k:
         raise ValueError(
-            f"a west step set in {ctx} needs {ctx.k} members of 1..{ctx.n}, "
+            f"a west step set in {ctx} needs {k} members of 1..{n}, "
             f"got {sorted(west)!r}"
         )
-    south = sorted(labels - west)
-    return YoungDiagram(ctx, (i + ctx.k - s for i, s in enumerate(south, 1)))
+    return YoungDiagram(ctx, [i + k - s for i, s in enumerate(south, 1)])
 
 
 def _cyclic_label(value: int, n: int) -> int:
@@ -134,14 +125,20 @@ def boundary_rectangle_box(index: int, ctx: BoxContext) -> YoungDiagram:
 
 def max_diag(diagram: YoungDiagram, removed: YoungDiagram) -> int:
     """Largest number of cells of cells(diagram) - cells(removed) on one
-    northwest-to-southeast diagonal (constant column - row)."""
-    difference = diagram.cells() - removed.cells()
-    if not difference:
-        return 0
-    tallies: dict[int, int] = {}
-    for i, j in difference:
-        tallies[j - i] = tallies.get(j - i, 0) + 1
-    return max(tallies.values())
+    northwest-to-southeast diagonal (constant column - row); the
+    diagrams need not share a box."""
+    lam = diagram.rows
+    length = max(len(lam), len(removed.rows))
+    mu = removed.rows + (0,) * (length - len(removed.rows))
+    best = j = 0
+    # a zero row t of lam has content -t, which every mu_j - j with j <= t
+    # reaches, so only lam's own rows can give a positive term
+    for t, row in enumerate(lam, 1):
+        while j < length and mu[j] - j > row - t:
+            j += 1
+        if t - j > best:
+            best = t - j
+    return best
 
 
 def sigma_reflect(diagram: YoungDiagram) -> YoungDiagram:

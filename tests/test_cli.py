@@ -546,6 +546,17 @@ class TestDeterminism:
         printed = capsys.readouterr().out.encode()
         assert hashlib.sha256(printed).hexdigest() == digest
 
+    # sha256 of stdout recorded while max_diag still differenced cell sets
+    # and the associativity sweep multiplied every entry; the detail lines
+    # carry the battery's counts (1092 deltas, 1262 pairs), so this pins
+    # coverage as well as verdicts.  Timings go to stderr.
+    def test_selfcheck_output_is_frozen(self, capsys):
+        assert run(["selfcheck"]) == 0
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == (
+            "30038e39931c1cac64a20c1e1da89f8adcb8b3ac567650aa72b8f485789d83c3"
+        )
+
     def test_file_and_rerun_identical(self, p2_poly_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["period", "--poly", p2_poly_file, "--order", "8"]

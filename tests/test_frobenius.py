@@ -10,6 +10,7 @@ a_8 = (1680 - 672 - 720)/9 q^3 = 32 q^3.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import factorial
 from typing import Mapping
@@ -105,6 +106,46 @@ def p2_series(order: int = 12, top: int = 4) -> list[ThetaSeries]:
     while len(series) < top:
         series.append(extend_series(series))
     return series
+
+
+def _entry_or_zero(table: StructureTable, p: int, q: int, r: int) -> QPolynomial:
+    """Table lookup extended by the vanishing above r = p + q."""
+    if r > p + q:
+        return QPolynomial.zero()
+    return table.entry(p, q, r)
+
+
+def _dense_associativity_check(table: StructureTable) -> list[dict]:
+    """Oracle for associativity_check: every product of table entries,
+    zero or not, summed over every intermediate index s."""
+    violations = []
+    total = table.total
+    for p in range(total + 1):
+        for q in range(total + 1 - p):
+            for r in range(total + 1 - p - q):
+                for u in range(p + q + r + 1):
+                    left = QPolynomial.zero()
+                    for s in range(p + q + 1):
+                        left = left + table.entry(p, q, s) * _entry_or_zero(
+                            table, s, r, u
+                        )
+                    right = QPolynomial.zero()
+                    for s in range(q + r + 1):
+                        right = right + table.entry(q, r, s) * _entry_or_zero(
+                            table, p, s, u
+                        )
+                    if left != right:
+                        violations.append(
+                            {
+                                "p": p,
+                                "q": q,
+                                "r": r,
+                                "u": u,
+                                "left": str(left),
+                                "right": str(right),
+                            }
+                        )
+    return violations
 
 
 class TestPeriodSequence:
@@ -423,6 +464,44 @@ class TestAssociativity:
         assert violations
         cells = {(v["p"], v["q"], v["r"], v["u"]) for v in violations}
         assert (1, 1, 1, 0) in cells
+
+
+class TestAssociativityMatchesDenseSweep:
+    """The sparse sweep must return the dense oracle's violation list:
+    the same records in the same order with the same strings."""
+
+    def test_trivial_table(self):
+        series = [reconstruct_N1(trivial_periods(12))]
+        while len(series) < 6:
+            series.append(extend_series(series))
+        table = structure_table(series, 6)
+        start = time.perf_counter()
+        assert associativity_check(table) == _dense_associativity_check(table) == []
+        assert time.perf_counter() - start < 5.0
+
+    def test_plane_tables_through_total_8(self):
+        series = p2_series(top=8)
+        start = time.perf_counter()
+        for total in range(9):
+            table = structure_table(series, total)
+            assert associativity_check(table) == _dense_associativity_check(table) == []
+        assert time.perf_counter() - start < 10.0
+
+    @settings(max_examples=60, deadline=5000)
+    @given(data=st.data())
+    def test_corrupted_plane_tables(self, data):
+        total = data.draw(st.integers(3, 5), label="total")
+        table = structure_table(p2_series(top=5), total)
+        entries = dict(table.entries)
+        for _ in range(data.draw(st.integers(1, 3), label="corrupted cells")):
+            p = data.draw(st.integers(0, total), label="p")
+            q = data.draw(st.integers(0, total - p), label="q")
+            r = data.draw(st.integers(0, p + q), label="r")
+            amount = data.draw(st.integers(-3, 3).filter(bool), label="amount")
+            power = data.draw(st.integers(0, 2), label="q-power")
+            entries[(p, q, r)] = table.entry(p, q, r) + QPolynomial.of(amount, power)
+        corrupted = StructureTable(total, entries)
+        assert associativity_check(corrupted) == _dense_associativity_check(corrupted)
 
 
 class TestPeriodsJson:

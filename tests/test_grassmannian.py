@@ -113,7 +113,7 @@ class TestNetworkShape:
         assert len(net.face_labels) == 5
         rectangles = [d for d in net.face_labels if d.rows]
         assert len(rectangles) == 4
-        assert all(d.is_rectangle() for d in rectangles)
+        assert all(len(set(d.rows)) == 1 for d in rectangles)
 
     def test_gr25_faces_and_variables(self):
         net = build_rectangles_network(CTX25)
@@ -166,7 +166,7 @@ class TestFlowPolynomials:
         assert flow_polynomial(net, YoungDiagram.of(CTX25, (2,))) == unit(
             names, (1, 1, 0, 1, 0, 1)
         )
-        full = YoungDiagram.full_box(CTX25)
+        full = YoungDiagram.of(CTX25, (2, 2, 2))
         assert flow_polynomial(net, full) == unit(names, (2, 2, 2, 1, 1, 1))
 
     def test_unit_coefficients_everywhere(self):

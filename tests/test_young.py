@@ -3,17 +3,22 @@ boundary rectangles.
 
 The small tables for (k, n) = (2, 4) and (2, 5) were worked out by hand
 and are frozen here; the delta identity for the diagonal statistic is
-exercised exhaustively in the acceptance suite.
+exercised exhaustively in the acceptance suite.  `max_diag` merges
+content sequences; the cell-set difference it replaced is kept here as
+its oracle.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from collections.abc import Mapping
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanoperiods.young import (
     BoxContext,
@@ -38,6 +43,19 @@ def _d(ctx, *rows):
     return YoungDiagram.of(ctx, rows)
 
 
+def _cells(diagram):
+    """Cells (row, column), 1-indexed, top-left justified."""
+    return {(i, j) for i, r in enumerate(diagram.rows, 1) for j in range(1, r + 1)}
+
+
+def _max_diag_by_cells(diagram, removed):
+    """Oracle: tally cells(diagram) - cells(removed) by column - row."""
+    tallies = {}
+    for i, j in _cells(diagram) - _cells(removed):
+        tallies[j - i] = tallies.get(j - i, 0) + 1
+    return max(tallies.values(), default=0)
+
+
 # ---------------------------------------------------------------------------
 # contexts and diagrams
 
@@ -58,12 +76,15 @@ def test_diagram_validation():
         _d(CTX24, 1, 2)  # not weakly decreasing
     with pytest.raises(ValueError):
         _d(CTX24, 2, 2, 1)  # more than n - k rows
+    for rows in [(1, -1), (-1,), (0, -1, 0)]:
+        with pytest.raises(ValueError, match="leave the"):
+            _d(CTX24, *rows)  # negative row
     assert _d(CTX24, 2, 1, 0).rows == (2, 1)  # trailing zeros stripped
 
 
 def test_cells():
-    assert _d(CTX24, 2, 1).cells() == {(1, 1), (1, 2), (2, 1)}
-    assert _d(CTX24).cells() == set()
+    assert _cells(_d(CTX24, 2, 1)) == {(1, 1), (1, 2), (2, 1)}
+    assert _cells(_d(CTX24)) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +197,38 @@ def test_max_diag_examples():
     assert max_diag(_d(CTX24, 2, 1), _d(CTX24, 1)) == 1
     # plain set difference of cells, no containment required
     assert max_diag(_d(CTX24, 2), _d(CTX24, 1, 1)) == 1
+
+
+def test_max_diag_matches_cell_oracle_on_every_same_box_pair():
+    start = time.perf_counter()
+    pairs = 0
+    for n in range(2, 9):
+        for k in range(1, n):
+            diagrams = all_diagrams(BoxContext(k, n))
+            for lam in diagrams:
+                for mu in diagrams:
+                    assert max_diag(lam, mu) == _max_diag_by_cells(lam, mu), (
+                        lam.rows,
+                        mu.rows,
+                    )
+                    pairs += 1
+    assert pairs == 17560
+    assert time.perf_counter() - start < 10.0
+
+
+@st.composite
+def _diagrams(draw):
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, n - 1))
+    rows = draw(st.lists(st.integers(0, k), max_size=n - k))
+    return YoungDiagram(BoxContext(k, n), sorted(rows, reverse=True))
+
+
+@settings(max_examples=400, deadline=1000)
+@given(_diagrams(), _diagrams())
+def test_max_diag_matches_cell_oracle_across_boxes(lam, mu):
+    # max_diag never needed a shared context: any two partitions compare
+    assert max_diag(lam, mu) == _max_diag_by_cells(lam, mu)
 
 
 def test_valuation_vector():
