@@ -250,7 +250,7 @@ def _cmd_selfcheck(args):
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         lines.append(f"{status} {result.name}: {result.detail}")
-        print(f"{result.name}: {result.seconds:.2f}s", file=sys.stderr)
+        print(f"{result.name}: {result.seconds * 1000:.1f}ms", file=sys.stderr)
     passed = sum(1 for r in results if r.passed)
     lines.append(f"{passed}/{len(results)} checks passed")
     return "\n".join(lines) + "\n", (0 if passed == len(results) else 1)

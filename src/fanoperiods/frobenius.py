@@ -10,6 +10,13 @@ series are truncated honestly: every value carries the largest tail
 index it trusts, a finite integer, and operations refuse to emit
 coefficients outside the joint window rather than zero-filling.
 
+The arithmetic runs on plain ints.  A window's coefficients are scaled
+by the lcm L of their denominators and keyed by (t-exponent, q-power);
+Miller's recurrence runs on phi(L u), whose coefficients are integral.
+Fractions are built only where the returned records are; the same
+steps over q-polynomials with Fraction coefficients are kept in the
+test suite as oracles.
+
 Tail coefficients satisfy a_i(N_p) = i * N_{p,i} with N_{p,i} the
 two-point invariants, and the structure constants below the leading one
 are C(p,q,r) = a_{p-r}(N_q) + a_{q-r}(N_p), a term counting only when
@@ -19,8 +26,8 @@ its index is positive; the ladder step uses the row p = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Mapping, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 from ._record import Record
 from .laurent import QPolynomial, Rational, _as_qpolynomial, parse_rational, preview
@@ -131,40 +138,103 @@ class TruncatedSeries(Record):
             )
         return self.coeffs.get(exponent, QPolynomial.zero())
 
-    @property
-    def top(self) -> int:
-        return max(self.coeffs, default=self.floor)
+
+# ---------------------------------------------------------------------------
+# Integer kernel
+#
+# A window's coefficients, times a scale L that clears their denominators,
+# are kept as a folded map {(t-exponent, q-power): int}.  Products then run
+# on plain ints, and Fractions are built only for the values returned.
+
+Folded = dict[tuple[int, int], int]
 
 
-def _as_truncated(series: ThetaSeries | TruncatedSeries) -> TruncatedSeries:
+def _window(series: ThetaSeries | TruncatedSeries) -> tuple[Mapping[int, QPolynomial], int]:
+    """Coefficients by t-exponent and the trusted floor."""
     if isinstance(series, TruncatedSeries):
-        return series
-    coeffs: dict[int, QPolynomial] = {series.p: QPolynomial.one()}
-    for i, value in series.tail.items():
-        coeffs[-i] = value
-    return TruncatedSeries(coeffs, -series.valid_to)
+        return series.coeffs, series.floor
+    coeffs = {-i: value for i, value in series.tail.items()}
+    coeffs[series.p] = QPolynomial.one()
+    return coeffs, -series.valid_to
+
+
+def _scale(values: Iterable[QPolynomial]) -> int:
+    """The lcm of the coefficient denominators."""
+    return lcm(*(c.denominator for value in values for _, c in value.items()))
+
+
+def _fold(coeffs: Mapping[int, QPolynomial], scale: int) -> Folded:
+    """scale times each coefficient; scale must clear every denominator."""
+    return {
+        (e, p): c.numerator * (scale // c.denominator)
+        for e, value in coeffs.items()
+        for p, c in value.items()
+    }
+
+
+def _unfold(terms: Folded, scale: int) -> dict[int, QPolynomial]:
+    """The coefficients terms / scale, by t-exponent."""
+    grouped: dict[int, dict[int, Fraction]] = {}
+    for (e, p), c in terms.items():
+        grouped.setdefault(e, {})[p] = Fraction(c, scale)
+    return {e: QPolynomial(value) for e, value in grouped.items()}
+
+
+def _folded(series: ThetaSeries | TruncatedSeries) -> tuple[Folded, int, int]:
+    """The series folded at its own scale: terms, scale and floor."""
+    coeffs, floor = _window(series)
+    scale = _scale(coeffs.values())
+    return _fold(coeffs, scale), scale, floor
+
+
+def _add_product(
+    terms: Folded, left: Folded, right: Folded, floor: int, sign: int = 1
+) -> None:
+    """terms += sign * left * right at t-exponents >= floor."""
+    for (e1, p1), c1 in left.items():
+        c1 *= sign
+        for (e2, p2), c2 in right.items():
+            if e1 + e2 >= floor:
+                key = (e1 + e2, p1 + p2)
+                terms[key] = terms[key] + c1 * c2 if key in terms else c1 * c2
+
+
+def _windowed_product(
+    left: Folded, left_floor: int, right: Folded, right_floor: int
+) -> tuple[Folded, int]:
+    """Product of two folded windows and its floor, zeros dropped.
+
+    The unknown low-order terms of the factors reach every exponent below
+    max(floor_a + top_b, floor_b + top_a), so those are dropped; a
+    window's top is its largest t-exponent with a nonzero coefficient,
+    or its floor when it has none.
+    """
+    left_top = max((e for e, _ in left), default=left_floor)
+    right_top = max((e for e, _ in right), default=right_floor)
+    floor = max(left_floor + right_top, right_floor + left_top)
+    terms: Folded = {}
+    _add_product(terms, left, right, floor)
+    return {key: c for key, c in terms.items() if c}, floor
 
 
 def series_multiply(
     a: ThetaSeries | TruncatedSeries, b: ThetaSeries | TruncatedSeries
 ) -> TruncatedSeries:
-    """Exact product within the joint validity window.
+    """Exact product within the joint validity window (see `_windowed_product`)."""
+    left, left_scale, left_floor = _folded(a)
+    right, right_scale, right_floor = _folded(b)
+    terms, floor = _windowed_product(left, left_floor, right, right_floor)
+    return TruncatedSeries(_unfold(terms, left_scale * right_scale), floor)
 
-    The unknown low-order terms of the factors reach every exponent below
-    max(floor_a + top_b, floor_b + top_a), so those are dropped.
-    """
-    left = _as_truncated(a)
-    right = _as_truncated(b)
-    floor = max(left.floor + right.top, right.floor + left.top)
-    coeffs: dict[int, QPolynomial] = {}
-    for e1, c1 in left.coeffs.items():
-        for e2, c2 in right.coeffs.items():
-            e = e1 + e2
-            if e < floor:
-                continue
-            value = c1 * c2
-            coeffs[e] = coeffs[e] + value if e in coeffs else value
-    return TruncatedSeries(coeffs, floor)
+
+def _divide_exactly(value: int, divisor: int) -> int:
+    """value / divisor, which must be an integer."""
+    quotient, remainder = divmod(value, divisor)
+    if remainder:
+        raise ReconstructionError(
+            f"power recurrence left {value} indivisible by {divisor}"
+        )
+    return quotient
 
 
 def reconstruct_N1(periods: PeriodSequence) -> ThetaSeries:
@@ -174,25 +244,45 @@ def reconstruct_N1(periods: PeriodSequence) -> ThetaSeries:
     Miller's recurrence (Knuth, TAOCP 4.7) for P_k = [u^k] phi^d,
     P_k = (1/k) sum_j ((d+1) j - k) phi_j P_{k-j}, gives P_d from the known
     prefix of phi; the unknown phi_d = a_{d-1} enters P_d only as d phi_d.
-    O(T^3) q-polynomial products in all; the test suite compares against
-    expanding N_1^d, and selfcheck multiplies back with residue_product.
+    The recurrence runs over plain ints on psi(u) = phi(L u), L the lcm of
+    the known tail's denominators: psi has coefficients in Z[q], so
+    R_k = L^k P_k = [u^k] psi^d does too and each division by k is exact.
+    The test suite compares against the q-polynomial recurrence and
+    against expanding N_1^d; selfcheck multiplies back with residue_product.
     """
     coeffs = periods.coeffs
     order = periods.order
     if order >= 1 and not coeffs[1].is_zero():
         raise InconsistentPeriodsError("c_1 must vanish for a tail-free leading term")
     tail: dict[int, QPolynomial] = {}
+    scale = 1
     for d in range(2, order + 1):
-        powers = [QPolynomial.one()]
+        # psi_j = L^j a_{j-1}, integral because L clears every denominator
+        psi = [
+            (i + 1, {p: c.numerator * (scale ** (i + 1) // c.denominator)
+                     for p, c in a.items()})
+            for i, a in tail.items()
+        ]
+        powers: list[dict[int, int]] = [{0: 1}]
         for k in range(1, d + 1):
-            total = QPolynomial.zero()
-            for i, a_i in tail.items():
-                if i < k and powers[k - i - 1]:
-                    total = total + a_i * powers[k - i - 1] * ((d + 1) * (i + 1) - k)
-            powers.append(total / k)
-        a = (coeffs[d] - powers[d]) / d
+            total: dict[int, int] = {}
+            for j, psi_j in psi:
+                weight = (d + 1) * j - k
+                if j > k or not weight:
+                    continue
+                for p1, c1 in psi_j.items():
+                    c1 *= weight
+                    for p2, c2 in powers[k - j].items():
+                        p = p1 + p2
+                        total[p] = total[p] + c1 * c2 if p in total else c1 * c2
+            powers.append(
+                {p: _divide_exactly(c, k) for p, c in total.items() if c}
+            )
+        known = QPolynomial({p: Fraction(c, scale**d) for p, c in powers[d].items()})
+        a = (coeffs[d] - known) / d
         if a:
             tail[d - 1] = a
+            scale = lcm(scale, _scale([a]))
     return ThetaSeries(1, tail, valid_to=max(order - 1, 0))
 
 
@@ -229,29 +319,32 @@ def extend_series(series: Sequence[ThetaSeries]) -> ThetaSeries:
     if not series:
         raise ValueError("the extension recursion needs at least N_1")
     _require_ladder(series)
-    n1 = series[0]
     previous = series[-1]
     n = previous.p + 1
-    product = series_multiply(n1, previous)
-    coeffs = dict(product.coeffs)
-    floor = product.floor
-    for r in range(1, n):
-        scalar = _structure_constant(series, 1, n - 1, r)
-        if scalar:
-            portion = _as_truncated(series[r - 1])
-            floor = max(floor, portion.floor)
-            for e, c in portion.coeffs.items():
-                value = scalar * c
-                coeffs[e] = coeffs[e] - value if e in coeffs else -value
+    scalars = [(r, _structure_constant(series, 1, n - 1, r)) for r in range(1, n)]
+    scalars = [(r, scalar) for r, scalar in scalars if scalar]
     constant = _structure_constant(series, 1, n - 1, 0)
+
+    # one scale L clears every window used, and with it every scalar (a
+    # tail term of N_1 or N_{n-1}); each product below then sits at L^2
+    windows = {r: _window(series[r - 1]) for r in {1, n - 1, *(r for r, _ in scalars)}}
+    scale = _scale(value for coeffs, _ in windows.values() for value in coeffs.values())
+    folded = {r: (_fold(coeffs, scale), floor) for r, (coeffs, floor) in windows.items()}
+    terms, floor = _windowed_product(*folded[1], *folded[n - 1])
+    for r, scalar in scalars:
+        portion, portion_floor = folded[r]
+        floor = max(floor, portion_floor)
+        _add_product(terms, _fold({0: scalar}, scale), portion, floor, -1)
     if constant:
-        coeffs[0] = coeffs.get(0, QPolynomial.zero()) - constant
+        _add_product(terms, _fold({0: constant}, scale), {(0, 0): scale}, floor, -1)
 
     if floor > 0:
         raise UntrustedCoefficientError(
             f"validity window floor {floor} cannot certify the leading form"
         )
-    survivors = {e: c for e, c in coeffs.items() if c and e >= floor}
+    survivors = _unfold(
+        {key: c for key, c in terms.items() if c and key[0] >= floor}, scale * scale
+    )
     if survivors.get(n) != QPolynomial.one():
         raise ReconstructionError(f"leading term of N_{n} is not t^{n}")
     stray = sorted(e for e in survivors if 0 <= e < n)
@@ -269,6 +362,7 @@ def extend_series(series: Sequence[ThetaSeries]) -> ThetaSeries:
 class StructureTable(Record):
     """Structure constants entry(p, q, r) for p + q <= total.
 
+    Every key must satisfy p, q >= 0, p + q <= total and 0 <= r <= p + q.
     Only nonzero entries are stored; the accessor fills in zeros for
     every in-range key.
     """
@@ -280,11 +374,14 @@ class StructureTable(Record):
         total: int,
         entries: Mapping[tuple[int, int, int], QPolynomial | Rational] | None = None,
     ):
-        clean = {
-            key: _as_qpolynomial(value)
-            for key, value in (entries or {}).items()
-            if _as_qpolynomial(value)
-        }
+        clean = {}
+        for key, value in (entries or {}).items():
+            p, q, r = key
+            if not (0 <= p and 0 <= q and p + q <= total and 0 <= r <= p + q):
+                raise ValueError(f"entry key {key!r} lies outside total degree {total}")
+            coeff = _as_qpolynomial(value)
+            if coeff:
+                clean[key] = coeff
         self._store(total, clean)
 
     def entry(self, p: int, q: int, r: int) -> QPolynomial:
@@ -332,13 +429,20 @@ def table_records(table: StructureTable) -> list[dict]:
 
 
 def residue_product(series: Sequence[ThetaSeries | TruncatedSeries]) -> QPolynomial:
-    """t^0 coefficient of the windowed product of the factors; 1 for none."""
+    """t^0 coefficient of the windowed product of the factors; 1 for none.
+
+    The factors are folded into one running product over ints; only its
+    t^0 coefficient is converted back.
+    """
     if not series:
         return QPolynomial.one()
-    accumulated = _as_truncated(series[0])
+    terms, scale, floor = _folded(series[0])
     for item in series[1:]:
-        accumulated = series_multiply(accumulated, item)
-    return accumulated.coefficient(0)
+        right, right_scale, right_floor = _folded(item)
+        terms, floor = _windowed_product(terms, floor, right, right_floor)
+        scale *= right_scale
+    constant = {key: c for key, c in terms.items() if key[0] == 0}
+    return TruncatedSeries(_unfold(constant, scale), floor).coefficient(0)
 
 
 def associativity_check(table: StructureTable) -> list[dict]:
@@ -353,8 +457,7 @@ def associativity_check(table: StructureTable) -> list[dict]:
     total = table.total
     nonzero: dict[tuple[int, int], list[tuple[int, QPolynomial]]] = {}
     for (p, q, r), value in table.entries.items():
-        if 0 <= p and 0 <= q and p + q <= total and 0 <= r <= p + q:
-            nonzero.setdefault((p, q), []).append((r, value))
+        nonzero.setdefault((p, q), []).append((r, value))
     zero = QPolynomial.zero()
     violations = []
     for p in range(total + 1):

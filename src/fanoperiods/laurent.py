@@ -110,7 +110,7 @@ class QPolynomial(Record):
             return NotImplemented
         total = dict(self._coeffs)
         for p, c in other._coeffs.items():
-            total[p] = total.get(p, Fraction(0)) + c
+            total[p] = total[p] + c if p in total else c
         return QPolynomial(total)
 
     def __neg__(self) -> QPolynomial:
@@ -127,7 +127,7 @@ class QPolynomial(Record):
             for p, c in self._coeffs.items():
                 for p2, c2 in other._coeffs.items():
                     key = p + p2
-                    total[key] = total.get(key, Fraction(0)) + c * c2
+                    total[key] = total[key] + c * c2 if key in total else c * c2
             return QPolynomial(total)
         if isinstance(other, (int, Fraction)):
             scale = _as_fraction(other)

@@ -95,32 +95,35 @@ def from_steps(ctx: BoxContext, west: Iterable[int]) -> YoungDiagram:
     return YoungDiagram(ctx, [i + k - s for i, s in enumerate(south, 1)])
 
 
-def _cyclic_label(value: int, n: int) -> int:
-    """Reduce to 1..n (the representative n, never 0)."""
-    return (value - 1) % n + 1
+def _require_boundary_index(index: int, ctx: BoxContext) -> None:
+    if not 0 <= index < ctx.n:
+        raise ValueError(f"boundary index {index} outside 0..{ctx.n - 1}")
 
 
 def boundary_rectangle(index: int, ctx: BoxContext) -> YoungDiagram:
     """The i-th frozen rectangle: west steps on the cyclic interval
-    [i+1, i+k]."""
-    if not 0 <= index < ctx.n:
-        raise ValueError(f"boundary index {index} outside 0..{ctx.n - 1}")
-    west = frozenset(
-        _cyclic_label(index + t, ctx.n) for t in range(1, ctx.k + 1)
-    )
-    return from_steps(ctx, west)
+    [i+1, i+k].  With m = n - k its rows are (k,)*i for i <= m and
+    (n-i,)*m otherwise."""
+    _require_boundary_index(index, ctx)
+    k, m = ctx.k, ctx.n - ctx.k
+    if index <= m:
+        return YoungDiagram(ctx, (k,) * index)
+    return YoungDiagram(ctx, (ctx.n - index,) * m)
 
 
 def boundary_rectangle_box(index: int, ctx: BoxContext) -> YoungDiagram:
     """The one-box variation of the i-th frozen rectangle: west steps on
-    [i+1, i+k-1] plus the single step i+k+1."""
-    if not 0 <= index < ctx.n:
-        raise ValueError(f"boundary index {index} outside 0..{ctx.n - 1}")
-    west = {
-        _cyclic_label(index + t, ctx.n) for t in range(1, ctx.k)
-    }
-    west.add(_cyclic_label(index + ctx.k + 1, ctx.n))
-    return from_steps(ctx, west)
+    [i+1, i+k-1] plus the single step i+k+1 (labels cyclic in 1..n).
+    With m = n - k its rows are (k,)*i + (1,) for i < m, (k-1,)*(m-1)
+    for i = m and (n-i+1,) + (n-i,)*(m-1) otherwise."""
+    _require_boundary_index(index, ctx)
+    k, m = ctx.k, ctx.n - ctx.k
+    if index < m:
+        return YoungDiagram(ctx, (k,) * index + (1,))
+    if index == m:
+        return YoungDiagram(ctx, (k - 1,) * (m - 1))
+    rest = ctx.n - index
+    return YoungDiagram(ctx, (rest + 1,) + (rest,) * (m - 1))
 
 
 def max_diag(diagram: YoungDiagram, removed: YoungDiagram) -> int:

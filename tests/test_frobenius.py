@@ -6,14 +6,20 @@ x + y + q/(xy) via classical_periods (an independent module), and tail
 coefficients derived by hand from the arrangement count
 c_{i+1} = (i+1) a_i + lower contributions, for example
 a_8 = (1680 - 672 - 720)/9 q^3 = 32 q^3.
+
+The module runs the theta ladder on plain ints with q folded into the
+key; the q-polynomial routes it replaced (Miller's recurrence, the
+windowed product, the extension step and the residue product over
+Fraction coefficients) are kept below as its oracles.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,9 +28,12 @@ from hypothesis import strategies as st
 from fanoperiods.frobenius import (
     InconsistentPeriodsError,
     PeriodSequence,
+    ReconstructionError,
     StructureTable,
     ThetaSeries,
+    TruncatedSeries,
     UntrustedCoefficientError,
+    _divide_exactly,
     associativity_check,
     extend_series,
     periods_from_json,
@@ -88,6 +97,125 @@ def _reconstruct_by_residues(periods: PeriodSequence) -> ThetaSeries:
     return ThetaSeries(1, tail, valid_to=max(order - 1, 0))
 
 
+def _reconstruct_by_recurrence(periods: PeriodSequence) -> ThetaSeries:
+    """Oracle for reconstruct_N1: Miller's recurrence over q-polynomials,
+    P_k = (1/k) sum_j ((d+1) j - k) phi_j P_{k-j} with Fraction coefficients."""
+    coeffs = periods.coeffs
+    order = periods.order
+    if order >= 1 and not coeffs[1].is_zero():
+        raise InconsistentPeriodsError("c_1 must vanish for a tail-free leading term")
+    tail: dict[int, QPolynomial] = {}
+    for d in range(2, order + 1):
+        powers = [QPolynomial.one()]
+        for k in range(1, d + 1):
+            total = QPolynomial.zero()
+            for i, a_i in tail.items():
+                if i < k and powers[k - i - 1]:
+                    total = total + a_i * powers[k - i - 1] * ((d + 1) * (i + 1) - k)
+            powers.append(total / k)
+        a = (coeffs[d] - powers[d]) / d
+        if a:
+            tail[d - 1] = a
+    return ThetaSeries(1, tail, valid_to=max(order - 1, 0))
+
+
+def _as_truncated(series: ThetaSeries | TruncatedSeries) -> TruncatedSeries:
+    if isinstance(series, TruncatedSeries):
+        return series
+    coeffs: dict[int, QPolynomial] = {series.p: QPolynomial.one()}
+    for i, value in series.tail.items():
+        coeffs[-i] = value
+    return TruncatedSeries(coeffs, -series.valid_to)
+
+
+def _multiply_q_polynomials(
+    a: ThetaSeries | TruncatedSeries, b: ThetaSeries | TruncatedSeries
+) -> TruncatedSeries:
+    """Oracle for series_multiply: the windowed product over q-polynomials."""
+    left = _as_truncated(a)
+    right = _as_truncated(b)
+    left_top = max(left.coeffs, default=left.floor)
+    right_top = max(right.coeffs, default=right.floor)
+    floor = max(left.floor + right_top, right.floor + left_top)
+    coeffs: dict[int, QPolynomial] = {}
+    for e1, c1 in left.coeffs.items():
+        for e2, c2 in right.coeffs.items():
+            e = e1 + e2
+            if e < floor:
+                continue
+            value = c1 * c2
+            coeffs[e] = coeffs[e] + value if e in coeffs else value
+    return TruncatedSeries(coeffs, floor)
+
+
+def _residue_product_q_polynomials(
+    series: Sequence[ThetaSeries | TruncatedSeries],
+) -> QPolynomial:
+    """Oracle for residue_product: fold the factors with the oracle product."""
+    if not series:
+        return QPolynomial.one()
+    accumulated = _as_truncated(series[0])
+    for item in series[1:]:
+        accumulated = _multiply_q_polynomials(accumulated, item)
+    return accumulated.coefficient(0)
+
+
+def _one_row_constant(series: Sequence[ThetaSeries], q: int, r: int) -> QPolynomial:
+    """C(1,q,r) = a_{1-r}(N_q) + a_{q-r}(N_1), a term counting when its index is positive."""
+    value = QPolynomial.zero()
+    for index, owner in ((1 - r, q), (q - r, 1)):
+        if index > 0 and owner:
+            value = value + series[owner - 1].tail_term(index)
+    return value
+
+
+def _extend_q_polynomials(series: Sequence[ThetaSeries]) -> ThetaSeries:
+    """Oracle for extend_series: the product recursion over q-polynomials."""
+    if not series:
+        raise ValueError("the extension recursion needs at least N_1")
+    for position, item in enumerate(series, 1):
+        if item.p != position:
+            raise ValueError(f"series at position {position} has leading exponent {item.p}")
+    n = series[-1].p + 1
+    product = _multiply_q_polynomials(series[0], series[-1])
+    coeffs = dict(product.coeffs)
+    floor = product.floor
+    for r in range(1, n):
+        scalar = _one_row_constant(series, n - 1, r)
+        if scalar:
+            portion = _as_truncated(series[r - 1])
+            floor = max(floor, portion.floor)
+            for e, c in portion.coeffs.items():
+                value = scalar * c
+                coeffs[e] = coeffs[e] - value if e in coeffs else -value
+    constant = _one_row_constant(series, n - 1, 0)
+    if constant:
+        coeffs[0] = coeffs.get(0, QPolynomial.zero()) - constant
+    if floor > 0:
+        raise UntrustedCoefficientError(
+            f"validity window floor {floor} cannot certify the leading form"
+        )
+    survivors = {e: c for e, c in coeffs.items() if c and e >= floor}
+    if survivors.get(n) != QPolynomial.one():
+        raise ReconstructionError(f"leading term of N_{n} is not t^{n}")
+    stray = sorted(e for e in survivors if 0 <= e < n)
+    if stray:
+        raise ReconstructionError(f"N_{n} keeps terms at non-negative exponents {stray}")
+    high = sorted(e for e in survivors if e > n)
+    if high:
+        raise ReconstructionError(f"N_{n} has terms above t^{n} at {high}")
+    tail = {-e: c for e, c in survivors.items() if e < 0}
+    return ThetaSeries(n, tail, -floor)
+
+
+def _outcome(fn, *args):
+    """The value fn returns, or the class and message of what it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
 # Mixed q-powers with negative, fractional and zero coefficients.
 Q_COEFFICIENTS = st.dictionaries(
     st.integers(min_value=0, max_value=2),
@@ -99,6 +227,70 @@ PERIOD_COEFFICIENTS = st.one_of(
     st.just((ONE,)),
     st.lists(Q_COEFFICIENTS, max_size=6).map(lambda rest: (ONE, ZERO, *rest)),
 )
+
+
+# Exact values for the int-kernel tests: fractional, negative and zero.
+KERNEL_VALUES = st.fractions(min_value=-7, max_value=7, max_denominator=6)
+KERNEL_Q = st.dictionaries(st.integers(0, 3), KERNEL_VALUES, max_size=3).map(QPolynomial)
+# c_d over the d-th prime, so the lcm L of the known tail grows at every step.
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@st.composite
+def kernel_periods(draw) -> PeriodSequence:
+    """Orders 0..10 with mixed q-powers; a fifth of the draws put every
+    c_d over its own prime so that L changes at each step."""
+    order = draw(st.integers(0, 10), label="order")
+    if draw(st.integers(0, 4), label="prime denominators") == 0:
+        rest = [
+            QPolynomial(
+                {
+                    power: Fraction(amount, PRIMES[d])
+                    for power, amount in draw(
+                        st.dictionaries(
+                            st.integers(0, 3), st.integers(-9, 9), max_size=2
+                        ),
+                        label=f"c_{d}",
+                    ).items()
+                }
+            )
+            for d in range(2, order + 1)
+        ]
+    else:
+        size = max(order - 1, 0)
+        rest = draw(st.lists(KERNEL_Q, min_size=size, max_size=size))
+    return PeriodSequence((ONE, ZERO, *rest)[: order + 1])
+
+
+@st.composite
+def kernel_windows(draw) -> ThetaSeries | TruncatedSeries:
+    """A ThetaSeries or a TruncatedSeries with a small window."""
+    if draw(st.booleans(), label="theta"):
+        valid_to = draw(st.integers(0, 8), label="valid_to")
+        tail = draw(
+            st.dictionaries(st.integers(1, max(valid_to, 1)), KERNEL_Q, max_size=5)
+        )
+        return ThetaSeries(
+            draw(st.integers(0, 4), label="p"),
+            {i: c for i, c in tail.items() if i <= valid_to},
+            valid_to,
+        )
+    coeffs = draw(st.dictionaries(st.integers(-8, 5), KERNEL_Q, max_size=6))
+    return TruncatedSeries(coeffs, draw(st.integers(-8, 3), label="floor"))
+
+
+@st.composite
+def kernel_ladders(draw) -> list[ThetaSeries]:
+    """N_1..N_m with arbitrary tails and windows, so that extension meets
+    both clean steps and window errors."""
+    ladder = []
+    for p in range(1, draw(st.integers(1, 4), label="length") + 1):
+        valid_to = draw(st.integers(0, 8), label=f"valid_to of N_{p}")
+        tail = draw(st.dictionaries(st.integers(1, 8), KERNEL_Q, max_size=4))
+        ladder.append(
+            ThetaSeries(p, {i: c for i, c in tail.items() if i <= valid_to}, valid_to)
+        )
+    return ladder
 
 
 def p2_series(order: int = 12, top: int = 4) -> list[ThetaSeries]:
@@ -341,6 +533,18 @@ class TestExtendSeries:
             periods.order - p for p in range(1, periods.order + 1)
         ]
 
+    def test_short_lower_window_bounds_the_step(self):
+        # N_2 enters N_4 through C(1,3,2) = a_1(N_1), so its window (down to
+        # t^-1) caps N_4's although N_1 and N_3 are trusted to t^-8
+        ladder = [
+            ThetaSeries(1, {1: 1, 2: 1, 3: 1}, 8),
+            ThetaSeries(2, {1: 5}, 1),
+            ThetaSeries(3, {1: 1}, 8),
+        ]
+        n4 = extend_series(ladder)
+        assert n4.valid_to == 1
+        assert n4 == _extend_q_polynomials(ladder)
+
     def test_requires_consecutive_leading_exponents(self):
         n1 = reconstruct_N1(trivial_periods(8))
         with pytest.raises(ValueError):
@@ -364,6 +568,99 @@ class TestExtendSeries:
         for n, item in enumerate(series, 1):
             assert item.p == n
             assert all(i >= 1 for i in item.tail)
+
+
+class TestIntKernelMatchesQPolynomialOracles:
+    """The int kernel against the q-polynomial routes it replaced: the same
+    values, and the same errors raised by the same call."""
+
+    @settings(max_examples=150, deadline=5000)
+    @given(kernel_periods())
+    @example(
+        PeriodSequence(
+            (ONE, ZERO, QPolynomial.of(Fraction(1, 2)), QPolynomial.of(Fraction(-1, 3), 1))
+        )
+    )
+    @example(PeriodSequence((ONE, QPolynomial.of(Fraction(2, 3)))))
+    def test_reconstruct_N1(self, periods):
+        start = time.perf_counter()
+        assert _outcome(reconstruct_N1, periods) == _outcome(
+            _reconstruct_by_recurrence, periods
+        )
+        assert time.perf_counter() - start < 2.0
+
+    @settings(max_examples=100, deadline=5000)
+    @given(kernel_windows(), kernel_windows())
+    def test_series_multiply(self, a, b):
+        assert series_multiply(a, b) == _multiply_q_polynomials(a, b)
+
+    @settings(max_examples=80, deadline=5000)
+    @given(st.lists(kernel_windows(), max_size=4))
+    def test_residue_product(self, factors):
+        assert _outcome(residue_product, factors) == _outcome(
+            _residue_product_q_polynomials, factors
+        )
+
+    @settings(max_examples=80, deadline=5000)
+    @given(kernel_ladders())
+    def test_extend_series_on_arbitrary_ladders(self, ladder):
+        assert _outcome(extend_series, ladder) == _outcome(_extend_q_polynomials, ladder)
+
+    @settings(max_examples=60, deadline=5000)
+    @given(kernel_periods())
+    def test_ladder_from_periods(self, periods):
+        start = time.perf_counter()
+        fast = [reconstruct_N1(periods)]
+        slow = [_reconstruct_by_recurrence(periods)]
+        assert fast == slow
+        while len(fast) < min(periods.order, 6):
+            fast.append(extend_series(fast))
+            slow.append(_extend_q_polynomials(slow))
+            assert fast[-1] == slow[-1]
+        for d in range(periods.order + 2):
+            assert _outcome(residue_product, [fast[0]] * d) == _outcome(
+                _residue_product_q_polynomials, [slow[0]] * d
+            )
+        assert time.perf_counter() - start < 2.0
+
+    def test_window_errors_name_the_same_limit(self):
+        n1 = reconstruct_N1(trivial_periods(3))
+        for factors in ([n1] * 5, [n1, ThetaSeries(4, {}, valid_to=0)]):
+            with pytest.raises(UntrustedCoefficientError) as fast:
+                residue_product(factors)
+            with pytest.raises(UntrustedCoefficientError) as slow:
+                _residue_product_q_polynomials(factors)
+            assert str(fast.value) == str(slow.value)
+        ladder = [n1]
+        while len(ladder) < 3:
+            ladder.append(extend_series(ladder))
+        with pytest.raises(UntrustedCoefficientError) as fast:
+            extend_series(ladder)
+        with pytest.raises(UntrustedCoefficientError) as slow:
+            _extend_q_polynomials(ladder)
+        assert str(fast.value) == str(slow.value)
+
+    def test_power_recurrence_division_is_exact(self):
+        assert _divide_exactly(-12, 4) == -3
+        assert _divide_exactly(0, 7) == 0
+        with pytest.raises(ReconstructionError):
+            _divide_exactly(7, 2)
+        with pytest.raises(ReconstructionError):
+            _divide_exactly(-7, 3)
+
+    def test_p1xp1_order_24_is_integral(self):
+        # c_{2m} = binom(2m, m)^2 on the index-2 grading
+        values = [
+            (factorial(d) // factorial(d // 2) ** 2) ** 2 if d % 2 == 0 else 0
+            for d in range(25)
+        ]
+        periods = PeriodSequence.from_plain(values, 2)
+        start = time.perf_counter()
+        n1 = reconstruct_N1(periods)
+        assert time.perf_counter() - start < 1.0
+        assert n1 == _reconstruct_by_recurrence(periods)
+        for value in n1.tail.values():
+            assert all(c.denominator == 1 for _, c in value.items())
 
 
 class TestStructureTable:
@@ -410,6 +707,17 @@ class TestStructureTable:
         records = table_records(table)
         assert {"p": 1, "q": 1, "r": 0, "value": "0"} in records
         assert {"p": 1, "q": 1, "r": 2, "value": "1"} in records
+
+    @pytest.mark.parametrize(
+        "key", [(5, 5, 0), (1, 1, 3), (2, 1, 0), (-1, 1, 0), (1, 0, -1)]
+    )
+    def test_rejects_keys_outside_the_range(self, key):
+        with pytest.raises(ValueError, match=rf"{re.escape(repr(key))}.*total degree 2"):
+            StructureTable(2, {(1, 1, 0): 2, key: 1})
+
+    def test_zero_values_are_dropped(self):
+        table = StructureTable(2, {(1, 1, 0): 0, (1, 1, 2): QPolynomial.one()})
+        assert table.entries == {(1, 1, 2): ONE}
 
     def test_accessor_range_validation(self):
         table = structure_table(p2_series(top=2), 2)

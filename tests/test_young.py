@@ -5,7 +5,8 @@ The small tables for (k, n) = (2, 4) and (2, 5) were worked out by hand
 and are frozen here; the delta identity for the diagonal statistic is
 exercised exhaustively in the acceptance suite.  `max_diag` merges
 content sequences; the cell-set difference it replaced is kept here as
-its oracle.
+its oracle.  The boundary rectangles are built from closed-form rows;
+the west-step route they replaced is kept here as their oracle.
 """
 
 from __future__ import annotations
@@ -54,6 +55,24 @@ def _max_diag_by_cells(diagram, removed):
     for i, j in _cells(diagram) - _cells(removed):
         tallies[j - i] = tallies.get(j - i, 0) + 1
     return max(tallies.values(), default=0)
+
+
+def _cyclic_label(value, n):
+    """Reduce to 1..n (the representative n, never 0)."""
+    return (value - 1) % n + 1
+
+
+def _boundary_rectangle_by_steps(index, ctx):
+    """Oracle: west steps on the cyclic interval [i+1, i+k]."""
+    west = {_cyclic_label(index + t, ctx.n) for t in range(1, ctx.k + 1)}
+    return from_steps(ctx, west)
+
+
+def _boundary_rectangle_box_by_steps(index, ctx):
+    """Oracle: west steps on [i+1, i+k-1] plus the single step i+k+1."""
+    west = {_cyclic_label(index + t, ctx.n) for t in range(1, ctx.k)}
+    west.add(_cyclic_label(index + ctx.k + 1, ctx.n))
+    return from_steps(ctx, west)
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +197,29 @@ def test_boundary_rectangle_box_2_5():
 
 
 def test_boundary_index_range():
-    with pytest.raises(ValueError):
-        boundary_rectangle(4, CTX24)
-    with pytest.raises(ValueError):
-        boundary_rectangle(-1, CTX24)
+    for build in (boundary_rectangle, boundary_rectangle_box):
+        with pytest.raises(ValueError):
+            build(4, CTX24)
+        with pytest.raises(ValueError):
+            build(-1, CTX24)
+
+
+def test_boundary_rectangles_match_the_step_oracle_on_every_box():
+    start = time.perf_counter()
+    checked = 0
+    for n in range(2, 9):
+        for k in range(1, n):
+            ctx = BoxContext(k, n)
+            for i in range(n):
+                assert boundary_rectangle(i, ctx) == _boundary_rectangle_by_steps(
+                    i, ctx
+                ), (k, n, i)
+                assert boundary_rectangle_box(
+                    i, ctx
+                ) == _boundary_rectangle_box_by_steps(i, ctx), (k, n, i)
+                checked += 1
+    assert checked == sum(n * (n - 1) for n in range(2, 9))
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------
