@@ -10,12 +10,13 @@ series are truncated honestly: every value carries the largest tail
 index it trusts, a finite integer, and operations refuse to emit
 coefficients outside the joint window rather than zero-filling.
 
-The arithmetic runs on plain ints.  A window's coefficients are scaled
-by the lcm L of their denominators and keyed by (t-exponent, q-power);
-Miller's recurrence runs on phi(L u), whose coefficients are integral.
-Fractions are built only where the returned records are; the same
-steps over q-polynomials with Fraction coefficients are kept in the
-test suite as oracles.
+The arithmetic runs on plain ints.  ThetaSeries is the only window
+type: the windows one step multiplies are folded together at one scale,
+the lcm L of all their coefficient denominators, and keyed by
+(t-exponent, q-power); Miller's recurrence runs on phi(L u), whose
+coefficients are integral.  Fractions are built only where the returned
+records are; the same steps over q-polynomials with Fraction
+coefficients are kept in the test suite as oracles.
 
 Tail coefficients satisfy a_i(N_p) = i * N_{p,i} with N_{p,i} the
 two-point invariants, and the structure constants below the leading one
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._record import Record
 from .laurent import QPolynomial, Rational, _as_qpolynomial, parse_rational, preview
@@ -118,58 +119,40 @@ class ThetaSeries(Record):
         return self.tail.get(i, QPolynomial.zero())
 
 
-class TruncatedSeries(Record):
-    """A finite Laurent-series window: trusted exactly for exponents >= floor."""
-
-    __slots__ = _fields = ("coeffs", "floor")
-
-    def __init__(self, coeffs: Mapping[int, QPolynomial | Rational], floor: int):
-        clean = {}
-        for e, c in coeffs.items():
-            coeff = _as_qpolynomial(c)
-            if coeff and e >= floor:
-                clean[e] = coeff
-        self._store(clean, floor)
-
-    def coefficient(self, exponent: int) -> QPolynomial:
-        if exponent < self.floor:
-            raise UntrustedCoefficientError(
-                f"exponent {exponent} lies below the trusted floor {self.floor}"
-            )
-        return self.coeffs.get(exponent, QPolynomial.zero())
-
-
 # ---------------------------------------------------------------------------
 # Integer kernel
 #
-# A window's coefficients, times a scale L that clears their denominators,
-# are kept as a folded map {(t-exponent, q-power): int}.  Products then run
-# on plain ints, and Fractions are built only for the values returned.
+# Every window is a ThetaSeries.  The windows a step multiplies are folded
+# at one scale L, the lcm of all their coefficient denominators: each one
+# becomes {(t-exponent, q-power): L * coefficient} with its trusted floor
+# and its top, the leading exponent p.  Products then run on plain ints,
+# and Fractions are built only for the values returned.
 
 Folded = dict[tuple[int, int], int]
+Window = tuple[Folded, int, int]
 
 
-def _window(series: ThetaSeries | TruncatedSeries) -> tuple[Mapping[int, QPolynomial], int]:
-    """Coefficients by t-exponent and the trusted floor."""
-    if isinstance(series, TruncatedSeries):
-        return series.coeffs, series.floor
-    coeffs = {-i: value for i, value in series.tail.items()}
-    coeffs[series.p] = QPolynomial.one()
-    return coeffs, -series.valid_to
+def _scaled(value: QPolynomial, scale: int) -> dict[int, int]:
+    """scale times value by q-power; scale must clear every denominator."""
+    return {p: c.numerator * (scale // c.denominator) for p, c in value.items()}
 
 
-def _scale(values: Iterable[QPolynomial]) -> int:
-    """The lcm of the coefficient denominators."""
-    return lcm(*(c.denominator for value in values for _, c in value.items()))
-
-
-def _fold(coeffs: Mapping[int, QPolynomial], scale: int) -> Folded:
-    """scale times each coefficient; scale must clear every denominator."""
-    return {
-        (e, p): c.numerator * (scale // c.denominator)
-        for e, value in coeffs.items()
-        for p, c in value.items()
-    }
+def _fold(series: Sequence[ThetaSeries]) -> tuple[list[Window], int]:
+    """Each series as a window (terms, floor, top) at one scale L, and L."""
+    scale = lcm(
+        *(c.denominator for item in series for value in item.tail.values()
+          for _, c in value.items())
+    )
+    windows = []
+    for item in series:
+        terms = {
+            (-i, p): c
+            for i, value in item.tail.items()
+            for p, c in _scaled(value, scale).items()
+        }
+        terms[(item.p, 0)] = scale
+        windows.append((terms, -item.valid_to, item.p))
+    return windows, scale
 
 
 def _unfold(terms: Folded, scale: int) -> dict[int, QPolynomial]:
@@ -178,13 +161,6 @@ def _unfold(terms: Folded, scale: int) -> dict[int, QPolynomial]:
     for (e, p), c in terms.items():
         grouped.setdefault(e, {})[p] = Fraction(c, scale)
     return {e: QPolynomial(value) for e, value in grouped.items()}
-
-
-def _folded(series: ThetaSeries | TruncatedSeries) -> tuple[Folded, int, int]:
-    """The series folded at its own scale: terms, scale and floor."""
-    coeffs, floor = _window(series)
-    scale = _scale(coeffs.values())
-    return _fold(coeffs, scale), scale, floor
 
 
 def _add_product(
@@ -199,32 +175,20 @@ def _add_product(
                 terms[key] = terms[key] + c1 * c2 if key in terms else c1 * c2
 
 
-def _windowed_product(
-    left: Folded, left_floor: int, right: Folded, right_floor: int
-) -> tuple[Folded, int]:
-    """Product of two folded windows and its floor, zeros dropped.
+def _windowed_product(left: Window, right: Window) -> Window:
+    """Product of two folded windows, zeros dropped.
 
     The unknown low-order terms of the factors reach every exponent below
-    max(floor_a + top_b, floor_b + top_a), so those are dropped; a
-    window's top is its largest t-exponent with a nonzero coefficient,
-    or its floor when it has none.
+    max(floor_a + top_b, floor_b + top_a), so those are dropped.  Each
+    factor keeps its unit leading term t^top, so the product keeps
+    t^(top_a + top_b) as its own.
     """
-    left_top = max((e for e, _ in left), default=left_floor)
-    right_top = max((e for e, _ in right), default=right_floor)
+    left_terms, left_floor, left_top = left
+    right_terms, right_floor, right_top = right
     floor = max(left_floor + right_top, right_floor + left_top)
     terms: Folded = {}
-    _add_product(terms, left, right, floor)
-    return {key: c for key, c in terms.items() if c}, floor
-
-
-def series_multiply(
-    a: ThetaSeries | TruncatedSeries, b: ThetaSeries | TruncatedSeries
-) -> TruncatedSeries:
-    """Exact product within the joint validity window (see `_windowed_product`)."""
-    left, left_scale, left_floor = _folded(a)
-    right, right_scale, right_floor = _folded(b)
-    terms, floor = _windowed_product(left, left_floor, right, right_floor)
-    return TruncatedSeries(_unfold(terms, left_scale * right_scale), floor)
+    _add_product(terms, left_terms, right_terms, floor)
+    return {key: c for key, c in terms.items() if c}, floor, left_top + right_top
 
 
 def _divide_exactly(value: int, divisor: int) -> int:
@@ -258,11 +222,7 @@ def reconstruct_N1(periods: PeriodSequence) -> ThetaSeries:
     scale = 1
     for d in range(2, order + 1):
         # psi_j = L^j a_{j-1}, integral because L clears every denominator
-        psi = [
-            (i + 1, {p: c.numerator * (scale ** (i + 1) // c.denominator)
-                     for p, c in a.items()})
-            for i, a in tail.items()
-        ]
+        psi = [(i + 1, _scaled(a, scale ** (i + 1))) for i, a in tail.items()]
         powers: list[dict[int, int]] = [{0: 1}]
         for k in range(1, d + 1):
             total: dict[int, int] = {}
@@ -282,7 +242,7 @@ def reconstruct_N1(periods: PeriodSequence) -> ThetaSeries:
         a = (coeffs[d] - known) / d
         if a:
             tail[d - 1] = a
-            scale = lcm(scale, _scale([a]))
+            scale = lcm(scale, *(c.denominator for _, c in a.items()))
     return ThetaSeries(1, tail, valid_to=max(order - 1, 0))
 
 
@@ -327,16 +287,18 @@ def extend_series(series: Sequence[ThetaSeries]) -> ThetaSeries:
 
     # one scale L clears every window used, and with it every scalar (a
     # tail term of N_1 or N_{n-1}); each product below then sits at L^2
-    windows = {r: _window(series[r - 1]) for r in {1, n - 1, *(r for r, _ in scalars)}}
-    scale = _scale(value for coeffs, _ in windows.values() for value in coeffs.values())
-    folded = {r: (_fold(coeffs, scale), floor) for r, (coeffs, floor) in windows.items()}
-    terms, floor = _windowed_product(*folded[1], *folded[n - 1])
+    owners = sorted({1, n - 1, *(r for r, _ in scalars)})
+    windows, scale = _fold([series[r - 1] for r in owners])
+    folded = dict(zip(owners, windows))
+    terms, floor, _ = _windowed_product(folded[1], folded[n - 1])
     for r, scalar in scalars:
-        portion, portion_floor = folded[r]
+        portion, portion_floor, _ = folded[r]
         floor = max(floor, portion_floor)
-        _add_product(terms, _fold({0: scalar}, scale), portion, floor, -1)
+        scaled = {(0, p): c for p, c in _scaled(scalar, scale).items()}
+        _add_product(terms, scaled, portion, floor, -1)
     if constant:
-        _add_product(terms, _fold({0: constant}, scale), {(0, 0): scale}, floor, -1)
+        scaled = {(0, p): c for p, c in _scaled(constant, scale).items()}
+        _add_product(terms, scaled, {(0, 0): scale}, floor, -1)
 
     if floor > 0:
         raise UntrustedCoefficientError(
@@ -428,21 +390,27 @@ def table_records(table: StructureTable) -> list[dict]:
     return records
 
 
-def residue_product(series: Sequence[ThetaSeries | TruncatedSeries]) -> QPolynomial:
+def residue_product(series: Sequence[ThetaSeries]) -> QPolynomial:
     """t^0 coefficient of the windowed product of the factors; 1 for none.
 
-    The factors are folded into one running product over ints; only its
-    t^0 coefficient is converted back.
+    The factors are folded at one scale L and multiplied into one running
+    product over ints, which then sits at L^m for m factors; only its t^0
+    coefficient is converted back, and only if the window trusts it.
     """
     if not series:
         return QPolynomial.one()
-    terms, scale, floor = _folded(series[0])
-    for item in series[1:]:
-        right, right_scale, right_floor = _folded(item)
-        terms, floor = _windowed_product(terms, floor, right, right_floor)
-        scale *= right_scale
-    constant = {key: c for key, c in terms.items() if key[0] == 0}
-    return TruncatedSeries(_unfold(constant, scale), floor).coefficient(0)
+    windows, scale = _fold(series)
+    product = windows[0]
+    for window in windows[1:]:
+        product = _windowed_product(product, window)
+    terms, floor, _ = product
+    if floor > 0:
+        raise UntrustedCoefficientError(
+            f"exponent 0 lies below the trusted floor {floor}"
+        )
+    return QPolynomial(
+        {p: Fraction(c, scale ** len(series)) for (e, p), c in terms.items() if e == 0}
+    )
 
 
 def associativity_check(table: StructureTable) -> list[dict]:

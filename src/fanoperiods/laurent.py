@@ -92,11 +92,6 @@ class QPolynomial(Record):
             raise ValueError(f"{self} is not q-free")
         return self._coeffs.get(0, Fraction(0))
 
-    def max_q_power(self) -> int:
-        if not self._coeffs:
-            raise ZeroPolynomialError("zero polynomial has no q-degree")
-        return max(self._coeffs)
-
     def shift_q(self, by: int) -> QPolynomial:
         """Multiply by q**by."""
         return QPolynomial({p + by: c for p, c in self._coeffs.items()})

@@ -44,12 +44,6 @@ class Halfspace(Record):
     def __init__(self, normal: Sequence[int], offset: Fraction):
         self._store(tuple(normal), _as_fraction(offset))
 
-    def holds_at(self, point: Sequence[Fraction]) -> bool:
-        value = sum(
-            (Fraction(a) * x for a, x in zip(self.normal, point)), Fraction(0)
-        )
-        return value >= self.offset
-
 
 class HalfspaceSystem(Record):
     """A finite intersection of halfspaces in a fixed dimension."""
@@ -67,9 +61,6 @@ class HalfspaceSystem(Record):
             if not any(facet.normal):
                 raise ValueError("facet normals must be nonzero")
         self._store(dim, facets)
-
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        return all(f.holds_at(point) for f in self.facets)
 
     @property
     def _chain(self) -> _ProjectionChain:

@@ -2,7 +2,8 @@
 
 Each demo runs in a fresh interpreter from the repository root with
 PYTHONPATH=src, as its docstring tells a reader to run it; the digest is
-the sha256 of its stdout.
+the sha256 of its stdout.  The README's Python API example runs too, and
+gives the values its comments state.
 """
 
 from __future__ import annotations
@@ -47,3 +48,24 @@ def test_demo_output_is_frozen(demo, digest):
     )
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+def _readme_python_api() -> str:
+    """The python block under the README's "Python API" heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Python API\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_python_api_gives_the_values_it_states():
+    scope: dict = {}
+    exec(_readme_python_api(), scope)
+    periods = [str(c) for c in scope["periods"]]
+    assert (periods[3], periods[6], periods[9]) == ("6", "90", "1680")
+    chart = [str(c) for c in scope["w"].terms.values()]
+    assert len(chart) == 6 and chart.count("q") == 1
+    assert scope["lattice_point_count"](scope["system"], 2) == 825
+    head = [str(c) for c in scope["grass_periods"](scope["ctx"], 8)]
+    assert head == ["1", "0", "0", "0", "48q", "0", "0", "0", "15120q^2"]
+    assert str(scope["table"].entry(1, 2, 0)) == "6q"
+    assert scope["associativity_check"](scope["table"]) == []

@@ -10,7 +10,8 @@ a_8 = (1680 - 672 - 720)/9 q^3 = 32 q^3.
 The module runs the theta ladder on plain ints with q folded into the
 key; the q-polynomial routes it replaced (Miller's recurrence, the
 windowed product, the extension step and the residue product over
-Fraction coefficients) are kept below as its oracles.
+Fraction coefficients, on a window class of their own) are kept below
+as its oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 import time
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +32,6 @@ from fanoperiods.frobenius import (
     ReconstructionError,
     StructureTable,
     ThetaSeries,
-    TruncatedSeries,
     UntrustedCoefficientError,
     _divide_exactly,
     associativity_check,
@@ -40,7 +40,6 @@ from fanoperiods.frobenius import (
     periods_to_json,
     reconstruct_N1,
     residue_product,
-    series_multiply,
     structure_table,
     table_records,
 )
@@ -119,21 +118,35 @@ def _reconstruct_by_recurrence(periods: PeriodSequence) -> ThetaSeries:
     return ThetaSeries(1, tail, valid_to=max(order - 1, 0))
 
 
-def _as_truncated(series: ThetaSeries | TruncatedSeries) -> TruncatedSeries:
-    if isinstance(series, TruncatedSeries):
+class _Window(NamedTuple):
+    """Oracle window: nonzero coefficients by t-exponent, trusted exactly
+    for exponents >= floor."""
+
+    coeffs: dict[int, QPolynomial]
+    floor: int
+
+    def coefficient(self, exponent: int) -> QPolynomial:
+        if exponent < self.floor:
+            raise UntrustedCoefficientError(
+                f"exponent {exponent} lies below the trusted floor {self.floor}"
+            )
+        return self.coeffs.get(exponent, QPolynomial.zero())
+
+
+def _as_window(series: ThetaSeries | _Window) -> _Window:
+    if isinstance(series, _Window):
         return series
     coeffs: dict[int, QPolynomial] = {series.p: QPolynomial.one()}
     for i, value in series.tail.items():
         coeffs[-i] = value
-    return TruncatedSeries(coeffs, -series.valid_to)
+    return _Window(coeffs, -series.valid_to)
 
 
-def _multiply_q_polynomials(
-    a: ThetaSeries | TruncatedSeries, b: ThetaSeries | TruncatedSeries
-) -> TruncatedSeries:
-    """Oracle for series_multiply: the windowed product over q-polynomials."""
-    left = _as_truncated(a)
-    right = _as_truncated(b)
+def _multiply_q_polynomials(a: ThetaSeries | _Window, b: ThetaSeries | _Window) -> _Window:
+    """Oracle for the windowed product over q-polynomials; a window's top
+    is its largest exponent with a nonzero coefficient."""
+    left = _as_window(a)
+    right = _as_window(b)
     left_top = max(left.coeffs, default=left.floor)
     right_top = max(right.coeffs, default=right.floor)
     floor = max(left.floor + right_top, right.floor + left_top)
@@ -145,16 +158,14 @@ def _multiply_q_polynomials(
                 continue
             value = c1 * c2
             coeffs[e] = coeffs[e] + value if e in coeffs else value
-    return TruncatedSeries(coeffs, floor)
+    return _Window({e: c for e, c in coeffs.items() if c}, floor)
 
 
-def _residue_product_q_polynomials(
-    series: Sequence[ThetaSeries | TruncatedSeries],
-) -> QPolynomial:
+def _residue_product_q_polynomials(series: Sequence[ThetaSeries]) -> QPolynomial:
     """Oracle for residue_product: fold the factors with the oracle product."""
     if not series:
         return QPolynomial.one()
-    accumulated = _as_truncated(series[0])
+    accumulated = _as_window(series[0])
     for item in series[1:]:
         accumulated = _multiply_q_polynomials(accumulated, item)
     return accumulated.coefficient(0)
@@ -183,7 +194,7 @@ def _extend_q_polynomials(series: Sequence[ThetaSeries]) -> ThetaSeries:
     for r in range(1, n):
         scalar = _one_row_constant(series, n - 1, r)
         if scalar:
-            portion = _as_truncated(series[r - 1])
+            portion = _as_window(series[r - 1])
             floor = max(floor, portion.floor)
             for e, c in portion.coeffs.items():
                 value = scalar * c
@@ -263,20 +274,15 @@ def kernel_periods(draw) -> PeriodSequence:
 
 
 @st.composite
-def kernel_windows(draw) -> ThetaSeries | TruncatedSeries:
-    """A ThetaSeries or a TruncatedSeries with a small window."""
-    if draw(st.booleans(), label="theta"):
-        valid_to = draw(st.integers(0, 8), label="valid_to")
-        tail = draw(
-            st.dictionaries(st.integers(1, max(valid_to, 1)), KERNEL_Q, max_size=5)
-        )
-        return ThetaSeries(
-            draw(st.integers(0, 4), label="p"),
-            {i: c for i, c in tail.items() if i <= valid_to},
-            valid_to,
-        )
-    coeffs = draw(st.dictionaries(st.integers(-8, 5), KERNEL_Q, max_size=6))
-    return TruncatedSeries(coeffs, draw(st.integers(-8, 3), label="floor"))
+def kernel_windows(draw) -> ThetaSeries:
+    """A ThetaSeries with a small window."""
+    valid_to = draw(st.integers(0, 8), label="valid_to")
+    tail = draw(st.dictionaries(st.integers(1, max(valid_to, 1)), KERNEL_Q, max_size=5))
+    return ThetaSeries(
+        draw(st.integers(0, 4), label="p"),
+        {i: c for i, c in tail.items() if i <= valid_to},
+        valid_to,
+    )
 
 
 @st.composite
@@ -382,35 +388,6 @@ class TestThetaSeries:
     def test_window_is_required(self):
         with pytest.raises(TypeError):
             ThetaSeries(3, {}, valid_to=None)
-
-
-class TestSeriesMultiply:
-    def test_plain_monomials(self):
-        t = ThetaSeries(1, {}, valid_to=4)
-        product = series_multiply(t, t)
-        assert product.floor == -3
-        assert product.coefficient(2) == ONE
-        assert product.coefficient(-3) == ZERO
-        with pytest.raises(UntrustedCoefficientError):
-            product.coefficient(-4)
-
-    def test_square_with_tail(self):
-        series = ThetaSeries(1, {1: QPolynomial.of(3)}, valid_to=4)
-        square = series_multiply(series, series)
-        assert square.floor == -3
-        assert square.coefficient(2) == ONE
-        assert square.coefficient(0) == QPolynomial.of(6)
-        assert square.coefficient(-2) == QPolynomial.of(9)
-        assert square.coefficient(-3) == ZERO
-        with pytest.raises(UntrustedCoefficientError):
-            square.coefficient(-4)
-
-    def test_residue_identity(self):
-        series = p2_series(top=3)
-        n1, n2 = series[0], series[1]
-        residue = series_multiply(n1, n2).coefficient(0)
-        expected = n1.tail_term(2) + n2.tail_term(1)
-        assert residue == expected == QPolynomial.of(6, 1)
 
 
 class TestReconstruction:
@@ -589,11 +566,6 @@ class TestIntKernelMatchesQPolynomialOracles:
         )
         assert time.perf_counter() - start < 2.0
 
-    @settings(max_examples=100, deadline=5000)
-    @given(kernel_windows(), kernel_windows())
-    def test_series_multiply(self, a, b):
-        assert series_multiply(a, b) == _multiply_q_polynomials(a, b)
-
     @settings(max_examples=80, deadline=5000)
     @given(st.lists(kernel_windows(), max_size=4))
     def test_residue_product(self, factors):
@@ -729,8 +701,21 @@ class TestStructureTable:
 
 class TestResidueProduct:
     def test_monomials_only(self):
+        t = ThetaSeries(1, {}, valid_to=4)
         t2 = ThetaSeries(2, {}, valid_to=4)
+        assert residue_product([t, t]) == ZERO
         assert residue_product([t2, t2]) == ZERO
+
+    def test_square_with_tail(self):
+        series = ThetaSeries(1, {1: QPolynomial.of(3)}, valid_to=4)
+        assert residue_product([series, series]) == QPolynomial.of(6)
+
+    def test_residue_identity(self):
+        series = p2_series(top=3)
+        n1, n2 = series[0], series[1]
+        residue = residue_product([n1, n2])
+        expected = n1.tail_term(2) + n2.tail_term(1)
+        assert residue == expected == QPolynomial.of(6, 1)
 
     def test_empty_product(self):
         assert residue_product([]) == ONE
@@ -748,6 +733,11 @@ class TestResidueProduct:
         n1 = reconstruct_N1(trivial_periods(3))
         with pytest.raises(UntrustedCoefficientError):
             residue_product([n1] * 5)
+        # t's window reaches t^-4, so t * t^4 is trusted only down to t^1
+        t = ThetaSeries(1, {}, valid_to=4)
+        with pytest.raises(UntrustedCoefficientError) as err:
+            residue_product([t, ThetaSeries(4, {}, valid_to=0)])
+        assert str(err.value) == "exponent 0 lies below the trusted floor 1"
 
 
 class TestAssociativity:

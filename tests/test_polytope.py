@@ -154,7 +154,10 @@ def _vertices_by_fractions(system):
         if _reduce(rows, system.dim) is None:
             continue
         point = tuple(row[-1] for row in rows)
-        if system.contains(point):
+        if all(
+            sum(a * x for a, x in zip(f.normal, point)) >= f.offset
+            for f in system.facets
+        ):
             found.add(point)
     return sorted(found)
 

@@ -22,7 +22,6 @@ from fanoperiods.frobenius import (
     PeriodSequence,
     StructureTable,
     ThetaSeries,
-    TruncatedSeries,
 )
 from fanoperiods.grassmannian import GridNetwork, build_rectangles_network
 from fanoperiods.laurent import LaurentPolynomial, QPolynomial
@@ -39,7 +38,7 @@ CTX24 = BoxContext(2, 4)
 TRIANGLE = ((1, 0), (0, 1), (-1, -1))
 POLYNOMIALS = (QPolynomial, LaurentPolynomial)
 
-# Each group holds two unequal records of one class.
+# Each group holds unequal records of one class.
 SAMPLES = [
     [CTX24, BoxContext(1, 3)],
     [YoungDiagram(CTX24, (2, 1, 0)), YoungDiagram(CTX24, ())],
@@ -47,8 +46,12 @@ SAMPLES = [
     [Halfspace((1, 0), -1), Halfspace([1, 0], Fraction(1, 2))],
     [polar_from_support(TRIANGLE), HalfspaceSystem(1, [Halfspace((1,), 0)])],
     [PeriodSequence([1, 0, 2]), PeriodSequence([QPolynomial.one()])],
-    [ThetaSeries(1, {1: 2, 3: 0}, 3), ThetaSeries(0, {}, 0)],
-    [TruncatedSeries({0: 1, -2: 5, -7: 1}, -3), TruncatedSeries({}, 0)],
+    [
+        ThetaSeries(1, {1: 2, 3: 0}, 3),
+        ThetaSeries(0, {}, 0),
+        ThetaSeries(2, {2: QPolynomial({1: Fraction(5, 2)}), 7: 1}, 7),
+        ThetaSeries(2, {}, 0),
+    ],
     [StructureTable(3, {(1, 1, 0): 2, (0, 1, 0): 0}), StructureTable(1)],
     [
         LaurentPolynomial.from_dict(("x", "y"), {(1, 0): 1, (-1, -1): QPolynomial.of(2, 1)}),
