@@ -390,6 +390,35 @@ class TestThetaSeries:
             ThetaSeries(3, {}, valid_to=None)
 
 
+class TestSeriesMultiply:
+    """Windowed products of theta series. A product's t^-k coefficient
+    is read as the residue of the product times the monomial t^k."""
+
+    def test_plain_monomials(self):
+        t = ThetaSeries(1, {}, valid_to=4)
+        assert residue_product([t, t]) == ZERO
+        # t * t is trusted down to t^-3, so its t^-3 coefficient reads 0
+        assert residue_product([t, t, ThetaSeries(3, {}, valid_to=3)]) == ZERO
+        with pytest.raises(UntrustedCoefficientError):
+            residue_product([t, t, ThetaSeries(4, {}, valid_to=3)])
+
+    def test_square_with_tail(self):
+        series = ThetaSeries(1, {1: QPolynomial.of(3)}, valid_to=4)
+        square = [series, series]
+        assert residue_product(square) == QPolynomial.of(6)
+        assert residue_product(square + [ThetaSeries(2, {}, valid_to=3)]) == QPolynomial.of(9)
+        assert residue_product(square + [ThetaSeries(3, {}, valid_to=3)]) == ZERO
+        with pytest.raises(UntrustedCoefficientError):
+            residue_product(square + [ThetaSeries(4, {}, valid_to=3)])
+
+    def test_residue_identity(self):
+        series = p2_series(top=3)
+        n1, n2 = series[0], series[1]
+        residue = residue_product([n1, n2])
+        expected = n1.tail_term(2) + n2.tail_term(1)
+        assert residue == expected == QPolynomial.of(6, 1)
+
+
 class TestReconstruction:
     def test_trivial_periods(self):
         n1 = reconstruct_N1(trivial_periods(6))
@@ -701,21 +730,8 @@ class TestStructureTable:
 
 class TestResidueProduct:
     def test_monomials_only(self):
-        t = ThetaSeries(1, {}, valid_to=4)
         t2 = ThetaSeries(2, {}, valid_to=4)
-        assert residue_product([t, t]) == ZERO
         assert residue_product([t2, t2]) == ZERO
-
-    def test_square_with_tail(self):
-        series = ThetaSeries(1, {1: QPolynomial.of(3)}, valid_to=4)
-        assert residue_product([series, series]) == QPolynomial.of(6)
-
-    def test_residue_identity(self):
-        series = p2_series(top=3)
-        n1, n2 = series[0], series[1]
-        residue = residue_product([n1, n2])
-        expected = n1.tail_term(2) + n2.tail_term(1)
-        assert residue == expected == QPolynomial.of(6, 1)
 
     def test_empty_product(self):
         assert residue_product([]) == ONE
