@@ -16,7 +16,6 @@ from typing import NamedTuple, Sequence
 
 from .frobenius import (
     PeriodSequence,
-    StructureTable,
     extend_series,
     periods_from_json,
     periods_to_json,
@@ -25,7 +24,6 @@ from .frobenius import (
     table_records,
 )
 from .grassmannian import (
-    grass_periods,
     nobody_polytope,
     superpotential_chart,
     verify_valuations,
@@ -33,6 +31,7 @@ from .grassmannian import (
 from .laurent import (
     LaurentPolynomial,
     QPolynomial,
+    _bounded_int,
     classical_periods,
     laurent_from_json,
     laurent_to_json,
@@ -123,7 +122,7 @@ def _entry_document(entry: CatalogEntry) -> dict:
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, parse_int=_bounded_int)
         except RecursionError:
             raise ValueError(f"{path}: the JSON nests too deeply to read") from None
 
@@ -137,8 +136,10 @@ def _emit(payload, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _set_q_to_one(coeff: QPolynomial) -> QPolynomial:
-    return QPolynomial.constant(coeff.specialize_q(1))
+def _set_q_to_one(f: LaurentPolynomial) -> LaurentPolynomial:
+    # q = 1 is a ring homomorphism that every later step commutes with, so --q one
+    # is set on the input: this mirror, or the period sequence in _cmd_frobenius
+    return f.map_coefficients(lambda c: QPolynomial.of(c.specialize_q(1)))
 
 
 def _positive_int(text: str) -> int:
@@ -162,19 +163,13 @@ def _nonnegative_int(text: str) -> int:
 # (or a (payload, exit_code) pair)
 
 
-def _cmd_period(args):
-    f = laurent_from_json(_load_json(args.poly))
-    coeffs = classical_periods(f, args.order)
-    if args.q == "one":
-        coeffs = [_set_q_to_one(c) for c in coeffs]
-    return periods_to_json(PeriodSequence(tuple(coeffs)))
+def _period_document(f: LaurentPolynomial, order: int) -> dict:
+    return periods_to_json(PeriodSequence(tuple(classical_periods(f, order))))
 
 
-def _cmd_polytope(args):
-    f = laurent_from_json(_load_json(args.poly))
-    system = polar_from_support(support(f))
-    document = build_document(system, tuple(range(1, args.order + 1)))
-    if args.order and not document["lattice_counts"]:
+def _polytope_document(system, order: int) -> dict:
+    document = build_document(system, tuple(range(1, order + 1)))
+    if order and not document["lattice_counts"]:
         # build_document leaves requested counts out only for an unbounded polytope
         raise UnboundedPolytopeError(
             "the polar polytope is unbounded (the origin is not interior to the "
@@ -183,27 +178,37 @@ def _cmd_polytope(args):
     return document
 
 
+def _cmd_period(args):
+    f = laurent_from_json(_load_json(args.poly))
+    return _period_document(_set_q_to_one(f) if args.q == "one" else f, args.order)
+
+
+def _cmd_polytope(args):
+    f = laurent_from_json(_load_json(args.poly))
+    return _polytope_document(polar_from_support(support(f)), args.order)
+
+
 def _cmd_grassmannian(args):
     ctx = BoxContext(args.k, args.n)
-    if args.emit == "superpotential":
-        chart = superpotential_chart(ctx)
-        if args.q == "one":
-            chart = chart.map_coefficients(_set_q_to_one)
-        return laurent_to_json(chart)
     if args.emit == "polytope":
         order = 1 if args.order is None else args.order
-        return build_document(nobody_polytope(ctx), tuple(range(1, order + 1)))
+        return _polytope_document(nobody_polytope(ctx), order)
+    if args.emit == "valuations":
+        return verify_valuations(ctx)
+    chart = superpotential_chart(ctx)
+    if args.q == "one":
+        chart = _set_q_to_one(chart)
     if args.emit == "periods":
-        order = 8 if args.order is None else args.order
-        coeffs = grass_periods(ctx, order)
-        if args.q == "one":
-            coeffs = [_set_q_to_one(c) for c in coeffs]
-        return periods_to_json(PeriodSequence(tuple(coeffs)))
-    return verify_valuations(ctx)
+        return _period_document(chart, 8 if args.order is None else args.order)
+    return laurent_to_json(chart)
 
 
 def _cmd_frobenius(args):
     periods = periods_from_json(_load_json(args.periods))
+    if args.q == "one":
+        # each c_d is one monomial in q, and so is every tail and table entry:
+        # none is nonzero in Q[q] but zero at q = 1, so the same entries print
+        periods = PeriodSequence([c.specialize_q(1) for c in periods.coeffs])
     if args.max_p > max(periods.order, 1):
         # N_p is trusted only to tail index order - p, and N_{p+1} needs index 1 of N_p
         raise ValueError(
@@ -214,27 +219,15 @@ def _cmd_frobenius(args):
     while len(series) < args.max_p:
         series.append(extend_series(series))
     if args.emit == "series":
-        payload = []
-        for item in series:
-            tail = item.tail
-            if args.q == "one":
-                tail = {i: _set_q_to_one(c) for i, c in tail.items()}
-            payload.append(
-                {
-                    "p": item.p,
-                    "valid_to": item.valid_to,
-                    "tail": [
-                        {"i": i, "value": str(tail[i])} for i in sorted(tail)
-                    ],
-                }
-            )
-        return payload
-    table = structure_table(series, args.max_p)
-    if args.q == "one":
-        table = StructureTable(
-            table.total, {key: _set_q_to_one(c) for key, c in table.entries.items()}
-        )
-    return table_records(table)
+        return [
+            {
+                "p": n.p,
+                "valid_to": n.valid_to,
+                "tail": [{"i": i, "value": str(n.tail[i])} for i in sorted(n.tail)],
+            }
+            for n in series
+        ]
+    return table_records(structure_table(series, args.max_p))
 
 
 def _cmd_catalog(args):
@@ -269,6 +262,12 @@ def _add_q_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_poly_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--poly", required=True, metavar="FILE", help="Laurent polynomial JSON input"
+    )
+
+
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--out",
@@ -293,9 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     period = sub.add_parser(
         "period", help="constant terms of powers of a Laurent polynomial"
     )
-    period.add_argument(
-        "--poly", required=True, metavar="FILE", help="Laurent polynomial JSON input"
-    )
+    _add_poly_flag(period)
     period.add_argument(
         "--order",
         type=_nonnegative_int,
@@ -310,9 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     polytope = sub.add_parser(
         "polytope", help="polar dual of the support of a Laurent polynomial"
     )
-    polytope.add_argument(
-        "--poly", required=True, metavar="FILE", help="Laurent polynomial JSON input"
-    )
+    _add_poly_flag(polytope)
     polytope.add_argument(
         "--order",
         type=_nonnegative_int,
@@ -413,6 +408,9 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as stop:
         return stop.code if isinstance(stop.code, int) else 2
     code = 0
+    # inputs are bounded by laurent.MAX_INPUT_DIGITS; exact results may run longer
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         payload = args.handler(args)
         if isinstance(payload, tuple):
@@ -421,6 +419,8 @@ def run(argv: Sequence[str]) -> int:
     except (OSError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
     return code
 
 

@@ -56,16 +56,16 @@ class ChartError(ValueError):
 class GridNetwork(Record):
     """The grid network of the rectangles seed.
 
-    `face_labels` lists the base face (empty diagram) followed by every
-    rectangle in the box, the full box last; `variable_labels` drops
-    the full box and matches `variable_names` position by position.
+    `variable_labels` lists the base face (empty diagram) followed by
+    every rectangle in the box but the full one, and matches
+    `variable_names` position by position.
     `cell_weights` maps each grid cell to the exponent vector of its
     face monomial.  Equality and hashing are by identity: a network is
     an lru_cache key and its weight mapping is a plain dict.
     """
 
     __slots__ = _fields = (
-        "context", "face_labels", "variable_names", "variable_labels", "cell_weights"
+        "context", "variable_names", "variable_labels", "cell_weights"
     )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -73,12 +73,11 @@ class GridNetwork(Record):
     def __init__(
         self,
         context: BoxContext,
-        face_labels: tuple[YoungDiagram, ...],
         variable_names: tuple[str, ...],
         variable_labels: tuple[YoungDiagram, ...],
         cell_weights: dict[Cell, tuple[int, ...]],
     ):
-        self._store(context, face_labels, variable_names, variable_labels, cell_weights)
+        self._store(context, variable_names, variable_labels, cell_weights)
 
 
 @lru_cache(maxsize=None)
@@ -86,19 +85,14 @@ def build_rectangles_network(ctx: BoxContext) -> GridNetwork:
     """Deterministic network for the rectangles seed of Gr(k, n)."""
     k, n = ctx.k, ctx.n
     width = n - k
-    labels = [YoungDiagram.of(ctx, ())]
     names = ["x0"]
-    variable_labels = [labels[0]]
-    for rows in range(1, width + 1):
-        for cols in range(1, k + 1):
-            rectangle = YoungDiagram.of(ctx, (cols,) * rows)
-            labels.append(rectangle)
-            if (rows, cols) != (width, k):
-                # Single-character indices never collide at desk scale;
-                # wider boxes need the separator to keep names distinct.
-                stem = f"x{rows}{cols}" if max(rows, cols) < 10 else f"x{rows}_{cols}"
-                names.append(stem)
-                variable_labels.append(rectangle)
+    variable_labels = [YoungDiagram(ctx, ())]
+    # every rectangle but the full box, which comes last
+    for rows, cols in list(product(range(1, width + 1), range(1, k + 1)))[:-1]:
+        # Single-character indices never collide at desk scale;
+        # wider boxes need the separator to keep names distinct.
+        names.append(f"x{rows}{cols}" if max(rows, cols) < 10 else f"x{rows}_{cols}")
+        variable_labels.append(YoungDiagram(ctx, (cols,) * rows))
     cell_weights: dict[Cell, tuple[int, ...]] = {}
     for row in range(1, k + 1):
         for column in range(1, width + 1):
@@ -109,7 +103,6 @@ def build_rectangles_network(ctx: BoxContext) -> GridNetwork:
             )
     return GridNetwork(
         context=ctx,
-        face_labels=tuple(labels),
         variable_names=tuple(names),
         variable_labels=tuple(variable_labels),
         cell_weights=cell_weights,
@@ -301,16 +294,13 @@ def verify_valuations(ctx: BoxContext) -> list[dict]:
 
 
 def nobody_polytope(ctx: BoxContext) -> HalfspaceSystem:
-    """Polar of the joint support of the theta summands.
+    """Polar of the support of the superpotential chart.
 
-    The summands carry no Novikov power (q only decorates the
-    superpotential sum), so the support union is already the q = 1
-    exponent set.
+    Every summand has positive coefficients, so no term of the sum
+    cancels and its support is the joint support of the summands; the
+    Novikov power on one summand changes coefficients, not exponents.
     """
-    points: set[tuple[int, ...]] = set()
-    for i in range(ctx.n):
-        points.update(support(theta_restriction(i, ctx)))
-    return polar_from_support(sorted(points))
+    return polar_from_support(support(superpotential_chart(ctx)))
 
 
 def grass_periods(ctx: BoxContext, order: int) -> list[QPolynomial]:

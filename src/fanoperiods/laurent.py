@@ -65,18 +65,11 @@ class QPolynomial(Record):
         return cls({0: Fraction(1)})
 
     @classmethod
-    def constant(cls, value: Rational) -> QPolynomial:
-        return cls({0: _as_fraction(value)})
-
-    @classmethod
     def of(cls, value: Rational, q_power: int = 0) -> QPolynomial:
         return cls({q_power: _as_fraction(value)})
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         return tuple(sorted(self._coeffs.items()))
-
-    def coefficient(self, q_power: int) -> Fraction:
-        return self._coeffs.get(q_power, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -170,7 +163,7 @@ class QPolynomial(Record):
 def _as_qpolynomial(value: QPolynomial | Rational) -> QPolynomial:
     if isinstance(value, QPolynomial):
         return value
-    return QPolynomial.constant(value)
+    return QPolynomial.of(value)
 
 
 ExponentVector = tuple[int, ...]
@@ -231,9 +224,6 @@ class LaurentPolynomial(Record):
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def coefficient(self, exponents: Sequence[int]) -> QPolynomial:
-        return self.terms.get(tuple(exponents), QPolynomial.zero())
 
     def map_coefficients(self, fn) -> LaurentPolynomial:
         return LaurentPolynomial(
@@ -376,6 +366,19 @@ def min_exponent_vector(f: LaurentPolynomial) -> tuple[ExponentVector, bool]:
 
 _RATIONAL_STRING = r"-?[0-9]+(/[0-9]+)?"
 
+# Input integers are bounded here, before conversion, so that the CLI can
+# lift the interpreter's own int-to-string limit for exact results.
+MAX_INPUT_DIGITS = 4300
+
+
+def _bounded_int(token: str) -> int:
+    digits = len(token.lstrip("-"))
+    if digits > MAX_INPUT_DIGITS:
+        raise ValueError(
+            f"an input integer has {digits} digits; the limit is {MAX_INPUT_DIGITS}"
+        )
+    return int(token)
+
 
 def preview(value) -> str:
     """A parsed JSON value in a few words: echoing hostile input can run long."""
@@ -390,16 +393,18 @@ def parse_rational(text: str) -> Fraction:
     """Read a coefficient string: a decimal integer or "p/q" with q nonzero.
 
     Anything else, such as "1e3", "1.5", "1_000" or " 3", is rejected
-    with a ValueError, although Fraction itself would accept it.
+    with a ValueError, although Fraction itself would accept it, and so
+    is a part of more than MAX_INPUT_DIGITS digits.
     """
     if not isinstance(text, str) or not re.fullmatch(_RATIONAL_STRING, text):
         raise ValueError(
             f"bad coefficient string {preview(text)}: expected a decimal integer or p/q"
         )
-    _, slash, denominator = text.partition("/")
-    if slash and not int(denominator):
+    numerator, _, denominator = text.partition("/")
+    top, bottom = _bounded_int(numerator), _bounded_int(denominator or "1")
+    if not bottom:
         raise ValueError(f"bad coefficient string {preview(text)}: zero denominator")
-    return Fraction(text)
+    return Fraction(top, bottom)
 
 
 def laurent_to_json(f: LaurentPolynomial) -> dict:

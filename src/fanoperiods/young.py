@@ -64,10 +64,6 @@ class YoungDiagram(Record):
                 raise ValueError(f"too many rows for the {context} box: {rows!r}")
         self._store(context, rows)
 
-    @classmethod
-    def of(cls, context: BoxContext, rows: Iterable[int]) -> YoungDiagram:
-        return cls(context, tuple(rows))
-
 
 def to_steps(diagram: YoungDiagram) -> frozenset[int]:
     """Positions of the west steps of the diagram's border path.

@@ -8,27 +8,34 @@ the console script would produce; primary output is read back from
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fanoperiods
 from fanoperiods import polytope
 from fanoperiods.cli import CatalogEntry, catalog, main, run
 from fanoperiods.frobenius import (
+    PeriodSequence,
     extend_series,
     periods_from_json,
+    periods_to_json,
     reconstruct_N1,
     structure_table,
 )
-from fanoperiods.laurent import classical_periods
+from fanoperiods.laurent import QPolynomial, classical_periods, laurent_to_json
 from fanoperiods.polytope import geometry_flags
+from test_laurent import _period_test_polys
 from test_polytope import parse_document
 
 P2_POLY = {
@@ -62,6 +69,14 @@ def p2_periods_file(tmp_path):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def run_captured(argv):
+    """run(argv) in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_python(*argv):
@@ -167,6 +182,36 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.count("bad coefficient string") == 2
 
+    # Each input holds one 5,000-digit integer; the text is written by hand,
+    # since json.dumps cannot print such an int under the interpreter's limit.
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["period", "--poly"], '{"vars": ["x"], "terms": [{"coeff": "%s", "exp": [1]}]}'),
+            (["period", "--poly"], '{"vars": ["x"], "terms": [{"coeff": "1/%s", "exp": [1]}]}'),
+            (["period", "--poly"], '{"vars": ["x"], "terms": [{"coeff": "1", "exp": [-%s]}]}'),
+            (["frobenius", "--periods"], '{"index": 1, "coeffs": ["1", "%s"]}'),
+            (["frobenius", "--periods"], '{"index": %s, "coeffs": ["1"]}'),
+        ],
+        ids=["numerator", "denominator", "exponent", "period", "index"],
+    )
+    def test_integer_over_the_digit_limit_is_domain_error(self, argv, text, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(text % ("1" + "0" * 4999))
+        done = run_python("-m", "fanoperiods", *argv, str(path))
+        assert done.returncode == 1
+        assert done.stdout == b""
+        err = done.stderr.decode()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith("an input integer has 5000 digits; the limit is 4300\n")
+
+    def test_run_restores_the_int_string_limit(self, p2_poly_file, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        assert run_captured(["period", "--poly", p2_poly_file])[0] == 0
+        assert sys.get_int_max_str_digits() == limit
+        assert run_captured(["period", "--poly", str(tmp_path / "absent.json")])[0] == 1
+        assert sys.get_int_max_str_digits() == limit
+
     def test_impossible_box_is_domain_error(self, capsys):
         assert run(["grassmannian", "--k", "4", "--n", "2"]) == 1
         capsys.readouterr()
@@ -199,6 +244,20 @@ class TestPeriodSubcommand:
         assert run(["period", "--poly", p2_poly_file, "--order", "3"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["coeffs"] == ["1", "0", "0", "6"]
+
+    def test_result_over_the_int_string_limit_prints(self, tmp_path):
+        # c_45 of x + y + 10^300/(xy) is 45!/(15!)^3 * 10^4500: 4,520 digits
+        terms = [
+            {"coeff": "1", "exp": [1, 0]},
+            {"coeff": "1", "exp": [0, 1]},
+            {"coeff": "1" + "0" * 300, "exp": [-1, -1]},
+        ]
+        poly, out = tmp_path / "scaled.json", tmp_path / "periods.json"
+        poly.write_text(json.dumps({"vars": ["x", "y"], "terms": terms}))
+        argv = ["period", "--poly", str(poly), "--order", "45", "--out", str(out)]
+        assert run(argv) == 0
+        c45 = read_json(out)["coeffs"][45]
+        assert c45 == str(factorial(45) // factorial(15) ** 3) + "0" * 4500
 
     def test_same_output_on_stdout_and_file(self, p2_poly_file, tmp_path, capsys):
         out = tmp_path / "periods.json"
@@ -419,6 +478,19 @@ def _graded(index: int, closed_form, order: int) -> list[str]:
     ]
 
 
+# Several q-powers at one exponent, fractional and negative coefficients.
+MIXED_Q_POLY = {
+    "vars": ["x", "y"],
+    "terms": [
+        {"coeff": "1", "q": 0, "exp": [1, 0]},
+        {"coeff": "3", "q": 1, "exp": [1, 0]},
+        {"coeff": "2/3", "q": 1, "exp": [0, 1]},
+        {"coeff": "-1/2", "q": 2, "exp": [-1, -1]},
+        {"coeff": "5", "q": 0, "exp": [-1, 0]},
+        {"coeff": "-5", "q": 1, "exp": [-1, 0]},
+    ],
+}
+
 # Fractional and negative periods, with zeros inside the sequence.
 FRACTIONAL_PERIODS = ["1", "0", "1/2", "-3", "5/7", "0", "2", "-1/3", "4"]
 
@@ -454,6 +526,99 @@ class TestDeterminism:
             for r in range(p + q + 1)
         ]
         assert printed == json.dumps(expected, indent=2) + "\n"
+
+    @settings(deadline=None, max_examples=60)
+    @given(f=_period_test_polys(), order=st.integers(0, 6))
+    def test_period_q_one_is_the_q_kept_periods_specialized(
+        self, f, order, tmp_path_factory
+    ):
+        path = tmp_path_factory.getbasetemp() / "q-one-mirror.json"
+        path.write_text(json.dumps(laurent_to_json(f)))
+        argv = ["period", "--poly", str(path), "--order", str(order), "--q", "one"]
+        code, printed, _ = run_captured(argv)
+        assert code == 0
+        specialized = [QPolynomial.of(c.specialize_q(1)) for c in classical_periods(f, order)]
+        assert json.loads(printed) == periods_to_json(PeriodSequence(specialized))
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_frobenius_q_one_is_the_q_kept_ladder_specialized(
+        self, data, tmp_path_factory
+    ):
+        index = data.draw(st.integers(1, 4), label="index")
+        order = data.draw(st.integers(1, 10), label="order")
+        amount = st.fractions(
+            min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6
+        )
+        values = [Fraction(1)] + [
+            data.draw(amount) if d % index == 0 else Fraction(0)
+            for d in range(1, order + 1)
+        ]
+        max_p = data.draw(st.integers(1, order), label="max_p")
+        emit = data.draw(st.sampled_from(["table", "series"]), label="emit")
+        path = tmp_path_factory.getbasetemp() / "q-one-periods.json"
+        path.write_text(json.dumps({"index": index, "coeffs": list(map(str, values))}))
+        argv = ["frobenius", "--periods", str(path), "--max-p", str(max_p)]
+        code, printed, err = run_captured(argv + ["--emit", emit, "--q", "one"])
+        try:
+            series = [reconstruct_N1(PeriodSequence.from_plain(values, index))]
+            while len(series) < max_p:
+                series.append(extend_series(series))
+        except ValueError as refusal:
+            # c_1 != 0 and the like: the q-kept ladder's refusal, word for word
+            assert (code, printed, err) == (1, "", f"error: {refusal}\n")
+            return
+        assert code == 0
+        if emit == "series":
+            expected = [
+                {
+                    "p": n.p,
+                    "valid_to": n.valid_to,
+                    "tail": [
+                        {"i": i, "value": str(c.specialize_q(1))}
+                        for i, c in sorted(n.tail.items())
+                    ],
+                }
+                for n in series
+            ]
+        else:
+            table = structure_table(series, max_p)
+            expected = [
+                {"p": p, "q": q, "r": r, "value": str(table.entry(p, q, r).specialize_q(1))}
+                for p in range(max_p + 1)
+                for q in range(max_p + 1 - p)
+                for r in range(p + q + 1)
+            ]
+        assert json.loads(printed) == expected
+
+    # sha256 of stdout recorded while --q one still specialized the outputs
+    # rather than the input; the mirror's x^-1 coefficient 5 - 5q vanishes at
+    # q = 1, and its other q-powers give c_d that mix Novikov powers.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["period", "--poly", "MIXED_Q", "--order", "9", "--q", "one"],
+                "73235ad07a9d050091c863f2474c91282a3ed3d37a666b7d957d67fcaef93415",
+            ),
+            (
+                ["grassmannian", "--k", "2", "--n", "5", "--emit", "periods", "--q", "one"],
+                "49688ccc371a0257b0569bdc976843ffd70be73b991f8aa430cc3212a0adc6f4",
+            ),
+            (
+                ["grassmannian", "--k", "2", "--n", "5", "--emit", "superpotential",
+                 "--q", "one"],
+                "2e343cd8899c6a76b57d74e809750f1f51860e097d7d50437bb55732b5c2edff",
+            ),
+        ],
+        ids=["mixed-q-periods", "gr25-periods", "gr25-superpotential"],
+    )
+    def test_q_one_output_is_frozen(self, argv, digest, tmp_path, capsys):
+        path = tmp_path / "mixed-q.json"
+        path.write_text(json.dumps(MIXED_Q_POLY))
+        assert run([str(path) if a == "MIXED_Q" else a for a in argv]) == 0
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == digest
 
     # sha256 of stdout: the p2 and gr24 cases recorded from the
     # residue-expansion engine that preceded the power recurrence in

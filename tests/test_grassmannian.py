@@ -110,26 +110,29 @@ class TestNetworkShape:
             (2,),
             (1, 1),
         )
-        assert len(net.face_labels) == 5
-        rectangles = [d for d in net.face_labels if d.rows]
-        assert len(rectangles) == 4
+        rectangles = [d for d in net.variable_labels if d.rows]
+        assert len(rectangles) == 3
         assert all(len(set(d.rows)) == 1 for d in rectangles)
 
     def test_gr25_faces_and_variables(self):
         net = build_rectangles_network(CTX25)
         assert net.variable_names == ("x0", "x11", "x12", "x21", "x22", "x31")
-        assert len(net.face_labels) == 7
+        assert tuple(d.rows for d in net.variable_labels) == (
+            (), (1,), (2,), (1, 1), (2, 2), (1, 1, 1)
+        )
 
     def test_face_count_formula(self):
         for ctx in SMALL_CONTEXTS:
             net = build_rectangles_network(ctx)
-            assert len(net.face_labels) == ctx.k * (ctx.n - ctx.k) + 1
             assert len(net.variable_names) == ctx.k * (ctx.n - ctx.k)
+            assert len(net.variable_labels) == len(net.variable_names)
+            full_box = YoungDiagram(ctx, (ctx.k,) * (ctx.n - ctx.k))
+            assert full_box not in net.variable_labels
 
     def test_single_face_network(self):
         net = build_rectangles_network(CTX12)
         assert net.variable_names == ("x0",)
-        assert len(net.face_labels) == 2
+        assert tuple(d.rows for d in net.variable_labels) == ((),)
 
     def test_network_is_cached(self):
         assert build_rectangles_network(CTX24) is build_rectangles_network(
@@ -141,7 +144,7 @@ class TestFlowPolynomials:
     def test_empty_diagram_normalization(self):
         for ctx in (CTX12, CTX24, CTX25, CTX35):
             net = build_rectangles_network(ctx)
-            empty = YoungDiagram.of(ctx, ())
+            empty = YoungDiagram(ctx, ())
             assert flow_polynomial(net, empty) == LaurentPolynomial.one(
                 net.variable_names
             )
@@ -157,16 +160,16 @@ class TestFlowPolynomials:
             (2, 2): unit(names, (2, 1, 1, 1)),
         }
         for rows, expected in table.items():
-            diagram = YoungDiagram.of(CTX24, rows)
+            diagram = YoungDiagram(CTX24, rows)
             assert flow_polynomial(net, diagram) == expected, rows
 
     def test_gr25_flow_spots(self):
         net = build_rectangles_network(CTX25)
         names = net.variable_names
-        assert flow_polynomial(net, YoungDiagram.of(CTX25, (2,))) == unit(
+        assert flow_polynomial(net, YoungDiagram(CTX25, (2,))) == unit(
             names, (1, 1, 0, 1, 0, 1)
         )
-        full = YoungDiagram.of(CTX25, (2, 2, 2))
+        full = YoungDiagram(CTX25, (2, 2, 2))
         assert flow_polynomial(net, full) == unit(names, (2, 2, 2, 1, 1, 1))
 
     def test_unit_coefficients_everywhere(self):
@@ -231,7 +234,7 @@ class TestDeterminantCrossCheck:
 
     def test_single_source_entry(self):
         net = build_rectangles_network(CTX24)
-        diagram = YoungDiagram.of(CTX24, (2, 1))
+        diagram = YoungDiagram(CTX24, (2, 1))
         assert path_matrix_entry(net, 1, 1) == flow_polynomial(net, diagram)
 
 
@@ -264,7 +267,7 @@ class TestThetaRestriction:
     def test_theta_zero_equals_numerator(self):
         for ctx in (CTX24, CTX35):
             net = build_rectangles_network(ctx)
-            box = YoungDiagram.of(ctx, (1,))
+            box = YoungDiagram(ctx, (1,))
             assert theta_restriction(0, ctx) == flow_polynomial(net, box)
 
     def test_theta_minimum_attained(self):

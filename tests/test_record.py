@@ -142,8 +142,8 @@ def test_a_record_without_fields_is_a_value():
 
 
 def test_normalized_fields_decide_equality_and_hash():
-    assert YoungDiagram(CTX24, [2, 1, 0]) == YoungDiagram.of(CTX24, (2, 1))
-    assert hash(YoungDiagram(CTX24, [2, 1, 0])) == hash(YoungDiagram.of(CTX24, (2, 1)))
+    assert YoungDiagram(CTX24, [2, 1, 0]) == YoungDiagram(CTX24, (2, 1))
+    assert hash(YoungDiagram(CTX24, [2, 1, 0])) == hash(YoungDiagram(CTX24, (2, 1)))
     assert Halfspace([1, 0], -1) == Halfspace((1, 0), Fraction(-1))
     assert StructureTable(2, {(1, 1, 0): 0}) == StructureTable(2)
 

@@ -41,7 +41,7 @@ CTX25 = BoxContext(2, 5)
 
 
 def _d(ctx, *rows):
-    return YoungDiagram.of(ctx, rows)
+    return YoungDiagram(ctx, rows)
 
 
 def _cells(diagram):
@@ -181,7 +181,7 @@ def test_boundary_rectangle_general_formula():
                 expected = (
                     (k,) * i if i <= n - k else (n - i,) * (n - k)
                 )
-                assert boundary_rectangle(i, ctx) == YoungDiagram.of(ctx, expected)
+                assert boundary_rectangle(i, ctx) == YoungDiagram(ctx, expected)
 
 
 def test_boundary_rectangle_box_2_4():
@@ -307,7 +307,7 @@ def test_sigma_reflect_examples():
 
 def test_sigma_reflect_transposes_context():
     ctx = BoxContext(1, 3)
-    image = sigma_reflect(YoungDiagram.of(ctx, (1,)))
+    image = sigma_reflect(YoungDiagram(ctx, (1,)))
     assert image.context == BoxContext(2, 3)
 
 
