@@ -11,52 +11,53 @@ Three capabilities share one rational-arithmetic kernel:
 
 The `cli` module exposes the same capabilities as the `fanoperiods`
 command; `selfcheck.run_all` runs the whole invariant battery.
+
+Importing the package runs none of these modules.  Each is put in
+`sys.modules` through `importlib.util.LazyLoader`, and its source is
+compiled and run on its first attribute read, so a CLI call compiles
+only the modules its subcommand reaches.  The names in `__all__` are
+read from their modules on first use (a PEP 562 `__getattr__`).
 """
 
-from fanoperiods.frobenius import (
-    PeriodSequence,
-    StructureTable,
-    ThetaSeries,
-    associativity_check,
-    extend_series,
-    reconstruct_N1,
-    structure_table,
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
+
+def _register_lazily(name: str):
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+laurent, polytope, young, frobenius, grassmannian, selfcheck = map(
+    _register_lazily,
+    ("laurent", "polytope", "young", "frobenius", "grassmannian", "selfcheck"),
 )
-from fanoperiods.grassmannian import (
-    build_rectangles_network,
-    flow_polynomial,
-    grass_periods,
-    nobody_polytope,
-    superpotential_chart,
-    verify_valuations,
-)
-from fanoperiods.laurent import LaurentPolynomial, QPolynomial, classical_periods
-from fanoperiods.polytope import geometry_flags, lattice_point_count
-from fanoperiods.young import BoxContext, YoungDiagram, schur_dimension
+
+_EXPORTS = {
+    frobenius: (
+        "PeriodSequence", "StructureTable", "ThetaSeries", "associativity_check",
+        "extend_series", "reconstruct_N1", "structure_table",
+    ),
+    grassmannian: (
+        "build_rectangles_network", "flow_polynomial", "grass_periods",
+        "nobody_polytope", "superpotential_chart", "verify_valuations",
+    ),
+    laurent: ("LaurentPolynomial", "QPolynomial", "classical_periods"),
+    polytope: ("geometry_flags", "lattice_point_count"),
+    young: ("BoxContext", "YoungDiagram", "schur_dimension"),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoxContext",
-    "LaurentPolynomial",
-    "PeriodSequence",
-    "QPolynomial",
-    "StructureTable",
-    "ThetaSeries",
-    "YoungDiagram",
-    "associativity_check",
-    "build_rectangles_network",
-    "classical_periods",
-    "extend_series",
-    "flow_polynomial",
-    "geometry_flags",
-    "grass_periods",
-    "lattice_point_count",
-    "nobody_polytope",
-    "reconstruct_N1",
-    "schur_dimension",
-    "structure_table",
-    "superpotential_chart",
-    "verify_valuations",
-    "__version__",
-]
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__all__.append("__version__")
+
+
+def __getattr__(name: str):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

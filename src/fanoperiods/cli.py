@@ -14,20 +14,7 @@ import json
 import sys
 from typing import NamedTuple, Sequence
 
-from .frobenius import (
-    PeriodSequence,
-    extend_series,
-    periods_from_json,
-    periods_to_json,
-    reconstruct_N1,
-    structure_table,
-    table_records,
-)
-from .grassmannian import (
-    nobody_polytope,
-    superpotential_chart,
-    verify_valuations,
-)
+from . import frobenius, grassmannian, polytope, selfcheck, young
 from .laurent import (
     LaurentPolynomial,
     QPolynomial,
@@ -37,9 +24,6 @@ from .laurent import (
     laurent_to_json,
     support,
 )
-from .polytope import UnboundedPolytopeError, build_document, polar_from_support
-from .selfcheck import run_all
-from .young import BoxContext
 
 
 class CatalogEntry(NamedTuple):
@@ -164,14 +148,15 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _period_document(f: LaurentPolynomial, order: int) -> dict:
-    return periods_to_json(PeriodSequence(tuple(classical_periods(f, order))))
+    periods = frobenius.PeriodSequence(tuple(classical_periods(f, order)))
+    return frobenius.periods_to_json(periods)
 
 
 def _polytope_document(system, order: int) -> dict:
-    document = build_document(system, tuple(range(1, order + 1)))
+    document = polytope.build_document(system, tuple(range(1, order + 1)))
     if order and not document["lattice_counts"]:
         # build_document leaves requested counts out only for an unbounded polytope
-        raise UnboundedPolytopeError(
+        raise polytope.UnboundedPolytopeError(
             "the polar polytope is unbounded (the origin is not interior to the "
             "convex hull of the support), so it has no lattice counts"
         )
@@ -185,17 +170,17 @@ def _cmd_period(args):
 
 def _cmd_polytope(args):
     f = laurent_from_json(_load_json(args.poly))
-    return _polytope_document(polar_from_support(support(f)), args.order)
+    return _polytope_document(polytope.polar_from_support(support(f)), args.order)
 
 
 def _cmd_grassmannian(args):
-    ctx = BoxContext(args.k, args.n)
+    ctx = young.BoxContext(args.k, args.n)
     if args.emit == "polytope":
         order = 1 if args.order is None else args.order
-        return _polytope_document(nobody_polytope(ctx), order)
+        return _polytope_document(grassmannian.nobody_polytope(ctx), order)
     if args.emit == "valuations":
-        return verify_valuations(ctx)
-    chart = superpotential_chart(ctx)
+        return grassmannian.verify_valuations(ctx)
+    chart = grassmannian.superpotential_chart(ctx)
     if args.q == "one":
         chart = _set_q_to_one(chart)
     if args.emit == "periods":
@@ -204,20 +189,20 @@ def _cmd_grassmannian(args):
 
 
 def _cmd_frobenius(args):
-    periods = periods_from_json(_load_json(args.periods))
+    periods = frobenius.periods_from_json(_load_json(args.periods))
     if args.q == "one":
         # each c_d is one monomial in q, and so is every tail and table entry:
         # none is nonzero in Q[q] but zero at q = 1, so the same entries print
-        periods = PeriodSequence([c.specialize_q(1) for c in periods.coeffs])
+        periods = frobenius.PeriodSequence([c.specialize_q(1) for c in periods.coeffs])
     if args.max_p > max(periods.order, 1):
         # N_p is trusted only to tail index order - p, and N_{p+1} needs index 1 of N_p
         raise ValueError(
             f"--max-p {args.max_p} needs a period file of order at least "
             f"{args.max_p}; this file has order {periods.order}"
         )
-    series = [reconstruct_N1(periods)]
+    series = [frobenius.reconstruct_N1(periods)]
     while len(series) < args.max_p:
-        series.append(extend_series(series))
+        series.append(frobenius.extend_series(series))
     if args.emit == "series":
         return [
             {
@@ -227,7 +212,7 @@ def _cmd_frobenius(args):
             }
             for n in series
         ]
-    return table_records(structure_table(series, args.max_p))
+    return frobenius.table_records(frobenius.structure_table(series, args.max_p))
 
 
 def _cmd_catalog(args):
@@ -238,7 +223,7 @@ def _cmd_catalog(args):
 
 
 def _cmd_selfcheck(args):
-    results = run_all()
+    results = selfcheck.run_all()
     lines = []
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -304,37 +289,37 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_out_flag(period)
     period.set_defaults(handler=_cmd_period)
 
-    polytope = sub.add_parser(
+    polytope_parser = sub.add_parser(
         "polytope", help="polar dual of the support of a Laurent polynomial"
     )
-    _add_poly_flag(polytope)
-    polytope.add_argument(
+    _add_poly_flag(polytope_parser)
+    polytope_parser.add_argument(
         "--order",
         type=_nonnegative_int,
         default=2,
         metavar="N",
         help="count lattice points in dilations 1..N (default 2)",
     )
-    _add_out_flag(polytope)
-    polytope.set_defaults(handler=_cmd_polytope)
+    _add_out_flag(polytope_parser)
+    polytope_parser.set_defaults(handler=_cmd_polytope)
 
-    grassmannian = sub.add_parser(
+    grassmannian_parser = sub.add_parser(
         "grassmannian",
         help="superpotential chart, polytope, periods, or valuation report",
     )
-    grassmannian.add_argument(
+    grassmannian_parser.add_argument(
         "--k", required=True, type=_positive_int, metavar="K", help="subspace dimension"
     )
-    grassmannian.add_argument(
+    grassmannian_parser.add_argument(
         "--n", required=True, type=_positive_int, metavar="N", help="ambient dimension"
     )
-    grassmannian.add_argument(
+    grassmannian_parser.add_argument(
         "--emit",
         choices=("superpotential", "polytope", "periods", "valuations"),
         default="superpotential",
         help="which artifact to produce (default superpotential)",
     )
-    grassmannian.add_argument(
+    grassmannian_parser.add_argument(
         "--order",
         type=_nonnegative_int,
         default=None,
@@ -344,21 +329,21 @@ def _build_parser() -> argparse.ArgumentParser:
             "(default 1); ignored by the other emitters"
         ),
     )
-    _add_q_flag(grassmannian)
-    _add_out_flag(grassmannian)
-    grassmannian.set_defaults(handler=_cmd_grassmannian)
+    _add_q_flag(grassmannian_parser)
+    _add_out_flag(grassmannian_parser)
+    grassmannian_parser.set_defaults(handler=_cmd_grassmannian)
 
-    frobenius = sub.add_parser(
+    frobenius_parser = sub.add_parser(
         "frobenius",
         help="theta series and structure constants from a period file",
     )
-    frobenius.add_argument(
+    frobenius_parser.add_argument(
         "--periods",
         required=True,
         metavar="FILE",
         help='period JSON input: {"index": 3, "coeffs": ["1", "0", ...]}',
     )
-    frobenius.add_argument(
+    frobenius_parser.add_argument(
         "--max-p",
         dest="max_p",
         type=_positive_int,
@@ -369,15 +354,15 @@ def _build_parser() -> argparse.ArgumentParser:
             "what is reachable (default 4)"
         ),
     )
-    frobenius.add_argument(
+    frobenius_parser.add_argument(
         "--emit",
         choices=("table", "series"),
         default="table",
         help="structure-constant records or the theta series tails (default table)",
     )
-    _add_q_flag(frobenius)
-    _add_out_flag(frobenius)
-    frobenius.set_defaults(handler=_cmd_frobenius)
+    _add_q_flag(frobenius_parser)
+    _add_out_flag(frobenius_parser)
+    frobenius_parser.set_defaults(handler=_cmd_frobenius)
 
     catalog_parser = sub.add_parser(
         "catalog", help="built-in mirrors with frozen period heads"
@@ -391,11 +376,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_out_flag(catalog_parser)
     catalog_parser.set_defaults(handler=_cmd_catalog)
 
-    selfcheck = sub.add_parser(
+    selfcheck_parser = sub.add_parser(
         "selfcheck", help="run the full invariant battery and report pass/fail"
     )
-    _add_out_flag(selfcheck)
-    selfcheck.set_defaults(handler=_cmd_selfcheck)
+    _add_out_flag(selfcheck_parser)
+    selfcheck_parser.set_defaults(handler=_cmd_selfcheck)
 
     return parser
 

@@ -420,30 +420,41 @@ def associativity_check(table: StructureTable) -> list[dict]:
     and every target u, comparing exactly; a violation record names the
     cell and both sides.  Each side sums products of nonzero entries
     only, looked up by their pair (p, q); entry(p, q, r) vanishes for
-    r > p + q.
+    r > p + q.  Entries are scaled to ints at their common denominator L,
+    so both sides sit at L^2 as {(u, q-power): int}; only sides that differ
+    as dicts (a cancelled term may linger as a 0) are compared as Fractions.
     """
     total = table.total
-    nonzero: dict[tuple[int, int], list[tuple[int, QPolynomial]]] = {}
+    scale = lcm(
+        *(c.denominator for value in table.entries.values() for _, c in value.items())
+    )
+    nonzero: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for (p, q, r), value in table.entries.items():
-        nonzero.setdefault((p, q), []).append((r, value))
+        for power, c in _scaled(value, scale).items():
+            nonzero.setdefault((p, q), []).append((r, power, c))
     zero = QPolynomial.zero()
     violations = []
     for p in range(total + 1):
         for q in range(total + 1 - p):
             for r in range(total + 1 - p - q):
-                left: dict[int, QPolynomial] = {}
-                for s, c in nonzero.get((p, q), ()):
-                    for u, d in nonzero.get((s, r), ()):
-                        left[u] = left[u] + c * d if u in left else c * d
-                right: dict[int, QPolynomial] = {}
-                for s, c in nonzero.get((q, r), ()):
-                    for u, d in nonzero.get((p, s), ()):
-                        right[u] = right[u] + c * d if u in right else c * d
+                left: Folded = {}
+                for s, a, c in nonzero.get((p, q), ()):
+                    for u, b, d in nonzero.get((s, r), ()):
+                        key = (u, a + b)
+                        left[key] = left[key] + c * d if key in left else c * d
+                right: Folded = {}
+                for s, a, c in nonzero.get((q, r), ()):
+                    for u, b, d in nonzero.get((p, s), ()):
+                        key = (u, a + b)
+                        right[key] = right[key] + c * d if key in right else c * d
+                if left == right:
+                    continue
+                lhs, rhs = _unfold(left, scale**2), _unfold(right, scale**2)
                 for u in range(p + q + r + 1):
-                    lhs, rhs = left.get(u, zero), right.get(u, zero)
-                    if lhs != rhs:
+                    lhs_u, rhs_u = lhs.get(u, zero), rhs.get(u, zero)
+                    if lhs_u != rhs_u:
                         violations.append(
-                            dict(p=p, q=q, r=r, u=u, left=str(lhs), right=str(rhs))
+                            dict(p=p, q=q, r=r, u=u, left=str(lhs_u), right=str(rhs_u))
                         )
     return violations
 

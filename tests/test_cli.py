@@ -742,21 +742,89 @@ class TestModuleEntryPoint:
         assert done.stdout == expected
 
     def test_import_leaves_out_dataclasses_and_inspect(self):
-        # Each CLI call pays for every module its import pulls in; these two
-        # (with ast, dis and tokenize behind them) cost about 20 ms a call.
+        # Each CLI call pays for every module its subcommand loads; these two
+        # (with ast, dis and tokenize behind them) would cost about 20 ms a
+        # call.  Reading selfcheck.run_all loads every library module, as the
+        # selfcheck subcommand does.
         done = run_python(
             "-c",
-            "import sys, fanoperiods.cli; "
+            "import sys, fanoperiods.cli; fanoperiods.cli.selfcheck.run_all; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == b"[]\n"
 
 
+LIBRARY_MODULES = ("laurent", "polytope", "young", "frobenius", "grassmannian", "selfcheck")
+
+# Runs argv through cli.run in this fresh interpreter (none for a bare import)
+# and prints the exit code and the library modules that have been loaded: a
+# module that LazyLoader registered but nothing has read is not yet a plain
+# ModuleType, and type() does not load it.
+LOADED_MODULES_SCRIPT = f"""
+import contextlib, io, json, sys, types
+import fanoperiods.cli
+argv = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = fanoperiods.cli.run(argv) if argv else None
+print(json.dumps([code, [
+    name for name in {LIBRARY_MODULES!r}
+    if type(sys.modules["fanoperiods." + name]) is types.ModuleType
+]]))
+"""
+
+GRASSMANNIAN_MODULES = ["laurent", "polytope", "young", "grassmannian"]
+
+
+class TestLazyModules:
+    @pytest.mark.parametrize(
+        "argv, code, loaded",
+        [
+            ([], None, ["laurent"]),
+            (["nosuchcommand"], 2, ["laurent"]),
+            (["period", "--order", "x", "--poly", "absent.json"], 2, ["laurent"]),
+            (["catalog"], 0, ["laurent"]),
+            (["period", "--poly", "{poly}"], 0, ["laurent", "frobenius"]),
+            (["polytope", "--poly", "{poly}"], 0, ["laurent", "polytope"]),
+            (["frobenius", "--periods", "{periods}"], 0, ["laurent", "frobenius"]),
+            (["grassmannian", "--k", "2", "--n", "4"], 0, GRASSMANNIAN_MODULES),
+            (
+                ["grassmannian", "--k", "2", "--n", "4", "--emit", "polytope"],
+                0,
+                GRASSMANNIAN_MODULES,
+            ),
+            (
+                ["grassmannian", "--k", "2", "--n", "4", "--emit", "valuations"],
+                0,
+                GRASSMANNIAN_MODULES,
+            ),
+            (
+                ["grassmannian", "--k", "2", "--n", "4", "--emit", "periods"],
+                0,
+                ["laurent", "polytope", "young", "frobenius", "grassmannian"],
+            ),
+            (["selfcheck"], 0, list(LIBRARY_MODULES)),
+        ],
+        ids=[
+            "import", "unknown-command", "bad-flag-value", "catalog", "period",
+            "polytope", "frobenius", "grassmannian", "grassmannian-polytope",
+            "grassmannian-valuations", "grassmannian-periods", "selfcheck",
+        ],
+    )
+    def test_call_loads_only_what_its_subcommand_reaches(
+        self, argv, code, loaded, p2_poly_file, p2_periods_file
+    ):
+        argv = [arg.format(poly=p2_poly_file, periods=p2_periods_file) for arg in argv]
+        done = run_python("-c", LOADED_MODULES_SCRIPT, *argv)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [code, loaded]
+
+
 class TestBenchTracer:
     def test_traced_call_exits_zero_and_records_polytope_spans(self, tmp_path):
         # the tracer wraps every module it names right after importing the
-        # CLI, so this fails if one of them stops being imported eagerly
+        # CLI, so this fails if one of them stops being registered in
+        # sys.modules
         tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
         spans_file = tmp_path / "spans.json"
         done = run_python(

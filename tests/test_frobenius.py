@@ -11,7 +11,8 @@ The module runs the theta ladder on plain ints with q folded into the
 key; the q-polynomial routes it replaced (Miller's recurrence, the
 windowed product, the extension step and the residue product over
 Fraction coefficients, on a window class of their own) are kept below
-as its oracles.
+as its oracles.  So is the associativity sweep over q-polynomial
+entries, which the int-scaled sweep replaced.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ from fanoperiods.frobenius import (
     structure_table,
     table_records,
 )
+from fanoperiods.grassmannian import grass_periods
 from fanoperiods.laurent import LaurentPolynomial, QPolynomial, classical_periods
+from fanoperiods.young import BoxContext
 
 ZERO = QPolynomial.zero()
 ONE = QPolynomial.one()
@@ -816,6 +819,88 @@ class TestAssociativityMatchesDenseSweep:
             entries[(p, q, r)] = table.entry(p, q, r) + QPolynomial.of(amount, power)
         corrupted = StructureTable(total, entries)
         assert associativity_check(corrupted) == _dense_associativity_check(corrupted)
+
+
+def _associativity_q_polynomials(table: StructureTable) -> list[dict]:
+    """Oracle for associativity_check: the same sparse sweep over the
+    nonzero entries, summed as q-polynomials with Fraction coefficients."""
+    total = table.total
+    nonzero: dict[tuple[int, int], list[tuple[int, QPolynomial]]] = {}
+    for (p, q, r), value in table.entries.items():
+        nonzero.setdefault((p, q), []).append((r, value))
+    violations = []
+    for p in range(total + 1):
+        for q in range(total + 1 - p):
+            for r in range(total + 1 - p - q):
+                left: dict[int, QPolynomial] = {}
+                for s, c in nonzero.get((p, q), ()):
+                    for u, d in nonzero.get((s, r), ()):
+                        left[u] = left[u] + c * d if u in left else c * d
+                right: dict[int, QPolynomial] = {}
+                for s, c in nonzero.get((q, r), ()):
+                    for u, d in nonzero.get((p, s), ()):
+                        right[u] = right[u] + c * d if u in right else c * d
+                for u in range(p + q + r + 1):
+                    lhs, rhs = left.get(u, ZERO), right.get(u, ZERO)
+                    if lhs != rhs:
+                        violations.append(
+                            dict(p=p, q=q, r=r, u=u, left=str(lhs), right=str(rhs))
+                        )
+    return violations
+
+
+def _ladder(periods: PeriodSequence, top: int) -> list[ThetaSeries]:
+    series = [reconstruct_N1(periods)]
+    while len(series) < top:
+        series.append(extend_series(series))
+    return series
+
+
+# the plane, P^1 x P^1 (c_2m = binom(2m, m)^2, index 2) and Gr(2,4) (index 4)
+ASSOCIATIVITY_LADDERS = {
+    "plane": lambda: p2_series(order=12, top=5),
+    "p1xp1": lambda: _ladder(
+        PeriodSequence.from_plain(
+            [factorial(d) ** 2 // factorial(d // 2) ** 4 if d % 2 == 0 else 0
+             for d in range(13)],
+            2,
+        ),
+        5,
+    ),
+    "gr24": lambda: _ladder(PeriodSequence(tuple(grass_periods(BoxContext(2, 4), 16))), 5),
+}
+
+
+class TestAssociativityMatchesQPolynomialSweep:
+    """The int-scaled sweep must return the q-polynomial sweep's violation
+    list: the same records in the same order with the same strings."""
+
+    @pytest.mark.parametrize("name", sorted(ASSOCIATIVITY_LADDERS))
+    def test_tables_associate(self, name):
+        series = ASSOCIATIVITY_LADDERS[name]()
+        for total in range(6):
+            table = structure_table(series, total)
+            assert associativity_check(table) == _associativity_q_polynomials(table) == []
+
+    @settings(max_examples=60, deadline=5000)
+    @given(data=st.data())
+    def test_corrupted_tables(self, data):
+        name = data.draw(st.sampled_from(sorted(ASSOCIATIVITY_LADDERS)), label="ladder")
+        total = data.draw(st.integers(2, 5), label="total")
+        table = structure_table(ASSOCIATIVITY_LADDERS[name](), total)
+        entries = dict(table.entries)
+        for _ in range(data.draw(st.integers(1, 3), label="corrupted cells")):
+            p = data.draw(st.integers(0, total), label="p")
+            q = data.draw(st.integers(0, total - p), label="q")
+            r = data.draw(st.integers(0, p + q), label="r")
+            amount = data.draw(
+                st.fractions(-3, 3, max_denominator=4).filter(bool), label="amount"
+            )
+            power = data.draw(st.integers(0, 2), label="q-power")
+            entries[(p, q, r)] = table.entry(p, q, r) + QPolynomial.of(amount, power)
+        corrupted = StructureTable(total, entries)
+        violations = associativity_check(corrupted)
+        assert violations == _associativity_q_polynomials(corrupted)
 
 
 class TestPeriodsJson:

@@ -1,4 +1,6 @@
-"""Dead-surface check: every function in the package has a caller in it.
+"""Package surface: no dead functions, and a lazy top level that works.
+
+Dead-surface check: every function in the package has a caller in it.
 
 A function or method defined under src/fanoperiods (dunders excepted)
 must be referenced somewhere else in the package: by a name, an
@@ -11,9 +13,15 @@ deleted or moved into the tests that still want it.
 from __future__ import annotations
 
 import ast
+import pickle
 from pathlib import Path
 
+import pytest
+
 import fanoperiods
+from fanoperiods.laurent import QPolynomial
+from fanoperiods.young import BoxContext, YoungDiagram
+from test_cli import run_python
 
 PACKAGE = Path(fanoperiods.__file__).resolve().parent
 
@@ -43,3 +51,37 @@ def test_every_function_is_referenced_in_the_package():
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert not unused, f"never referenced in src/fanoperiods: {', '.join(unused)}"
+
+
+class TestLazyPackage:
+    """The top level re-exports its names through a module __getattr__."""
+
+    def test_every_exported_name_resolves(self):
+        for name in fanoperiods.__all__:
+            value = getattr(fanoperiods, name)
+            if name != "__version__":
+                assert value.__name__ == name
+                assert value.__module__.startswith("fanoperiods.")
+
+    def test_star_import_binds_every_exported_name(self):
+        namespace: dict = {}
+        exec("from fanoperiods import *", namespace)
+        assert set(fanoperiods.__all__) <= set(namespace)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            fanoperiods.no_such_name  # noqa: B018
+        with pytest.raises(ImportError):
+            from fanoperiods import no_such_name  # noqa: F401
+
+    def test_records_unpickle_where_only_the_package_is_imported(self):
+        context = BoxContext(2, 5)
+        records = (context, YoungDiagram(context, (2, 1)), QPolynomial.of(3, 2))
+        done = run_python(
+            "-c",
+            "import pickle, sys, fanoperiods; "
+            "print(repr(pickle.loads(bytes.fromhex(sys.argv[1]))))",
+            pickle.dumps(records).hex(),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode() == repr(records) + "\n"
