@@ -2,7 +2,8 @@
 
 Three capabilities share one rational-arithmetic kernel:
 
-* classical periods of Laurent-polynomial mirrors (`laurent`),
+* classical periods of Laurent-polynomial mirrors (`laurent`), as
+  period sequences with their JSON form (`periods`),
 * superpotential charts and their lattice polytopes for Grassmannians
   built from a rectangles-indexed network (`young`, `grassmannian`,
   `polytope`),
@@ -15,8 +16,9 @@ command; `selfcheck.run_all` runs the whole invariant battery.
 Importing the package runs none of these modules.  Each is put in
 `sys.modules` through `importlib.util.LazyLoader`, and its source is
 compiled and run on its first attribute read, so a CLI call compiles
-only the modules its subcommand reaches.  The names in `__all__` are
-read from their modules on first use (a PEP 562 `__getattr__`).
+only the modules its subcommand reaches (`period`: `laurent` and
+`periods`).  The names in `__all__` are read from their modules on
+first use (a PEP 562 `__getattr__`).
 """
 
 import sys
@@ -31,14 +33,14 @@ def _register_lazily(name: str):
     return module
 
 
-laurent, polytope, young, frobenius, grassmannian, selfcheck = map(
+laurent, periods, polytope, young, frobenius, grassmannian, selfcheck = map(
     _register_lazily,
-    ("laurent", "polytope", "young", "frobenius", "grassmannian", "selfcheck"),
+    ("laurent", "periods", "polytope", "young", "frobenius", "grassmannian", "selfcheck"),
 )
 
 _EXPORTS = {
     frobenius: (
-        "PeriodSequence", "StructureTable", "ThetaSeries", "associativity_check",
+        "StructureTable", "ThetaSeries", "associativity_check",
         "extend_series", "reconstruct_N1", "structure_table",
     ),
     grassmannian: (
@@ -46,6 +48,7 @@ _EXPORTS = {
         "nobody_polytope", "superpotential_chart", "verify_valuations",
     ),
     laurent: ("LaurentPolynomial", "QPolynomial", "classical_periods"),
+    periods: ("PeriodSequence",),
     polytope: ("geometry_flags", "lattice_point_count"),
     young: ("BoxContext", "YoungDiagram", "schur_dimension"),
 }

@@ -14,7 +14,7 @@ import json
 import sys
 from typing import NamedTuple, Sequence
 
-from . import frobenius, grassmannian, polytope, selfcheck, young
+from . import frobenius, grassmannian, periods, polytope, selfcheck, young
 from .laurent import (
     LaurentPolynomial,
     QPolynomial,
@@ -148,8 +148,8 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _period_document(f: LaurentPolynomial, order: int) -> dict:
-    periods = frobenius.PeriodSequence(tuple(classical_periods(f, order)))
-    return frobenius.periods_to_json(periods)
+    sequence = periods.PeriodSequence(tuple(classical_periods(f, order)))
+    return periods.periods_to_json(sequence)
 
 
 def _polytope_document(system, order: int) -> dict:
@@ -189,18 +189,18 @@ def _cmd_grassmannian(args):
 
 
 def _cmd_frobenius(args):
-    periods = frobenius.periods_from_json(_load_json(args.periods))
+    sequence = periods.periods_from_json(_load_json(args.periods))
     if args.q == "one":
         # each c_d is one monomial in q, and so is every tail and table entry:
         # none is nonzero in Q[q] but zero at q = 1, so the same entries print
-        periods = frobenius.PeriodSequence([c.specialize_q(1) for c in periods.coeffs])
-    if args.max_p > max(periods.order, 1):
+        sequence = periods.PeriodSequence([c.specialize_q(1) for c in sequence.coeffs])
+    if args.max_p > max(sequence.order, 1):
         # N_p is trusted only to tail index order - p, and N_{p+1} needs index 1 of N_p
         raise ValueError(
             f"--max-p {args.max_p} needs a period file of order at least "
-            f"{args.max_p}; this file has order {periods.order}"
+            f"{args.max_p}; this file has order {sequence.order}"
         )
-    series = [frobenius.reconstruct_N1(periods)]
+    series = [frobenius.reconstruct_N1(sequence)]
     while len(series) < args.max_p:
         series.append(frobenius.extend_series(series))
     if args.emit == "series":

@@ -26,6 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+from . import polytope
 from ._record import Record
 from .laurent import (
     LaurentPolynomial,
@@ -34,7 +35,6 @@ from .laurent import (
     min_exponent_vector,
     support,
 )
-from .polytope import HalfspaceSystem, polar_from_support
 from .young import (
     BoxContext,
     YoungDiagram,
@@ -293,14 +293,14 @@ def verify_valuations(ctx: BoxContext) -> list[dict]:
     return mismatches
 
 
-def nobody_polytope(ctx: BoxContext) -> HalfspaceSystem:
+def nobody_polytope(ctx: BoxContext) -> polytope.HalfspaceSystem:
     """Polar of the support of the superpotential chart.
 
     Every summand has positive coefficients, so no term of the sum
     cancels and its support is the joint support of the summands; the
     Novikov power on one summand changes coefficients, not exponents.
     """
-    return polar_from_support(support(superpotential_chart(ctx)))
+    return polytope.polar_from_support(support(superpotential_chart(ctx)))
 
 
 def grass_periods(ctx: BoxContext, order: int) -> list[QPolynomial]:

@@ -13,7 +13,6 @@ import json
 import re
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Mapping, Sequence, Union
 
 from ._record import Record
@@ -284,31 +283,36 @@ def classical_periods(f: LaurentPolynomial, order: int) -> list[QPolynomial]:
 
     c_0 is 1 even for the zero polynomial (empty product convention).
     The work is done over plain ints: f is scaled by the lcm L of its
-    coefficient denominators, each Novikov power is folded into an extra
-    last exponent coordinate, and only the powers f^k with
-    k <= ceil(order/2) are built.  Each c_d is then read off as
+    coefficient denominators, and only f^k with k <= K = ceil(order/2)
+    are built, each term x^e q^p keyed by one int p + Q * sum_i e_i B^i
+    with B = 2Km + 1, Q = Kh + 1 (m the largest |e_i| and h the largest
+    q-power of f): no digit carries in f^k, so products add keys and -e
+    packs to the negated key.  Each c_d is then read off as
     sum_e [f^a]_e [f^b]_{-e} with a = floor(d/2), b = d - a, and divided
     by L^d.
     """
     if order < 0:
         raise ValueError("period order must be non-negative")
+    if not f.terms:
+        return [QPolynomial.one()] + [QPolynomial.zero()] * order
     scale = lcm(
         *(c.denominator for coeff in f.terms.values() for _, c in coeff.items())
     )
+    half = (order + 1) // 2
+    base = 2 * half * max((abs(x) for e in f.terms for x in e), default=0) + 1
+    q_base = half * max(p for coeff in f.terms.values() for p, _ in coeff.items()) + 1
     folded = {
-        e + (p,): int(c * scale)
+        p + q_base * sum(x * base**i for i, x in enumerate(e)): int(c * scale)
         for e, coeff in f.terms.items()
         for p, c in coeff.items()
     }
-    if not folded:
-        return [QPolynomial.one()] + [QPolynomial.zero()] * order
-    powers = _low_powers(folded, f.rank, order)
+    powers = _low_powers(folded, half, q_base)
     out: list[QPolynomial] = []
     for d in range(order + 1):
         low, high = powers[d // 2], powers[d - d // 2]
         total: dict[int, int] = {}
         for e, q_coeffs in low.items():
-            partner = high.get(tuple(-x for x in e))
+            partner = high.get(-e)
             if partner is None:
                 continue
             for p, c in q_coeffs.items():
@@ -320,25 +324,26 @@ def classical_periods(f: LaurentPolynomial, order: int) -> list[QPolynomial]:
 
 
 def _low_powers(
-    folded: dict[tuple[int, ...], int], rank: int, order: int
-) -> list[dict[ExponentVector, dict[int, int]]]:
-    """Powers W^k, k = 0..ceil(order/2), indexed by Laurent part, then q-power.
+    folded: dict[int, int], count: int, q_base: int
+) -> list[dict[int, dict[int, int]]]:
+    """Powers W^k, k = 0..count, indexed by packed Laurent part, then q-power.
 
-    `folded` is W itself: it maps (exponent vector, q-power) to an int
-    coefficient.
+    `folded` is W itself: it maps each packed key p + q_base * e to an
+    int coefficient.
     """
-    current = {(0,) * (rank + 1): 1}
-    powers = [{(0,) * rank: {0: 1}}]
-    for _ in range((order + 1) // 2):
-        step: dict[tuple[int, ...], int] = {}
+    current = {0: 1}
+    powers = [{0: {0: 1}}]
+    for _ in range(count):
+        step: dict[int, int] = {}
         for key, c in current.items():
             for key2, c2 in folded.items():
-                new = tuple(map(add, key, key2))
+                new = key + key2
                 step[new] = step.get(new, 0) + c * c2
         current = {key: c for key, c in step.items() if c}
-        grouped: dict[ExponentVector, dict[int, int]] = {}
+        grouped: dict[int, dict[int, int]] = {}
         for key, c in current.items():
-            grouped.setdefault(key[:-1], {})[key[-1]] = c
+            e, p = divmod(key, q_base)
+            grouped.setdefault(e, {})[p] = c
         powers.append(grouped)
     return powers
 

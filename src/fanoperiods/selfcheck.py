@@ -14,7 +14,6 @@ from math import factorial
 from typing import Callable, NamedTuple
 
 from .frobenius import (
-    PeriodSequence,
     StructureTable,
     associativity_check,
     extend_series,
@@ -30,6 +29,7 @@ from .grassmannian import (
     verify_valuations,
 )
 from .laurent import LaurentPolynomial, QPolynomial, classical_periods
+from .periods import PeriodSequence
 from .polytope import geometry_flags, lattice_point_count
 from .young import (
     BoxContext,

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import factorial
@@ -25,15 +26,9 @@ from hypothesis import strategies as st
 import fanoperiods
 from fanoperiods import polytope
 from fanoperiods.cli import CatalogEntry, catalog, main, run
-from fanoperiods.frobenius import (
-    PeriodSequence,
-    extend_series,
-    periods_from_json,
-    periods_to_json,
-    reconstruct_N1,
-    structure_table,
-)
+from fanoperiods.frobenius import extend_series, reconstruct_N1, structure_table
 from fanoperiods.laurent import QPolynomial, classical_periods, laurent_to_json
+from fanoperiods.periods import PeriodSequence, periods_from_json, periods_to_json
 from fanoperiods.polytope import geometry_flags
 from test_laurent import _period_test_polys
 from test_polytope import parse_document
@@ -491,6 +486,19 @@ MIXED_Q_POLY = {
     ],
 }
 
+# Each term carries q^(1 + e_x + e_y), so every c_d sits at q^d and the
+# q-kept periods have a period-file form; exponents reach 3 in size.
+MIXED_Q_WIDE_POLY = {
+    "vars": ["x", "y"],
+    "terms": [
+        {"coeff": "2", "q": 2, "exp": [2, -1]},
+        {"coeff": "1", "q": 0, "exp": [-1, 0]},
+        {"coeff": "1/3", "q": 0, "exp": [-3, 2]},
+        {"coeff": "-1/2", "q": 3, "exp": [1, 1]},
+        {"coeff": "1", "q": 0, "exp": [1, -2]},
+    ],
+}
+
 # Fractional and negative periods, with zeros inside the sequence.
 FRACTIONAL_PERIODS = ["1", "0", "1/2", "-3", "5/7", "0", "2", "-1/3", "4"]
 
@@ -619,6 +627,38 @@ class TestDeterminism:
         assert run([str(path) if a == "MIXED_Q" else a for a in argv]) == 0
         printed = capsys.readouterr().out.encode()
         assert hashlib.sha256(printed).hexdigest() == digest
+
+    # sha256 of stdout recorded while the period engine keyed each term by
+    # a tuple (exponent vector, q-power).  At order 18 the wide mirror's
+    # powers reach exponents 27 and q^27, the limits of its packed digits.
+    # Each run has a time budget: Gr(2,6) at order 18 took about 1.8 s with
+    # tuple keys and takes about 0.5 s with packed ones.
+    @pytest.mark.parametrize(
+        "argv, digest, budget",
+        [
+            (
+                ["grassmannian", "--k", "2", "--n", "6", "--emit", "periods",
+                 "--order", "18"],
+                "345b2bbd17959d29b936adb28473a042f12daae2874b32529bbe3b07cde608a6",
+                1.5,
+            ),
+            (
+                ["period", "--poly", "MIXED_Q_WIDE", "--order", "18"],
+                "140d269608309c315f429f82f4d400d4fd86d5951e3dc9088ec18f65fe3a1e5d",
+                1.0,
+            ),
+        ],
+        ids=["gr26-periods-18", "mixed-q-wide-periods-18"],
+    )
+    def test_period_output_is_frozen(self, argv, digest, budget, tmp_path, capsys):
+        path = tmp_path / "mixed-q-wide.json"
+        path.write_text(json.dumps(MIXED_Q_WIDE_POLY))
+        start = time.perf_counter()
+        assert run([str(path) if a == "MIXED_Q_WIDE" else a for a in argv]) == 0
+        elapsed = time.perf_counter() - start
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == digest
+        assert elapsed < budget, f"took {elapsed:.2f}s, over the {budget}s budget"
 
     # sha256 of stdout: the p2 and gr24 cases recorded from the
     # residue-expansion engine that preceded the power recurrence in
@@ -755,7 +795,9 @@ class TestModuleEntryPoint:
         assert done.stdout == b"[]\n"
 
 
-LIBRARY_MODULES = ("laurent", "polytope", "young", "frobenius", "grassmannian", "selfcheck")
+LIBRARY_MODULES = (
+    "laurent", "periods", "polytope", "young", "frobenius", "grassmannian", "selfcheck",
+)
 
 # Runs argv through cli.run in this fresh interpreter (none for a bare import)
 # and prints the exit code and the library modules that have been loaded: a
@@ -773,7 +815,7 @@ print(json.dumps([code, [
 ]]))
 """
 
-GRASSMANNIAN_MODULES = ["laurent", "polytope", "young", "grassmannian"]
+GRASSMANNIAN_MODULES = ["laurent", "young", "grassmannian"]
 
 
 class TestLazyModules:
@@ -784,14 +826,14 @@ class TestLazyModules:
             (["nosuchcommand"], 2, ["laurent"]),
             (["period", "--order", "x", "--poly", "absent.json"], 2, ["laurent"]),
             (["catalog"], 0, ["laurent"]),
-            (["period", "--poly", "{poly}"], 0, ["laurent", "frobenius"]),
+            (["period", "--poly", "{poly}"], 0, ["laurent", "periods"]),
             (["polytope", "--poly", "{poly}"], 0, ["laurent", "polytope"]),
-            (["frobenius", "--periods", "{periods}"], 0, ["laurent", "frobenius"]),
+            (["frobenius", "--periods", "{periods}"], 0, ["laurent", "periods", "frobenius"]),
             (["grassmannian", "--k", "2", "--n", "4"], 0, GRASSMANNIAN_MODULES),
             (
                 ["grassmannian", "--k", "2", "--n", "4", "--emit", "polytope"],
                 0,
-                GRASSMANNIAN_MODULES,
+                ["laurent", "polytope", "young", "grassmannian"],
             ),
             (
                 ["grassmannian", "--k", "2", "--n", "4", "--emit", "valuations"],
@@ -801,7 +843,7 @@ class TestLazyModules:
             (
                 ["grassmannian", "--k", "2", "--n", "4", "--emit", "periods"],
                 0,
-                ["laurent", "polytope", "young", "frobenius", "grassmannian"],
+                ["laurent", "periods", "young", "grassmannian"],
             ),
             (["selfcheck"], 0, list(LIBRARY_MODULES)),
         ],

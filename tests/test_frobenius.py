@@ -28,8 +28,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanoperiods.frobenius import (
-    InconsistentPeriodsError,
-    PeriodSequence,
     ReconstructionError,
     StructureTable,
     ThetaSeries,
@@ -37,8 +35,6 @@ from fanoperiods.frobenius import (
     _divide_exactly,
     associativity_check,
     extend_series,
-    periods_from_json,
-    periods_to_json,
     reconstruct_N1,
     residue_product,
     structure_table,
@@ -46,6 +42,12 @@ from fanoperiods.frobenius import (
 )
 from fanoperiods.grassmannian import grass_periods
 from fanoperiods.laurent import LaurentPolynomial, QPolynomial, classical_periods
+from fanoperiods.periods import (
+    InconsistentPeriodsError,
+    PeriodSequence,
+    periods_from_json,
+    periods_to_json,
+)
 from fanoperiods.young import BoxContext
 
 ZERO = QPolynomial.zero()

@@ -454,3 +454,72 @@ def _period_test_polys():
 )
 def test_periods_match_the_expansion_oracle(f, order):
     assert classical_periods(f, order) == _expand_periods(f, order)
+
+
+# ---------------------------------------------------------------------------
+# packed keys of classical_periods
+#
+# The engine keys each term x^e q^p of W^k, k <= K = ceil(order/2), by
+# p + Q * sum_i e_i B^i with B = 2Km + 1 and Q = Kh + 1 (m the largest
+# |e_i| of W, h its largest q-power).  The supports above keep exponents
+# within +-2, so these cases push W^K to the digit limits: exponents
+# +-Km with m = 3 in ranks 2 and 3, and q-powers Kh.
+
+
+def _q(coeffs):
+    return QPolynomial({p: Fraction(c) for p, c in coeffs.items()})
+
+
+PACKING_CASES = {
+    "rank-2-wide": _poly(
+        ("x", "y"),
+        {(3, 0): 1, (-3, 1): 2, (-3, 0): 1, (0, -3): Fraction(1, 2), (1, 2): -1, (0, 3): 1},
+    ),
+    "rank-3-wide": _poly(
+        ("x", "y", "z"),
+        {
+            (3, 0, 0): 1,
+            (-3, 1, 0): 1,
+            (0, -3, 1): Fraction(-2, 3),
+            (0, 3, -3): 1,
+            (0, 0, 3): 2,
+            (-1, -1, -1): 1,
+        },
+    ),
+    # q-powers up to h = 4, so (q^4 x)^K against x^-K reads q^Kh; x's
+    # 1 + q + q^4 against x^-1's 1 - q cancels the q^1 part of every
+    # x x^-1 pair
+    "novikov-wide": _poly(
+        ("x", "y"),
+        {
+            (1, 0): _q({0: 1, 1: 1, 4: 1}),
+            (-1, 0): _q({0: 1, 1: -1}),
+            (0, 3): _q({4: 1}),
+            (0, -1): _q({2: Fraction(1, 3)}),
+            (-3, 0): _q({0: 1, 4: -2}),
+        },
+    ),
+    # the constant 2 and 2x against -2x^-1 cancel the constant term of W^2
+    "constant-term": _poly(
+        ("x", "y"),
+        {(0, 0): 2, (1, 0): 1, (-1, 0): -2, (0, 3): Fraction(3, 4), (0, -3): 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 9, 10])
+@pytest.mark.parametrize("name", sorted(PACKING_CASES))
+def test_packed_keys_match_the_expansion_oracle(name, order):
+    f = PACKING_CASES[name]
+    assert max(abs(x) for e in f.terms for x in e) == 3
+    assert classical_periods(f, order) == _expand_periods(f, order)
+
+
+def test_packing_cases_reach_the_digit_limits():
+    # at order 10, K = 5 and W^K reaches exponents +-Km and q-power Kh
+    for name in ("rank-2-wide", "rank-3-wide"):
+        power = _power(PACKING_CASES[name], 5)
+        for i in range(power.rank):
+            assert {e[i] for e in power.terms} >= {-15, 15}
+    power = _power(PACKING_CASES["novikov-wide"], 5)
+    assert max(p for coeff in power.terms.values() for p, _ in coeff.items()) == 20
