@@ -153,7 +153,13 @@ def _period_document(f: LaurentPolynomial, order: int) -> dict:
 
 
 def _polytope_document(system, order: int) -> dict:
-    document = polytope.build_document(system, tuple(range(1, order + 1)))
+    if order > polytope.MAX_WALK_NODES:
+        # refused before anything is built: a nonempty count walks at least one node
+        raise ValueError(
+            f"--order {order} is above {polytope.MAX_WALK_NODES}, the limit of "
+            "nodes that the lattice counts of one document walk together"
+        )
+    document = polytope.build_document(system, range(1, order + 1))
     if order and not document["lattice_counts"]:
         # build_document leaves requested counts out only for an unbounded polytope
         raise polytope.UnboundedPolytopeError(

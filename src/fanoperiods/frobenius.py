@@ -10,12 +10,13 @@ series are truncated honestly: every value carries the largest tail
 index it trusts, a finite integer, and operations refuse to emit
 coefficients outside the joint window rather than zero-filling.
 
-The arithmetic runs on plain ints.  ThetaSeries is the only window
-type: the windows one step multiplies are folded together at one scale,
-the lcm L of all their coefficient denominators, and keyed by
-(t-exponent, q-power); Miller's recurrence runs on phi(L u), whose
-coefficients are integral.  Fractions are built only where the returned
-records are; the same steps over q-polynomials with Fraction
+The arithmetic runs on plain ints, through the one int product kernel
+and the Fraction/int helpers of `laurent`.  ThetaSeries is the only
+window type: the windows one step multiplies are folded together at one
+scale, the common denominator L of their coefficients, as
+{t-exponent: {q-power: int}}; Miller's recurrence runs on phi(L u),
+whose coefficients are integral.  Fractions are built only where the
+returned records are; the same steps over q-polynomials with Fraction
 coefficients are kept in the test suite as oracles.
 
 Tail coefficients satisfy a_i(N_p) = i * N_{p,i} with N_{p,i} the
@@ -26,12 +27,18 @@ its index is positive; the ladder step uses the row p = 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Mapping, Sequence
 
 from ._record import Record
-from .laurent import QPolynomial, Rational, _as_qpolynomial
+from .laurent import (
+    QPolynomial,
+    Rational,
+    _add_product,
+    _as_qpolynomial,
+    _common_denominator,
+    _from_ints,
+    _to_ints,
+)
 from .periods import InconsistentPeriodsError, PeriodSequence
 
 
@@ -81,63 +88,41 @@ class ThetaSeries(Record):
 
 
 # ---------------------------------------------------------------------------
-# Integer kernel
+# Windows
 #
-# Every window is a ThetaSeries.  The windows a step multiplies are folded
-# at one scale L, the lcm of all their coefficient denominators: each one
-# becomes {(t-exponent, q-power): L * coefficient} with its trusted floor
-# and its top, the leading exponent p.  Products then run on plain ints,
-# and Fractions are built only for the values returned.
+# The ThetaSeries a step multiplies are folded at one scale L, the common
+# denominator of their coefficients: each becomes {t-exponent: {q-power:
+# L * coefficient}} with its trusted floor and its top, the leading
+# exponent p.  Each pair of t-exponents goes through the int kernel of
+# `laurent`, and Fractions are built only for the values returned.
 
-Folded = dict[tuple[int, int], int]
+Folded = dict[int, dict[int, int]]
 Window = tuple[Folded, int, int]
-
-
-def _scaled(value: QPolynomial, scale: int) -> dict[int, int]:
-    """scale times value by q-power; scale must clear every denominator."""
-    return {p: c.numerator * (scale // c.denominator) for p, c in value.items()}
 
 
 def _fold(series: Sequence[ThetaSeries]) -> tuple[list[Window], int]:
     """Each series as a window (terms, floor, top) at one scale L, and L."""
-    scale = lcm(
-        *(c.denominator for item in series for value in item.tail.values()
-          for _, c in value.items())
-    )
+    scale = _common_denominator(v for item in series for v in item.tail.values())
     windows = []
     for item in series:
-        terms = {
-            (-i, p): c
-            for i, value in item.tail.items()
-            for p, c in _scaled(value, scale).items()
-        }
-        terms[(item.p, 0)] = scale
+        terms = {-i: _to_ints(value, scale) for i, value in item.tail.items()}
+        terms[item.p] = {0: scale}
         windows.append((terms, -item.valid_to, item.p))
     return windows, scale
 
 
-def _unfold(terms: Folded, scale: int) -> dict[int, QPolynomial]:
-    """The coefficients terms / scale, by t-exponent."""
-    grouped: dict[int, dict[int, Fraction]] = {}
-    for (e, p), c in terms.items():
-        grouped.setdefault(e, {})[p] = Fraction(c, scale)
-    return {e: QPolynomial(value) for e, value in grouped.items()}
-
-
-def _add_product(
-    terms: Folded, left: Folded, right: Folded, floor: int, sign: int = 1
+def _add_window_product(
+    terms: Folded, left: Folded, right: Folded, floor: int, scale: int = 1
 ) -> None:
-    """terms += sign * left * right at t-exponents >= floor."""
-    for (e1, p1), c1 in left.items():
-        c1 *= sign
-        for (e2, p2), c2 in right.items():
+    """terms += scale * left * right at t-exponents >= floor."""
+    for e1, q1 in left.items():
+        for e2, q2 in right.items():
             if e1 + e2 >= floor:
-                key = (e1 + e2, p1 + p2)
-                terms[key] = terms[key] + c1 * c2 if key in terms else c1 * c2
+                _add_product(terms.setdefault(e1 + e2, {}), q1, q2, scale)
 
 
 def _windowed_product(left: Window, right: Window) -> Window:
-    """Product of two folded windows, zeros dropped.
+    """Product of two folded windows.
 
     The unknown low-order terms of the factors reach every exponent below
     max(floor_a + top_b, floor_b + top_a), so those are dropped.  Each
@@ -148,8 +133,8 @@ def _windowed_product(left: Window, right: Window) -> Window:
     right_terms, right_floor, right_top = right
     floor = max(left_floor + right_top, right_floor + left_top)
     terms: Folded = {}
-    _add_product(terms, left_terms, right_terms, floor)
-    return {key: c for key, c in terms.items() if c}, floor, left_top + right_top
+    _add_window_product(terms, left_terms, right_terms, floor)
+    return terms, floor, left_top + right_top
 
 
 def _divide_exactly(value: int, divisor: int) -> int:
@@ -183,27 +168,19 @@ def reconstruct_N1(periods: PeriodSequence) -> ThetaSeries:
     scale = 1
     for d in range(2, order + 1):
         # psi_j = L^j a_{j-1}, integral because L clears every denominator
-        psi = [(i + 1, _scaled(a, scale ** (i + 1))) for i, a in tail.items()]
+        psi = [(i + 1, _to_ints(a, scale ** (i + 1))) for i, a in tail.items()]
         powers: list[dict[int, int]] = [{0: 1}]
         for k in range(1, d + 1):
             total: dict[int, int] = {}
             for j, psi_j in psi:
                 weight = (d + 1) * j - k
-                if j > k or not weight:
-                    continue
-                for p1, c1 in psi_j.items():
-                    c1 *= weight
-                    for p2, c2 in powers[k - j].items():
-                        p = p1 + p2
-                        total[p] = total[p] + c1 * c2 if p in total else c1 * c2
-            powers.append(
-                {p: _divide_exactly(c, k) for p, c in total.items() if c}
-            )
-        known = QPolynomial({p: Fraction(c, scale**d) for p, c in powers[d].items()})
-        a = (coeffs[d] - known) / d
+                if j <= k and weight and powers[k - j]:
+                    _add_product(total, psi_j, powers[k - j], weight)
+            powers.append({p: _divide_exactly(c, k) for p, c in total.items() if c})
+        a = (coeffs[d] - _from_ints(powers[d], scale**d)) / d
         if a:
             tail[d - 1] = a
-            scale = lcm(scale, *(c.denominator for _, c in a.items()))
+            scale = _common_denominator(tail.values())
     return ThetaSeries(1, tail, valid_to=max(order - 1, 0))
 
 
@@ -242,32 +219,28 @@ def extend_series(series: Sequence[ThetaSeries]) -> ThetaSeries:
     _require_ladder(series)
     previous = series[-1]
     n = previous.p + 1
-    scalars = [(r, _structure_constant(series, 1, n - 1, r)) for r in range(1, n)]
+    # r = 0 comes last: the constant C(1,n-1,0) is the scalar of N_0 = 1
+    scalars = [(r, _structure_constant(series, 1, n - 1, r)) for r in (*range(1, n), 0)]
     scalars = [(r, scalar) for r, scalar in scalars if scalar]
-    constant = _structure_constant(series, 1, n - 1, 0)
 
     # one scale L clears every window used, and with it every scalar (a
     # tail term of N_1 or N_{n-1}); each product below then sits at L^2
-    owners = sorted({1, n - 1, *(r for r, _ in scalars)})
+    owners = sorted({1, n - 1, *(r for r, _ in scalars if r)})
     windows, scale = _fold([series[r - 1] for r in owners])
     folded = dict(zip(owners, windows))
     terms, floor, _ = _windowed_product(folded[1], folded[n - 1])
+    folded[0] = ({0: {0: scale}}, floor, 0)  # N_0 is exact: its floor never binds
     for r, scalar in scalars:
         portion, portion_floor, _ = folded[r]
         floor = max(floor, portion_floor)
-        scaled = {(0, p): c for p, c in _scaled(scalar, scale).items()}
-        _add_product(terms, scaled, portion, floor, -1)
-    if constant:
-        scaled = {(0, p): c for p, c in _scaled(constant, scale).items()}
-        _add_product(terms, scaled, {(0, 0): scale}, floor, -1)
+        _add_window_product(terms, {0: _to_ints(scalar, scale)}, portion, floor, -1)
 
     if floor > 0:
         raise UntrustedCoefficientError(
             f"validity window floor {floor} cannot certify the leading form"
         )
-    survivors = _unfold(
-        {key: c for key, c in terms.items() if c and key[0] >= floor}, scale * scale
-    )
+    survivors = {e: value for e, q in terms.items()
+                 if e >= floor and (value := _from_ints(q, scale * scale))}
     if survivors.get(n) != QPolynomial.one():
         raise ReconstructionError(f"leading term of N_{n} is not t^{n}")
     stray = sorted(e for e in survivors if 0 <= e < n)
@@ -369,9 +342,7 @@ def residue_product(series: Sequence[ThetaSeries]) -> QPolynomial:
         raise UntrustedCoefficientError(
             f"exponent 0 lies below the trusted floor {floor}"
         )
-    return QPolynomial(
-        {p: Fraction(c, scale ** len(series)) for (e, p), c in terms.items() if e == 0}
-    )
+    return _from_ints(terms.get(0, {}), scale ** len(series))
 
 
 def associativity_check(table: StructureTable) -> list[dict]:
@@ -382,37 +353,31 @@ def associativity_check(table: StructureTable) -> list[dict]:
     cell and both sides.  Each side sums products of nonzero entries
     only, looked up by their pair (p, q); entry(p, q, r) vanishes for
     r > p + q.  Entries are scaled to ints at their common denominator L,
-    so both sides sit at L^2 as {(u, q-power): int}; only sides that differ
+    so both sides sit at L^2 as {u: {q-power: int}}; only sides that differ
     as dicts (a cancelled term may linger as a 0) are compared as Fractions.
     """
     total = table.total
-    scale = lcm(
-        *(c.denominator for value in table.entries.values() for _, c in value.items())
-    )
-    nonzero: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    scale = _common_denominator(table.entries.values())
+    nonzero: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
     for (p, q, r), value in table.entries.items():
-        for power, c in _scaled(value, scale).items():
-            nonzero.setdefault((p, q), []).append((r, power, c))
-    zero = QPolynomial.zero()
+        nonzero.setdefault((p, q), {})[r] = _to_ints(value, scale)
     violations = []
     for p in range(total + 1):
         for q in range(total + 1 - p):
             for r in range(total + 1 - p - q):
                 left: Folded = {}
-                for s, a, c in nonzero.get((p, q), ()):
-                    for u, b, d in nonzero.get((s, r), ()):
-                        key = (u, a + b)
-                        left[key] = left[key] + c * d if key in left else c * d
+                for s, a in nonzero.get((p, q), {}).items():
+                    for u, b in nonzero.get((s, r), {}).items():
+                        _add_product(left.setdefault(u, {}), a, b)
                 right: Folded = {}
-                for s, a, c in nonzero.get((q, r), ()):
-                    for u, b, d in nonzero.get((p, s), ()):
-                        key = (u, a + b)
-                        right[key] = right[key] + c * d if key in right else c * d
+                for s, a in nonzero.get((q, r), {}).items():
+                    for u, b in nonzero.get((p, s), {}).items():
+                        _add_product(right.setdefault(u, {}), a, b)
                 if left == right:
                     continue
-                lhs, rhs = _unfold(left, scale**2), _unfold(right, scale**2)
                 for u in range(p + q + r + 1):
-                    lhs_u, rhs_u = lhs.get(u, zero), rhs.get(u, zero)
+                    lhs_u = _from_ints(left.get(u, {}), scale**2)
+                    rhs_u = _from_ints(right.get(u, {}), scale**2)
                     if lhs_u != rhs_u:
                         violations.append(
                             dict(p=p, q=q, r=r, u=u, left=str(lhs_u), right=str(rhs_u))

@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from ._record import Record
 
@@ -295,16 +295,14 @@ def classical_periods(f: LaurentPolynomial, order: int) -> list[QPolynomial]:
         raise ValueError("period order must be non-negative")
     if not f.terms:
         return [QPolynomial.one()] + [QPolynomial.zero()] * order
-    scale = lcm(
-        *(c.denominator for coeff in f.terms.values() for _, c in coeff.items())
-    )
+    scale = _common_denominator(f.terms.values())
     half = (order + 1) // 2
     base = 2 * half * max((abs(x) for e in f.terms for x in e), default=0) + 1
     q_base = half * max(p for coeff in f.terms.values() for p, _ in coeff.items()) + 1
     folded = {
-        p + q_base * sum(x * base**i for i, x in enumerate(e)): int(c * scale)
+        p + q_base * sum(x * base**i for i, x in enumerate(e)): c
         for e, coeff in f.terms.items()
-        for p, c in coeff.items()
+        for p, c in _to_ints(coeff, scale).items()
     }
     powers = _low_powers(folded, half, q_base)
     out: list[QPolynomial] = []
@@ -312,14 +310,9 @@ def classical_periods(f: LaurentPolynomial, order: int) -> list[QPolynomial]:
         low, high = powers[d // 2], powers[d - d // 2]
         total: dict[int, int] = {}
         for e, q_coeffs in low.items():
-            partner = high.get(-e)
-            if partner is None:
-                continue
-            for p, c in q_coeffs.items():
-                for p2, c2 in partner.items():
-                    total[p + p2] = total.get(p + p2, 0) + c * c2
-        denominator = scale**d
-        out.append(QPolynomial({p: Fraction(c, denominator) for p, c in total.items()}))
+            if partner := high.get(-e):
+                _add_product(total, q_coeffs, partner)
+        out.append(_from_ints(total, scale**d))
     return out
 
 
@@ -335,10 +328,7 @@ def _low_powers(
     powers = [{0: {0: 1}}]
     for _ in range(count):
         step: dict[int, int] = {}
-        for key, c in current.items():
-            for key2, c2 in folded.items():
-                new = key + key2
-                step[new] = step.get(new, 0) + c * c2
+        _add_product(step, folded, current)  # W, the short factor, outside
         current = {key: c for key, c in step.items() if c}
         grouped: dict[int, dict[int, int]] = {}
         for key, c in current.items():
@@ -346,6 +336,41 @@ def _low_powers(
             grouped.setdefault(e, {})[p] = c
         powers.append(grouped)
     return powers
+
+
+# ---------------------------------------------------------------------------
+# Integer kernel
+#
+# The period engine and the theta ladder in `frobenius` bring coefficients
+# in Q[q] to one common denominator L, as {q-power: L * coefficient}, and
+# multiply them with `_add_product`, their only int product loop.  These
+# helpers are the only crossing between Fractions and ints; the Fraction
+# loops of QPolynomial.__mul__ and multiply stay apart as oracles.
+
+
+def _add_product(total: dict, left: Mapping, right: Mapping, scale: int = 1) -> None:
+    """total[k1 + k2] += scale * c1 * c2 over every pair of entries."""
+    get, right_items = total.get, right.items()
+    for k1, c1 in left.items():
+        c1 *= scale
+        for k2, c2 in right_items:
+            key = k1 + k2
+            total[key] = get(key, 0) + c1 * c2
+
+
+def _common_denominator(values: Iterable[QPolynomial]) -> int:
+    """The lcm of every coefficient denominator of the values; 1 for none."""
+    return lcm(*(c.denominator for value in values for c in value._coeffs.values()))
+
+
+def _to_ints(value: QPolynomial, scale: int) -> dict[int, int]:
+    """scale * value by q-power; scale must clear every denominator."""
+    return {p: c.numerator * (scale // c.denominator) for p, c in value._coeffs.items()}
+
+
+def _from_ints(coeffs: Mapping[int, int], scale: int) -> QPolynomial:
+    """The q-polynomial coeffs / scale; zero coefficients are dropped."""
+    return QPolynomial({p: Fraction(c, scale) for p, c in coeffs.items()})
 
 
 def support(f: LaurentPolynomial) -> list[ExponentVector]:

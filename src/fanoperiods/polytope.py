@@ -8,16 +8,17 @@ dependent; only feasible solutions become Fractions.  It refuses systems
 with more than MAX_SUBSET_SOLVES such subsets (the Gr(3,7) NO body,
 50,388 subsets, takes about 1 s).  Lattice counts and boundedness come
 from a Fourier-Motzkin projection chain built once per system, so
-counting never enumerates vertices; a count walking more than
-MAX_WALK_NODES nodes is refused rather than left to run for hours.
+counting never enumerates vertices; a count, or a document's counts
+together, walking past MAX_WALK_NODES nodes is refused, not left to run.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from fanoperiods._record import Record
 from fanoperiods.laurent import _as_fraction
@@ -279,8 +280,9 @@ def _projection_chain(system: HalfspaceSystem) -> _ProjectionChain:
     return _ProjectionChain(levels, empty)
 
 
-def _count_points(chain: _ProjectionChain, dilation: int) -> int:
-    """Integer points of the dilated polytope, walked level by level."""
+def _count_points(chain: _ProjectionChain, dilation: int, nodes: Iterator[int]) -> int:
+    """Integer points of the dilated polytope, walked level by level; each
+    node walked draws the next number from `nodes`."""
     levels = [
         (
             [(a, c, b * dilation) for a, c, b in lower],
@@ -290,14 +292,11 @@ def _count_points(chain: _ProjectionChain, dilation: int) -> int:
     ]
     last = len(levels) - 1
     prefix: list[int] = []
-    nodes = 0
 
     def walk(j: int) -> int:
-        nonlocal nodes
-        nodes += 1
-        if nodes > MAX_WALK_NODES:
+        if next(nodes) > MAX_WALK_NODES:
             raise ValueError(
-                f"lattice count at dilation {dilation} walks more than "
+                f"lattice count at dilation {dilation} brings the walk past "
                 f"the limit of {MAX_WALK_NODES} nodes"
             )
         lower, upper = levels[j]
@@ -336,7 +335,9 @@ def geometry_flags(system: HalfspaceSystem) -> GeometryFlags:
     return GeometryFlags(bounded, full_dimensional, origin_interior)
 
 
-def lattice_point_count(system: HalfspaceSystem, dilation: int) -> int:
+def lattice_point_count(
+    system: HalfspaceSystem, dilation: int, *, nodes: Iterator[int] | None = None
+) -> int:
     """Number of integer vectors v with <a, v> >= dilation * offset for all facets.
 
     Dilation scales offsets only.  The count walks the system's
@@ -344,7 +345,8 @@ def lattice_point_count(system: HalfspaceSystem, dilation: int) -> int:
     interval its level allows given the coordinates before it, and the
     last coordinate adds its interval length instead of visiting points.
     An empty polytope counts 0 at every dilation, including 0.  A walk
-    past MAX_WALK_NODES nodes is refused (ValueError).
+    past MAX_WALK_NODES nodes is refused (ValueError); counts given one
+    `nodes` counter, such as itertools.count(1), share that limit.
     """
     if dilation < 0:
         raise ValueError("dilation must be non-negative")
@@ -353,7 +355,7 @@ def lattice_point_count(system: HalfspaceSystem, dilation: int) -> int:
         raise UnboundedPolytopeError("lattice counts require a bounded polytope")
     if chain.empty:
         return 0
-    return _count_points(chain, dilation)
+    return _count_points(chain, dilation, count(1) if nodes is None else nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +373,9 @@ def build_document(
     vs = vertices(system)
     counts: dict[str, int] = {}
     if dilations and system._chain.bounded:
+        nodes = count(1)
         for r in sorted(set(dilations)):
-            counts[str(r)] = lattice_point_count(system, r)
+            counts[str(r)] = lattice_point_count(system, r, nodes=nodes)
     return {
         "dim": system.dim,
         "facets": [

@@ -296,6 +296,15 @@ class TestPolytopeSubcommand:
         assert run(["polytope", "--poly", str(path), "--order", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["lattice_counts"] == {}
 
+    @pytest.mark.parametrize("order", ["100000000", str(10**20)])
+    def test_order_above_the_walk_limit_is_refused_at_once(self, p2_poly_file, order):
+        # one node per count at the least, so no such document fits the limit
+        start = time.perf_counter()
+        code, out, err = run_captured(["polytope", "--poly", p2_poly_file, "--order", order])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert f"--order {order} is above {polytope.MAX_WALK_NODES}" in err
+
 
 class TestGrassmannianSubcommand:
     def test_polytope_example_passes_geometry_flags(self, tmp_path):
@@ -345,6 +354,15 @@ class TestGrassmannianSubcommand:
         assert captured.out == ""
         assert "dilation 1" in captured.err
         assert "limit of 1000 nodes" in captured.err
+
+    @pytest.mark.parametrize("order", ["100000000", str(10**20)])
+    def test_order_above_the_walk_limit_is_refused_at_once(self, order):
+        argv = ["grassmannian", "--k", "2", "--n", "4", "--emit", "polytope", "--order", order]
+        start = time.perf_counter()
+        code, out, err = run_captured(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert f"--order {order} is above {polytope.MAX_WALK_NODES}" in err
 
 
 class TestFrobeniusSubcommand:

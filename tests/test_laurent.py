@@ -20,7 +20,11 @@ from fanoperiods.laurent import (
     QPolynomial,
     RankMismatchError,
     ZeroPolynomialError,
+    _add_product,
     _as_fraction,
+    _common_denominator,
+    _from_ints,
+    _to_ints,
     classical_periods,
     laurent_from_json,
     laurent_to_json,
@@ -413,6 +417,47 @@ def test_incremental_periods_match_direct_powers(f):
     cs = _expand_periods(f, 5)
     for d in range(6):
         assert cs[d] == constant_term(_power(f, d))
+
+
+_int_maps = st.dictionaries(st.integers(-6, 6), st.integers(-20, 20), max_size=6)
+
+
+@settings(deadline=None, max_examples=200)
+@given(total=_int_maps, left=_int_maps, right=_int_maps, scale=st.integers(-4, 4))
+@example(total={}, left={0: 1, 1: 1}, right={0: 1, -1: -1}, scale=1)
+@example(total={0: 5, -3: 2}, left={-1: 2, 2: -3}, right={1: 4, -2: 1}, scale=-2)
+@example(total={4: 1}, left={1: 3}, right={2: 7}, scale=0)
+def test_int_kernel_matches_a_fraction_reference(total, left, right, scale):
+    want = {k: Fraction(c) for k, c in total.items()}
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            want[k1 + k2] = want.get(k1 + k2, Fraction(0)) + Fraction(scale) * c1 * c2
+    got = dict(total)
+    _add_product(got, left, right, scale)
+    assert all(type(c) is int for c in got.values())
+    assert {k: c for k, c in got.items() if c} == {k: c for k, c in want.items() if c}
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    values=st.lists(
+        st.dictionaries(
+            st.integers(0, 3),
+            st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12),
+            max_size=3,
+        ).map(QPolynomial),
+        max_size=4,
+    ),
+    factor=st.integers(1, 3),
+)
+def test_scale_helpers_cross_between_fractions_and_ints(values, factor):
+    common = _common_denominator(values)
+    assert common == math.lcm(*(c.denominator for v in values for _, c in v.items()))
+    for value in values:
+        scaled = _to_ints(value, common * factor)
+        assert all(type(c) is int for c in scaled.values())
+        assert scaled == {p: c * common * factor for p, c in value.items()}
+        assert _from_ints(scaled, common * factor) == value
 
 
 def _period_test_polys():

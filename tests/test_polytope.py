@@ -295,6 +295,15 @@ def test_lattice_count_refuses_a_walk_past_the_node_limit(monkeypatch):
     assert lattice_point_count(nobody_polytope(BoxContext(2, 4)), 2) == 825
 
 
+def test_counts_of_one_document_share_the_node_limit(monkeypatch):
+    # Gr(2,4) walks 86 nodes at dilation 1 and 376 at dilation 2
+    monkeypatch.setattr(polytope, "MAX_WALK_NODES", 400)
+    system = nobody_polytope(BoxContext(2, 4))
+    assert build_document(system, (2,))["lattice_counts"] == {"2": 825}
+    with pytest.raises(ValueError, match="dilation 2 .* limit of 400 nodes"):
+        build_document(system, (2, 1))
+
+
 def test_nine_dimensional_simplex():
     # {x_i >= 0, sum x_i <= 1}: past the old dimension cap of 8
     facets = [Halfspace(tuple(int(i == j) for j in range(9)), Fraction(0)) for i in range(9)]

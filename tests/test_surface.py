@@ -53,6 +53,32 @@ def test_every_function_is_referenced_in_the_package():
     assert not unused, f"never referenced in src/fanoperiods: {', '.join(unused)}"
 
 
+INT_KERNEL = ("_add_product", "_common_denominator", "_to_ints", "_from_ints")
+
+
+def test_fraction_oracles_do_not_share_the_int_kernel():
+    # QPolynomial.__mul__ and multiply check the int routes of the period
+    # engine and the theta ladder; an oracle that shares the kernel it
+    # checks checks nothing
+    tree = ast.parse((PACKAGE / "laurent.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(INT_KERNEL) <= set(functions)
+    qpolynomial = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "QPolynomial"
+    )
+    multiply_method = next(
+        node for node in qpolynomial.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__mul__"
+    )
+    for oracle in (functions["multiply"], multiply_method):
+        names = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(oracle)
+        }
+        assert not names & set(INT_KERNEL), f"{oracle.name} uses {names & set(INT_KERNEL)}"
+
+
 class TestLazyPackage:
     """The top level re-exports its names through a module __getattr__."""
 
