@@ -18,9 +18,8 @@ from fanoperiods.cli import run
 from fanoperiods.frobenius import (
     PeriodSequence,
     associativity_check,
-    extend_series,
-    reconstruct_N1,
     structure_table,
+    theta_ladder,
 )
 
 
@@ -33,9 +32,7 @@ def plane_periods(order: int) -> list[str]:
 
 def main() -> None:
     periods = PeriodSequence.from_plain(plane_periods(12), 3)
-    series = [reconstruct_N1(periods)]
-    while len(series) < 4:
-        series.append(extend_series(series))
+    series = theta_ladder(periods, 4)
 
     print("two-point invariants N_{1,i} = a_i / i from the leading series")
     n1 = series[0]

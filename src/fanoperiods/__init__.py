@@ -41,7 +41,7 @@ laurent, periods, polytope, young, frobenius, grassmannian, selfcheck = map(
 _EXPORTS = {
     frobenius: (
         "StructureTable", "ThetaSeries", "associativity_check",
-        "extend_series", "reconstruct_N1", "structure_table",
+        "reconstruct_N1", "structure_table", "theta_ladder",
     ),
     grassmannian: (
         "build_rectangles_network", "flow_polynomial", "grass_periods",

@@ -159,14 +159,7 @@ def _polytope_document(system, order: int) -> dict:
             f"--order {order} is above {polytope.MAX_WALK_NODES}, the limit of "
             "nodes that the lattice counts of one document walk together"
         )
-    document = polytope.build_document(system, range(1, order + 1))
-    if order and not document["lattice_counts"]:
-        # build_document leaves requested counts out only for an unbounded polytope
-        raise polytope.UnboundedPolytopeError(
-            "the polar polytope is unbounded (the origin is not interior to the "
-            "convex hull of the support), so it has no lattice counts"
-        )
-    return document
+    return polytope.build_document(system, order)
 
 
 def _cmd_period(args):
@@ -206,9 +199,7 @@ def _cmd_frobenius(args):
             f"--max-p {args.max_p} needs a period file of order at least "
             f"{args.max_p}; this file has order {sequence.order}"
         )
-    series = [frobenius.reconstruct_N1(sequence)]
-    while len(series) < args.max_p:
-        series.append(frobenius.extend_series(series))
+    series = frobenius.theta_ladder(sequence, args.max_p)
     if args.emit == "series":
         return [
             {

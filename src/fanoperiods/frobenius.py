@@ -3,26 +3,28 @@
 A period sequence c_0, c_1, ... determines a Laurent series
 N_1 = t + sum_i a_i t^(-i) through the residue conditions
 N_1^d[t^0] = c_d, solved by Miller's power recurrence (the direct
-expansion of N_1^d is the test oracle); the recursion theta_n =
-theta_1 theta_{n-1} - lower terms then builds the whole ladder N_2, N_3,
-... together with the multiplication table of the theta basis.  All
-series are truncated honestly: every value carries the largest tail
-index it trusts, a finite integer, and operations refuse to emit
-coefficients outside the joint window rather than zero-filling.
+expansion of N_1^d is the test oracle).  N_1 fixes the whole ladder:
+N_n is the unique monic degree-n polynomial in N_1 of the form t^n plus
+a negative tail, which theta_ladder reads off the recursion theta_n =
+theta_1 theta_{n-1} - lower terms, and the ladder gives the
+multiplication table of the theta basis.  All series are truncated
+honestly: every value carries the largest tail index it trusts, a
+finite integer, and operations refuse to emit coefficients outside the
+joint window rather than zero-filling.
 
 The arithmetic runs on plain ints, through the one int product kernel
 and the Fraction/int helpers of `laurent`.  ThetaSeries is the only
-window type: the windows one step multiplies are folded together at one
-scale, the common denominator L of their coefficients, as
-{t-exponent: {q-power: int}}; Miller's recurrence runs on phi(L u),
-whose coefficients are integral.  Fractions are built only where the
-returned records are; the same steps over q-polynomials with Fraction
-coefficients are kept in the test suite as oracles.
+window type: the ladder runs on N_1's tail scaled by its common
+denominator L, and the factors of a residue product are folded together
+at one scale as {t-exponent: {q-power: int}}; Miller's recurrence runs
+on phi(L u), whose coefficients are integral.  Fractions are built only
+where the returned records are; the same steps over q-polynomials with
+Fraction coefficients are kept in the test suite as oracles.
 
 Tail coefficients satisfy a_i(N_p) = i * N_{p,i} with N_{p,i} the
 two-point invariants, and the structure constants below the leading one
 are C(p,q,r) = a_{p-r}(N_q) + a_{q-r}(N_p), a term counting only when
-its index is positive; the ladder step uses the row p = 1.
+its index is positive; the ladder uses the row p = 1.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class UntrustedCoefficientError(ValueError):
 
 
 class ReconstructionError(ValueError):
-    """The extension recursion produced a series of the wrong shape."""
+    """The reconstruction arithmetic broke an exactness it relies on."""
 
 
 class ThetaSeries(Record):
@@ -90,7 +92,7 @@ class ThetaSeries(Record):
 # ---------------------------------------------------------------------------
 # Windows
 #
-# The ThetaSeries a step multiplies are folded at one scale L, the common
+# The ThetaSeries a product multiplies are folded at one scale L, the common
 # denominator of their coefficients: each becomes {t-exponent: {q-power:
 # L * coefficient}} with its trusted floor and its top, the leading
 # exponent p.  Each pair of t-exponents goes through the int kernel of
@@ -111,16 +113,6 @@ def _fold(series: Sequence[ThetaSeries]) -> tuple[list[Window], int]:
     return windows, scale
 
 
-def _add_window_product(
-    terms: Folded, left: Folded, right: Folded, floor: int, scale: int = 1
-) -> None:
-    """terms += scale * left * right at t-exponents >= floor."""
-    for e1, q1 in left.items():
-        for e2, q2 in right.items():
-            if e1 + e2 >= floor:
-                _add_product(terms.setdefault(e1 + e2, {}), q1, q2, scale)
-
-
 def _windowed_product(left: Window, right: Window) -> Window:
     """Product of two folded windows.
 
@@ -133,7 +125,10 @@ def _windowed_product(left: Window, right: Window) -> Window:
     right_terms, right_floor, right_top = right
     floor = max(left_floor + right_top, right_floor + left_top)
     terms: Folded = {}
-    _add_window_product(terms, left_terms, right_terms, floor)
+    for e1, q1 in left_terms.items():
+        for e2, q2 in right_terms.items():
+            if e1 + e2 >= floor:
+                _add_product(terms.setdefault(e1 + e2, {}), q1, q2)
     return terms, floor, left_top + right_top
 
 
@@ -204,55 +199,54 @@ def _require_ladder(series: Sequence[ThetaSeries]) -> None:
             )
 
 
-def extend_series(series: Sequence[ThetaSeries]) -> ThetaSeries:
-    """N_n from N_1..N_{n-1} via the product recursion.
+def theta_ladder(periods: PeriodSequence, top: int) -> list[ThetaSeries]:
+    """N_1..N_top: reconstruct_N1, then the product recursion.
 
-    N_n = N_1 N_{n-1} - sum_{r=1}^{n-1} C(1,n-1,r) N_r - C(1,n-1,0), the
-    constant C(1,n-1,0) = a_1(N_{n-1}) + a_{n-1}(N_1) removing the t^0 term.
-    The result must come out as t^n plus a strictly negative tail with
-    unit leading coefficient.  The input series' shape makes that
-    automatic for every period sequence, so the ReconstructionError
-    raised otherwise guards this module's arithmetic, not the input.
+    N_n = N_1 N_{n-1} - sum_{r=1}^{n-1} C(1,n-1,r) N_r - C(1,n-1,0), and the
+    scalars C(1,n-1,r) = a_{n-1-r}(N_1) cancel every term from t^0 to
+    t^(n-1), so N_n is t^n plus the tail read off at t^(-i), a = a(N_1):
+
+        a_i(N_n) = a_{i+1}(N_{n-1}) + a_{i+n-1} + sum_{j+k=i} a_j a_k(N_{n-1})
+                   - sum_{r=1}^{n-2} a_{n-1-r} a_i(N_r),
+
+    trusted for i <= valid_to(N_1) - (n-1).  It runs over ints on
+    A_n = L^n a(N_n), L the common denominator of N_1's tail.
     """
-    if not series:
-        raise ValueError("the extension recursion needs at least N_1")
-    _require_ladder(series)
-    previous = series[-1]
-    n = previous.p + 1
-    # r = 0 comes last: the constant C(1,n-1,0) is the scalar of N_0 = 1
-    scalars = [(r, _structure_constant(series, 1, n - 1, r)) for r in (*range(1, n), 0)]
-    scalars = [(r, scalar) for r, scalar in scalars if scalar]
-
-    # one scale L clears every window used, and with it every scalar (a
-    # tail term of N_1 or N_{n-1}); each product below then sits at L^2
-    owners = sorted({1, n - 1, *(r for r, _ in scalars if r)})
-    windows, scale = _fold([series[r - 1] for r in owners])
-    folded = dict(zip(owners, windows))
-    terms, floor, _ = _windowed_product(folded[1], folded[n - 1])
-    folded[0] = ({0: {0: scale}}, floor, 0)  # N_0 is exact: its floor never binds
-    for r, scalar in scalars:
-        portion, portion_floor, _ = folded[r]
-        floor = max(floor, portion_floor)
-        _add_window_product(terms, {0: _to_ints(scalar, scale)}, portion, floor, -1)
-
-    if floor > 0:
+    if top < 1:
+        raise ValueError(f"the ladder starts at N_1, got top {top}")
+    n1 = reconstruct_N1(periods)
+    if top > n1.valid_to + 1:
         raise UntrustedCoefficientError(
-            f"validity window floor {floor} cannot certify the leading form"
+            f"N_{top} needs tail index {top - 1} of N_1, beyond its trusted "
+            f"window {n1.valid_to}"
         )
-    survivors = {e: value for e, q in terms.items()
-                 if e >= floor and (value := _from_ints(q, scale * scale))}
-    if survivors.get(n) != QPolynomial.one():
-        raise ReconstructionError(f"leading term of N_{n} is not t^{n}")
-    stray = sorted(e for e in survivors if 0 <= e < n)
-    if stray:
-        raise ReconstructionError(
-            f"N_{n} keeps terms at non-negative exponents {stray}"
-        )
-    high = sorted(e for e in survivors if e > n)
-    if high:
-        raise ReconstructionError(f"N_{n} has terms above t^{n} at {high}")
-    tail = {-e: c for e, c in survivors.items() if e < 0}
-    return ThetaSeries(n, tail, -floor)
+    scale = _common_denominator(n1.tail.values())
+    a = {i: _to_ints(value, scale) for i, value in n1.tail.items()}
+    folded = [a]  # A_1, A_2, ...
+    ladder = [n1]
+    unit = {0: 1}
+    for n in range(2, top + 1):
+        last = folded[-1]
+        tail: dict[int, dict[int, int]] = {}
+        for i in range(1, n1.valid_to - n + 2):
+            value: dict[int, int] = {}
+            if i + 1 in last:
+                _add_product(value, unit, last[i + 1], scale)
+            if i + n - 1 in a:
+                _add_product(value, unit, a[i + n - 1], scale ** (n - 1))
+            for j, a_j in a.items():
+                if j < i and i - j in last:
+                    _add_product(value, a_j, last[i - j])
+            for r, lower in enumerate(folded[:-1], 1):
+                if n - 1 - r in a and i in lower:
+                    _add_product(value, a[n - 1 - r], lower[i], -scale ** (n - 1 - r))
+            value = {power: c for power, c in value.items() if c}
+            if value:
+                tail[i] = value
+        folded.append(tail)
+        values = {i: _from_ints(v, scale**n) for i, v in tail.items()}
+        ladder.append(ThetaSeries(n, values, n1.valid_to - n + 1))
+    return ladder
 
 
 class StructureTable(Record):

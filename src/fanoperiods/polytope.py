@@ -367,15 +367,24 @@ def lattice_point_count(
 #  "lattice_counts": {"1": 10, "2": 28}}
 
 
-def build_document(
-    system: HalfspaceSystem, dilations: Sequence[int] = ()
-) -> dict:
+def build_document(system: HalfspaceSystem, order: int = 0) -> dict:
+    """The document of a polar polytope with its counts at dilations 1..order.
+
+    The counts are taken one dilation at a time and share one walk limit,
+    so an order far beyond what the limit allows is refused at the first
+    dilation that passes it.  Counts of an unbounded polytope are refused
+    (UnboundedPolytopeError); with order 0 its document has none.
+    """
+    if order >= 1 and not system._chain.bounded:
+        raise UnboundedPolytopeError(
+            "the polar polytope is unbounded (the origin is not interior to the "
+            "convex hull of the support), so it has no lattice counts"
+        )
     vs = vertices(system)
     counts: dict[str, int] = {}
-    if dilations and system._chain.bounded:
-        nodes = count(1)
-        for r in sorted(set(dilations)):
-            counts[str(r)] = lattice_point_count(system, r, nodes=nodes)
+    nodes = count(1)
+    for r in range(1, order + 1):
+        counts[str(r)] = lattice_point_count(system, r, nodes=nodes)
     return {
         "dim": system.dim,
         "facets": [

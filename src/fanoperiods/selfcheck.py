@@ -16,10 +16,10 @@ from typing import Callable, NamedTuple
 from .frobenius import (
     StructureTable,
     associativity_check,
-    extend_series,
     reconstruct_N1,
     residue_product,
     structure_table,
+    theta_ladder,
 )
 from .grassmannian import (
     build_rectangles_network,
@@ -184,15 +184,8 @@ def check_reconstruction_round_trip() -> str:
     return "order-12 plane periods round trip; a_1 = 0, a_2 = 2q, grading vanishing holds"
 
 
-def _ladder(periods: PeriodSequence, top: int):
-    series = [reconstruct_N1(periods)]
-    while len(series) < top:
-        series.append(extend_series(series))
-    return series
-
-
 def check_two_route_consistency() -> str:
-    series = _ladder(PeriodSequence.from_plain(_plane_closed_form(18), 3), 6)
+    series = theta_ladder(PeriodSequence.from_plain(_plane_closed_form(18), 3), 6)
     table = structure_table(series, 6)
     for p in range(1, 6):
         for q in range(1, 7 - p):
@@ -205,11 +198,11 @@ def check_two_route_consistency() -> str:
 
 def check_associativity() -> str:
     trivial = PeriodSequence((QPolynomial.one(),) + (QPolynomial.zero(),) * 20)
-    table6 = structure_table(_ladder(trivial, 6), 6)
+    table6 = structure_table(theta_ladder(trivial, 6), 6)
     violations = associativity_check(table6)
     assert not violations, f"trivial table violates associativity: {violations[:2]}"
     table4 = structure_table(
-        _ladder(PeriodSequence.from_plain(_plane_closed_form(12), 3), 4), 4
+        theta_ladder(PeriodSequence.from_plain(_plane_closed_form(12), 3), 4), 4
     )
     violations = associativity_check(table4)
     assert not violations, f"plane table violates associativity: {violations[:2]}"

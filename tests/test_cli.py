@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import fanoperiods
 from fanoperiods import polytope
 from fanoperiods.cli import CatalogEntry, catalog, main, run
-from fanoperiods.frobenius import extend_series, reconstruct_N1, structure_table
+from fanoperiods.frobenius import structure_table, theta_ladder
 from fanoperiods.laurent import QPolynomial, classical_periods, laurent_to_json
 from fanoperiods.periods import PeriodSequence, periods_from_json, periods_to_json
 from fanoperiods.polytope import geometry_flags
@@ -541,9 +541,7 @@ class TestDeterminism:
     ):
         assert run(["frobenius", "--periods", p2_periods_file, "--q", "one"]) == 0
         printed = capsys.readouterr().out
-        series = [reconstruct_N1(periods_from_json(read_json(p2_periods_file)))]
-        while len(series) < 4:
-            series.append(extend_series(series))
+        series = theta_ladder(periods_from_json(read_json(p2_periods_file)), 4)
         table = structure_table(series, 4)
         expected = [
             {"p": p, "q": q, "r": r, "value": str(table.entry(p, q, r).specialize_q(1))}
@@ -587,9 +585,7 @@ class TestDeterminism:
         argv = ["frobenius", "--periods", str(path), "--max-p", str(max_p)]
         code, printed, err = run_captured(argv + ["--emit", emit, "--q", "one"])
         try:
-            series = [reconstruct_N1(PeriodSequence.from_plain(values, index))]
-            while len(series) < max_p:
-                series.append(extend_series(series))
+            series = theta_ladder(PeriodSequence.from_plain(values, index), max_p)
         except ValueError as refusal:
             # c_1 != 0 and the like: the q-kept ladder's refusal, word for word
             assert (code, printed, err) == (1, "", f"error: {refusal}\n")

@@ -34,11 +34,11 @@ from fanoperiods.frobenius import (
     UntrustedCoefficientError,
     _divide_exactly,
     associativity_check,
-    extend_series,
     reconstruct_N1,
     residue_product,
     structure_table,
     table_records,
+    theta_ladder,
 )
 from fanoperiods.grassmannian import grass_periods
 from fanoperiods.laurent import LaurentPolynomial, QPolynomial, classical_periods
@@ -186,7 +186,8 @@ def _one_row_constant(series: Sequence[ThetaSeries], q: int, r: int) -> QPolynom
 
 
 def _extend_q_polynomials(series: Sequence[ThetaSeries]) -> ThetaSeries:
-    """Oracle for extend_series: the product recursion over q-polynomials."""
+    """Oracle for one step of theta_ladder: the product recursion over
+    q-polynomials, multiplying out N_1 N_{n-1} and checking the shape."""
     if not series:
         raise ValueError("the extension recursion needs at least N_1")
     for position, item in enumerate(series, 1):
@@ -222,6 +223,29 @@ def _extend_q_polynomials(series: Sequence[ThetaSeries]) -> ThetaSeries:
         raise ReconstructionError(f"N_{n} has terms above t^{n} at {high}")
     tail = {-e: c for e, c in survivors.items() if e < 0}
     return ThetaSeries(n, tail, -floor)
+
+
+def _open_mirror_map(n: int, degree: int) -> list[Fraction]:
+    """b_1..b_degree with exp(A(z(Q))) = 1 + sum_d b_d Q^d, for the P^n mirror.
+
+    A(z) = sum_d ((n+1)d-1)!/(d!)^(n+1) z^d and z(Q) inverts
+    Q = z exp((n+1) A(z)).  By Lagrange inversion,
+    b_m = (1/m) [z^(m-1)] A'(z) exp((1 - (n+1) m) A(z)); each exponential
+    comes from F' = c A' F.  No residue condition and no power of N_1
+    enters, so this is independent of reconstruct_N1.
+    """
+    a = [Fraction(0)] + [
+        Fraction(factorial((n + 1) * d - 1), factorial(d) ** (n + 1))
+        for d in range(1, degree + 1)
+    ]
+    b = []
+    for m in range(1, degree + 1):
+        c = 1 - (n + 1) * m
+        f = [Fraction(1)]
+        for k in range(1, m):
+            f.append(c * sum(j * a[j] * f[k - j] for j in range(1, k + 1)) / k)
+        b.append(sum((j + 1) * a[j + 1] * f[m - 1 - j] for j in range(m)) / m)
+    return b
 
 
 def _outcome(fn, *args):
@@ -290,25 +314,8 @@ def kernel_windows(draw) -> ThetaSeries:
     )
 
 
-@st.composite
-def kernel_ladders(draw) -> list[ThetaSeries]:
-    """N_1..N_m with arbitrary tails and windows, so that extension meets
-    both clean steps and window errors."""
-    ladder = []
-    for p in range(1, draw(st.integers(1, 4), label="length") + 1):
-        valid_to = draw(st.integers(0, 8), label=f"valid_to of N_{p}")
-        tail = draw(st.dictionaries(st.integers(1, 8), KERNEL_Q, max_size=4))
-        ladder.append(
-            ThetaSeries(p, {i: c for i, c in tail.items() if i <= valid_to}, valid_to)
-        )
-    return ladder
-
-
 def p2_series(order: int = 12, top: int = 4) -> list[ThetaSeries]:
-    series = [reconstruct_N1(p2_periods(order))]
-    while len(series) < top:
-        series.append(extend_series(series))
-    return series
+    return theta_ladder(p2_periods(order), top)
 
 
 def _entry_or_zero(table: StructureTable, p: int, q: int, r: int) -> QPolynomial:
@@ -500,12 +507,14 @@ class TestReconstruction:
 
 
 class TestExtendSeries:
+    """The ladder's rungs N_2, N_3, ... and their windows."""
+
     def test_trivial_tower(self):
-        series = [reconstruct_N1(trivial_periods(8))]
-        for n in (2, 3, 4):
-            series.append(extend_series(series))
-            assert series[-1].p == n
-            assert series[-1].tail == {}
+        series = theta_ladder(trivial_periods(8), 4)
+        for n, item in enumerate(series, 1):
+            assert item.p == n
+            assert item.tail == {}
+            assert item.valid_to == 8 - n
 
     def test_p2_n2(self):
         series = p2_series(top=2)
@@ -537,29 +546,10 @@ class TestExtendSeries:
     def test_ladder_windows(self, periods):
         # N_p is trusted to tail index T - p, so the ladder reaches N_T and
         # no further; the frobenius --max-p guard relies on this.
-        series = [reconstruct_N1(periods)]
-        while len(series) < periods.order:
-            series.append(extend_series(series))
+        series = theta_ladder(periods, periods.order)
         assert [item.valid_to for item in series] == [
             periods.order - p for p in range(1, periods.order + 1)
         ]
-
-    def test_short_lower_window_bounds_the_step(self):
-        # N_2 enters N_4 through C(1,3,2) = a_1(N_1), so its window (down to
-        # t^-1) caps N_4's although N_1 and N_3 are trusted to t^-8
-        ladder = [
-            ThetaSeries(1, {1: 1, 2: 1, 3: 1}, 8),
-            ThetaSeries(2, {1: 5}, 1),
-            ThetaSeries(3, {1: 1}, 8),
-        ]
-        n4 = extend_series(ladder)
-        assert n4.valid_to == 1
-        assert n4 == _extend_q_polynomials(ladder)
-
-    def test_requires_consecutive_leading_exponents(self):
-        n1 = reconstruct_N1(trivial_periods(8))
-        with pytest.raises(ValueError):
-            extend_series([n1, n1])
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -568,17 +558,54 @@ class TestExtendSeries:
     def test_extension_stays_well_formed(self, values):
         # The type invariants (unit leading term, strictly negative
         # tail) make the positive-exponent cancellations automatic, so
-        # extension succeeds with the right shape for every period
-        # input; the leading-form check guards internal arithmetic
-        # bugs rather than bad data.
-        coeffs = (ONE, ZERO) + tuple(QPolynomial.of(v) for v in values)
-        series = [reconstruct_N1(PeriodSequence(coeffs))]
-        top = min(3, max(series[0].valid_to, 1))
-        while len(series) < top:
-            series.append(extend_series(series))
+        # every period input gives N_n = t^n plus a negative tail.
+        periods = PeriodSequence((ONE, ZERO) + tuple(QPolynomial.of(v) for v in values))
+        series = theta_ladder(periods, min(3, max(periods.order, 1)))
         for n, item in enumerate(series, 1):
             assert item.p == n
             assert all(i >= 1 for i in item.tail)
+
+
+class TestThetaLadder:
+    """The ladder's refusal of an empty ladder, and oracles that share no
+    step with the ladder or with reconstruct_N1."""
+
+    def test_refuses_an_empty_ladder(self):
+        with pytest.raises(ValueError, match="top 0"):
+            theta_ladder(trivial_periods(3), 0)
+
+    @settings(max_examples=60, deadline=5000)
+    @given(kernel_periods())
+    @example(p2_periods(30))
+    def test_faber_grunsky_symmetry(self, periods):
+        # N_p is the p-th Faber polynomial of N_1, so the Grunsky
+        # coefficients a_i(N_p)/p are symmetric in (p, i)
+        start = time.perf_counter()
+        series = theta_ladder(periods, max(periods.order, 1))
+        for p, n_p in enumerate(series, 1):
+            for i in range(1, n_p.valid_to + 1):
+                if i <= len(series) and p <= series[i - 1].valid_to:
+                    assert n_p.tail_term(i) / p == series[i - 1].tail_term(p) / i, (p, i)
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("n, order, budget", [(1, 90, 3.0), (2, 90, 2.0), (3, 92, 2.0)])
+    def test_open_mirror_map(self, n, order, budget):
+        # the P^n mirror: c_{(n+1)d} = ((n+1)d)!/(d!)^(n+1) q^d, and
+        # a_{(n+1)d-1}(N_1) = b_d q^d is the only nonzero tail
+        index = n + 1
+        values = [
+            factorial(d) // factorial(d // index) ** index if d % index == 0 else 0
+            for d in range(order + 1)
+        ]
+        start = time.perf_counter()
+        n1 = reconstruct_N1(PeriodSequence.from_plain(values, index))
+        b = _open_mirror_map(n, (n1.valid_to + 1) // index)
+        assert time.perf_counter() - start < budget
+        assert n1.valid_to == order - 1
+        expected = {index * d - 1: QPolynomial.of(b_d, d) for d, b_d in enumerate(b, 1)}
+        assert n1.tail == {i: value for i, value in expected.items() if value}
+        if n == 2:
+            assert b[:7] == [2, 5, 32, 286, 3038, 35870, 454880]
 
 
 class TestIntKernelMatchesQPolynomialOracles:
@@ -607,22 +634,22 @@ class TestIntKernelMatchesQPolynomialOracles:
             _residue_product_q_polynomials, factors
         )
 
-    @settings(max_examples=80, deadline=5000)
-    @given(kernel_ladders())
-    def test_extend_series_on_arbitrary_ladders(self, ladder):
-        assert _outcome(extend_series, ladder) == _outcome(_extend_q_polynomials, ladder)
-
     @settings(max_examples=60, deadline=5000)
     @given(kernel_periods())
     def test_ladder_from_periods(self, periods):
+        # the whole ladder the window allows, N_1..N_top with top = max(order, 1);
+        # one more rung is refused by both
         start = time.perf_counter()
-        fast = [reconstruct_N1(periods)]
+        top = max(periods.order, 1)
+        fast = theta_ladder(periods, top)
         slow = [_reconstruct_by_recurrence(periods)]
-        assert fast == slow
-        while len(fast) < min(periods.order, 6):
-            fast.append(extend_series(fast))
+        while len(slow) < top:
             slow.append(_extend_q_polynomials(slow))
-            assert fast[-1] == slow[-1]
+        assert fast == slow
+        with pytest.raises(UntrustedCoefficientError):
+            theta_ladder(periods, top + 1)
+        with pytest.raises(UntrustedCoefficientError):
+            _extend_q_polynomials(slow)
         for d in range(periods.order + 2):
             assert _outcome(residue_product, [fast[0]] * d) == _outcome(
                 _residue_product_q_polynomials, [slow[0]] * d
@@ -637,14 +664,13 @@ class TestIntKernelMatchesQPolynomialOracles:
             with pytest.raises(UntrustedCoefficientError) as slow:
                 _residue_product_q_polynomials(factors)
             assert str(fast.value) == str(slow.value)
-        ladder = [n1]
-        while len(ladder) < 3:
-            ladder.append(extend_series(ladder))
-        with pytest.raises(UntrustedCoefficientError) as fast:
-            extend_series(ladder)
-        with pytest.raises(UntrustedCoefficientError) as slow:
+        # the ladder is refused before any step: its message names the
+        # requested rung and N_1's window, where the oracle's step fails
+        ladder = theta_ladder(trivial_periods(3), 3)
+        with pytest.raises(UntrustedCoefficientError, match=r"N_4 .* window 2$"):
+            theta_ladder(trivial_periods(3), 4)
+        with pytest.raises(UntrustedCoefficientError):
             _extend_q_polynomials(ladder)
-        assert str(fast.value) == str(slow.value)
 
     def test_power_recurrence_division_is_exact(self):
         assert _divide_exactly(-12, 4) == -3
@@ -671,10 +697,7 @@ class TestIntKernelMatchesQPolynomialOracles:
 
 class TestStructureTable:
     def test_trivial_table(self):
-        series = [reconstruct_N1(trivial_periods(10))]
-        for _ in range(3):
-            series.append(extend_series(series))
-        table = structure_table(series, 4)
+        table = structure_table(theta_ladder(trivial_periods(10), 4), 4)
         for (p, q, r), value in table.entries.items():
             assert value == (ONE if r == p + q else ZERO), (p, q, r)
 
@@ -763,9 +786,7 @@ class TestResidueProduct:
 
 class TestAssociativity:
     def test_trivial_table_is_associative(self):
-        series = [reconstruct_N1(trivial_periods(10))]
-        for _ in range(3):
-            series.append(extend_series(series))
+        series = theta_ladder(trivial_periods(10), 4)
         assert associativity_check(structure_table(series, 4)) == []
 
     def test_p2_table_is_associative(self):
@@ -773,10 +794,7 @@ class TestAssociativity:
         assert associativity_check(table) == []
 
     def test_corrupted_entry_is_reported(self):
-        series = [reconstruct_N1(trivial_periods(10))]
-        for _ in range(2):
-            series.append(extend_series(series))
-        table = structure_table(series, 3)
+        table = structure_table(theta_ladder(trivial_periods(10), 3), 3)
         entries = dict(table.entries)
         entries[(1, 2, 0)] = QPolynomial.of(7)
         violations = associativity_check(StructureTable(3, entries))
@@ -790,10 +808,7 @@ class TestAssociativityMatchesDenseSweep:
     the same records in the same order with the same strings."""
 
     def test_trivial_table(self):
-        series = [reconstruct_N1(trivial_periods(12))]
-        while len(series) < 6:
-            series.append(extend_series(series))
-        table = structure_table(series, 6)
+        table = structure_table(theta_ladder(trivial_periods(12), 6), 6)
         start = time.perf_counter()
         assert associativity_check(table) == _dense_associativity_check(table) == []
         assert time.perf_counter() - start < 5.0
@@ -851,17 +866,10 @@ def _associativity_q_polynomials(table: StructureTable) -> list[dict]:
     return violations
 
 
-def _ladder(periods: PeriodSequence, top: int) -> list[ThetaSeries]:
-    series = [reconstruct_N1(periods)]
-    while len(series) < top:
-        series.append(extend_series(series))
-    return series
-
-
 # the plane, P^1 x P^1 (c_2m = binom(2m, m)^2, index 2) and Gr(2,4) (index 4)
 ASSOCIATIVITY_LADDERS = {
     "plane": lambda: p2_series(order=12, top=5),
-    "p1xp1": lambda: _ladder(
+    "p1xp1": lambda: theta_ladder(
         PeriodSequence.from_plain(
             [factorial(d) ** 2 // factorial(d // 2) ** 4 if d % 2 == 0 else 0
              for d in range(13)],
@@ -869,7 +877,7 @@ ASSOCIATIVITY_LADDERS = {
         ),
         5,
     ),
-    "gr24": lambda: _ladder(PeriodSequence(tuple(grass_periods(BoxContext(2, 4), 16))), 5),
+    "gr24": lambda: theta_ladder(PeriodSequence(tuple(grass_periods(BoxContext(2, 4), 16))), 5),
 }
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, product
@@ -299,9 +300,31 @@ def test_counts_of_one_document_share_the_node_limit(monkeypatch):
     # Gr(2,4) walks 86 nodes at dilation 1 and 376 at dilation 2
     monkeypatch.setattr(polytope, "MAX_WALK_NODES", 400)
     system = nobody_polytope(BoxContext(2, 4))
-    assert build_document(system, (2,))["lattice_counts"] == {"2": 825}
+    assert build_document(system, 1)["lattice_counts"] == {"1": 105}
     with pytest.raises(ValueError, match="dilation 2 .* limit of 400 nodes"):
-        build_document(system, (2, 1))
+        build_document(system, 2)
+
+
+def test_a_refused_order_materializes_no_dilations(monkeypatch):
+    # the counts run one dilation at a time, so a huge order costs only the
+    # walk up to the dilation that passes the limit
+    monkeypatch.setattr(polytope, "MAX_WALK_NODES", 400)
+    system = nobody_polytope(BoxContext(2, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dilation 2 .* limit of 400 nodes"):
+            build_document(system, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, f"peak {peak} bytes"
+
+
+def test_unbounded_polytope_has_no_counts():
+    quadrant = polar_from_support([(1, 0), (0, 1)])
+    with pytest.raises(UnboundedPolytopeError, match="polar polytope is unbounded"):
+        build_document(quadrant, 1)
+    assert build_document(quadrant, 0)["lattice_counts"] == {}
 
 
 def test_nine_dimensional_simplex():
@@ -576,18 +599,18 @@ def test_geometry_flags_shifted_square():
 
 def test_document_round_trip():
     system = _triangle()
-    doc = build_document(system, dilations=(1, 2))
+    doc = build_document(system, 2)
     blob = json.dumps(doc, sort_keys=True)
     parsed_system, parsed_vertices, parsed_counts = parse_document(json.loads(blob))
     assert parsed_system == system
     assert set(parsed_vertices) == set(vertices(system))
     assert parsed_counts == {1: 10, 2: 28}
-    rebuilt = build_document(parsed_system, dilations=tuple(parsed_counts))
+    rebuilt = build_document(parsed_system, max(parsed_counts))
     assert rebuilt == doc
 
 
 def test_document_shape():
-    doc = build_document(_triangle(), dilations=(1,))
+    doc = build_document(_triangle(), 1)
     assert doc["dim"] == 2
     assert {"normal", "offset"} == set(doc["facets"][0])
     assert doc["lattice_counts"] == {"1": 10}
