@@ -34,12 +34,20 @@ def main() -> None:
     periods = PeriodSequence.from_plain(plane_periods(12), 3)
     series = theta_ladder(periods, 4)
 
-    print("two-point invariants N_{1,i} = a_i / i from the leading series")
-    n1 = series[0]
-    for i in range(1, 9):
-        value = n1.tail_term(i) / i
-        if not value.is_zero():
-            print(f"  N_1,{i} = {value}")
+    # a_i(N_p) = p * N_{p,i}: N_p is the p-th Faber polynomial of N_1, and
+    # its Grunsky coefficients a_i(N_p) / p are the ones symmetric in (p, i)
+    print("two-point invariants N_{p,i} = a_i(N_p) / p for p <= i <= 8")
+    for p, n_p in enumerate(series, 1):
+        for i in range(p, 9):
+            value = n_p.tail_term(i) / p
+            if not value.is_zero():
+                print(f"  N_{p},{i} = {value}")
+    symmetric = all(
+        series[p - 1].tail_term(i) / p == series[i - 1].tail_term(p) / i
+        for p in range(1, 5)
+        for i in range(1, 5)
+    )
+    print(f"N_p,i = N_i,p for p, i <= 4: {symmetric}")
 
     table = structure_table(series, 4)
     print("selected multiplication table entries")

@@ -401,8 +401,14 @@ def run(argv: Sequence[str]) -> int:
     except (OSError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # the traceback holds the work until this clause ends; report after it
+        code = None
     finally:
         sys.set_int_max_str_digits(limit)
+    if code is None:
+        print(f"error: the {args.command} request ran out of memory", file=sys.stderr)
+        return 1
     return code
 
 

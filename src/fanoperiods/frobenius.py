@@ -21,10 +21,13 @@ on phi(L u), whose coefficients are integral.  Fractions are built only
 where the returned records are; the same steps over q-polynomials with
 Fraction coefficients are kept in the test suite as oracles.
 
-Tail coefficients satisfy a_i(N_p) = i * N_{p,i} with N_{p,i} the
-two-point invariants, and the structure constants below the leading one
-are C(p,q,r) = a_{p-r}(N_q) + a_{q-r}(N_p), a term counting only when
-its index is positive; the ladder uses the row p = 1.
+Tail coefficients satisfy a_i(N_p) = p * N_{p,i} with N_{p,i} the
+two-point invariants: N_p is the p-th Faber polynomial of N_1, and its
+Grunsky coefficients a_i(N_p)/p are the ones symmetric in (p, i) (on
+the plane, a_1(N_2) = 4q and a_2(N_1) = 2q give N_{2,1} = N_{1,2} = 2q).
+The structure constants below the leading one are
+C(p,q,r) = a_{p-r}(N_q) + a_{q-r}(N_p), a term counting only when its
+index is positive; the ladder uses the row p = 1.
 """
 
 from __future__ import annotations

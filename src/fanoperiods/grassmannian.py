@@ -219,10 +219,8 @@ def theta_restriction(i: int, ctx: BoxContext) -> LaurentPolynomial:
     This is the flow polynomial of the one-box variation of boundary
     rectangle i divided by the (monomial) flow of the rectangle
     itself; a non-monomial denominator signals a network bug and
-    raises ChartError.
+    raises ChartError.  An index outside 0..n-1 raises ValueError.
     """
-    if not 0 <= i < ctx.n:
-        raise ValueError(f"summand index {i} outside 0..{ctx.n - 1}")
     net = build_rectangles_network(ctx)
     numerator = flow_polynomial(net, boundary_rectangle_box(i, ctx))
     denominator = flow_polynomial(net, boundary_rectangle(i, ctx))

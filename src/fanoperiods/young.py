@@ -12,17 +12,21 @@ The statistic `max_diag(lam, mu)` is the largest number of cells of
 cells(lam) - cells(mu) on one northwest-to-southeast diagonal (constant
 content column - row); on these diagonals the boundary-rectangle
 variations below change the count by exactly one cell, which is what
-the valuation identities need.  Pad both row tuples with zeros to a
-common length L and let m(c) = #{i <= L : lam_i - i >= c}.  The
+the valuation identities need.  Read a row tuple as a partition, zero
+beyond its last entry, and let m(c) = #{i >= 1 : lam_i - i >= c}.  The
 contents lam_i - i strictly decrease, so those rows are 1..m(c), and
 the cells on diagonal c fill the rows -c < i <= m(c): both diagrams'
 cells on a diagonal form runs from the same cell, differing in
 m_lam(c) - m_mu(c) cells when that is positive.  The maximum sits
 where m_lam steps up, at c = lam_t - t, so
 
-    max_diag(lam, mu) = max(0, max_t (t - #{j <= L : mu_j - j >= lam_t - t})),
+    max_diag(lam, mu) = max(0, max_t (t - #{j >= 1 : mu_j - j >= lam_t - t})),
 
-which `max_diag` evaluates in one merge of the two content sequences.
+which `max_diag` evaluates in one merge of the two content sequences; a
+zero row j of mu has content -j, so once every entry of mu is counted
+the count is max(len(mu), t - lam_t).  The statistics run on row
+tuples: `theta_valuation_delta` builds no diagram, and `sigma_reflect`
+builds only the one it returns.
 """
 
 from __future__ import annotations
@@ -43,9 +47,6 @@ class BoxContext(Record):
         if not 0 < k < n:
             raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
         self._store(k, n)
-
-    def transposed(self) -> BoxContext:
-        return BoxContext(self.n - self.k, self.n)
 
 
 class YoungDiagram(Record):
@@ -96,15 +97,29 @@ def _require_boundary_index(index: int, ctx: BoxContext) -> None:
         raise ValueError(f"boundary index {index} outside 0..{ctx.n - 1}")
 
 
+def _rectangle_rows(index: int, ctx: BoxContext) -> tuple[int, ...]:
+    _require_boundary_index(index, ctx)
+    k, m = ctx.k, ctx.n - ctx.k
+    return (k,) * index if index <= m else (ctx.n - index,) * m
+
+
+def _rectangle_box_rows(index: int, ctx: BoxContext) -> tuple[int, ...]:
+    _require_boundary_index(index, ctx)
+    k, m = ctx.k, ctx.n - ctx.k
+    if index < m:
+        return (k,) * index + (1,)
+    if index == m:
+        # (0,)*(m-1) when k = 1: zero rows, which max_diag reads as absent
+        return (k - 1,) * (m - 1)
+    rest = ctx.n - index
+    return (rest + 1,) + (rest,) * (m - 1)
+
+
 def boundary_rectangle(index: int, ctx: BoxContext) -> YoungDiagram:
     """The i-th frozen rectangle: west steps on the cyclic interval
     [i+1, i+k].  With m = n - k its rows are (k,)*i for i <= m and
     (n-i,)*m otherwise."""
-    _require_boundary_index(index, ctx)
-    k, m = ctx.k, ctx.n - ctx.k
-    if index <= m:
-        return YoungDiagram(ctx, (k,) * index)
-    return YoungDiagram(ctx, (ctx.n - index,) * m)
+    return YoungDiagram(ctx, _rectangle_rows(index, ctx))
 
 
 def boundary_rectangle_box(index: int, ctx: BoxContext) -> YoungDiagram:
@@ -112,39 +127,41 @@ def boundary_rectangle_box(index: int, ctx: BoxContext) -> YoungDiagram:
     [i+1, i+k-1] plus the single step i+k+1 (labels cyclic in 1..n).
     With m = n - k its rows are (k,)*i + (1,) for i < m, (k-1,)*(m-1)
     for i = m and (n-i+1,) + (n-i,)*(m-1) otherwise."""
-    _require_boundary_index(index, ctx)
-    k, m = ctx.k, ctx.n - ctx.k
-    if index < m:
-        return YoungDiagram(ctx, (k,) * index + (1,))
-    if index == m:
-        return YoungDiagram(ctx, (k - 1,) * (m - 1))
-    rest = ctx.n - index
-    return YoungDiagram(ctx, (rest + 1,) + (rest,) * (m - 1))
+    return YoungDiagram(ctx, _rectangle_box_rows(index, ctx))
+
+
+def _max_diag(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    best = j = 0
+    length = len(mu)
+    # a zero row t of lam has content -t, which every mu_j - j with j <= t
+    # reaches, so only lam's own rows can give a positive term
+    for t, row in enumerate(lam, 1):
+        content = row - t
+        while j < length and mu[j] - j > content:
+            j += 1
+        if j >= length and j < -content:
+            # past mu's last entry, its zero rows up to t - row reach row - t
+            j = -content
+        if t - j > best:
+            best = t - j
+    return best
 
 
 def max_diag(diagram: YoungDiagram, removed: YoungDiagram) -> int:
     """Largest number of cells of cells(diagram) - cells(removed) on one
     northwest-to-southeast diagonal (constant column - row); the
     diagrams need not share a box."""
-    lam = diagram.rows
-    length = max(len(lam), len(removed.rows))
-    mu = removed.rows + (0,) * (length - len(removed.rows))
-    best = j = 0
-    # a zero row t of lam has content -t, which every mu_j - j with j <= t
-    # reaches, so only lam's own rows can give a positive term
-    for t, row in enumerate(lam, 1):
-        while j < length and mu[j] - j > row - t:
-            j += 1
-        if t - j > best:
-            best = t - j
-    return best
+    return _max_diag(diagram.rows, removed.rows)
 
 
 def sigma_reflect(diagram: YoungDiagram) -> YoungDiagram:
-    """Reflection into the transposed box: south steps become west steps."""
+    """Reflection into the transposed box, where south steps become west
+    steps: the box complement of the conjugate.  Row i of the image, for
+    i = 1..k, is n - k minus the length of column k + 1 - i."""
     ctx = diagram.context
-    south = frozenset(range(1, ctx.n + 1)) - to_steps(diagram)
-    return from_steps(ctx.transposed(), south)
+    lam, m = diagram.rows, ctx.n - ctx.k
+    rows = [m - sum(1 for r in lam if r >= c) for c in range(ctx.k, 0, -1)]
+    return YoungDiagram(BoxContext(m, ctx.n), rows)
 
 
 def valuation_vector(
@@ -160,9 +177,9 @@ def theta_valuation_delta(i: int, j: int, ctx: BoxContext) -> int:
 
     Equals delta_{ij} - delta_{i, n-k} (checked exhaustively in the
     acceptance suite)."""
-    mu_j = boundary_rectangle(j, ctx)
-    return max_diag(boundary_rectangle_box(i, ctx), mu_j) - max_diag(
-        boundary_rectangle(i, ctx), mu_j
+    mu_j = _rectangle_rows(j, ctx)
+    return _max_diag(_rectangle_box_rows(i, ctx), mu_j) - _max_diag(
+        _rectangle_rows(i, ctx), mu_j
     )
 
 

@@ -74,13 +74,14 @@ def run_captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_python(*argv):
-    """Run a fresh interpreter with this package importable."""
+def run_python(*argv, **options):
+    """Run a fresh interpreter with this package importable; `options`
+    go to subprocess.run."""
     src = str(Path(fanoperiods.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, env=env, check=False
+        [sys.executable, *argv], capture_output=True, env=env, check=False, **options
     )
 
 
@@ -222,6 +223,27 @@ class TestExitCodes:
         err = done.stderr.decode()
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds the child on Linux"
+    )
+    def test_running_out_of_memory_is_domain_error(self, p2_poly_file, monkeypatch):
+        import resource
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        # With pymalloc, a failed arena falls back to malloc, which may live
+        # on heap holes for minutes at the cap; plain malloc raises at the
+        # first request that does not fit.
+        monkeypatch.setenv("PYTHONMALLOC", "malloc")
+        done = run_python(
+            "-m", "fanoperiods", "period", "--poly", p2_poly_file, "--order", "1000",
+            preexec_fn=cap_address_space, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stdout == b""
+        assert done.stderr == b"error: the period request ran out of memory\n"
 
 
 class TestPeriodSubcommand:

@@ -32,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ),
         (
             "structure_constants.py",
-            "dded79d85bbed851d178f3185110b74bc658bab12efe17c25131320a246e6059",
+            "327e58fc325498f20819ab0336afeac4a5f803d674ddfcbfe5962a3a4035f8af",
         ),
     ],
     ids=["catalog_periods", "grassmannian_chart", "structure_constants"],

@@ -275,6 +275,14 @@ class TestThetaRestriction:
             _, attained = min_exponent_vector(theta_restriction(i, CTX24))
             assert attained, i
 
+    @pytest.mark.parametrize("ctx", [CTX24, CTX35], ids=["2-4", "3-5"])
+    def test_index_outside_the_boundary_is_refused(self, ctx):
+        # young refuses the index; theta_restriction keeps no copy of the check
+        for i in (-1, ctx.n):
+            message = rf"^boundary index {i} outside 0\.\.{ctx.n - 1}$"
+            with pytest.raises(ValueError, match=message):
+                theta_restriction(i, ctx)
+
     def test_monomial_quotient_requires_monomial(self):
         names = ("x",)
         numerator = unit(names, (2,), (1,))

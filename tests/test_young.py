@@ -7,6 +7,10 @@ exercised exhaustively in the acceptance suite.  `max_diag` merges
 content sequences; the cell-set difference it replaced is kept here as
 its oracle.  The boundary rectangles are built from closed-form rows;
 the west-step route they replaced is kept here as their oracle.
+`theta_valuation_delta` works on those rows without building diagrams
+and is checked against `max_diag` on the public diagrams;
+`sigma_reflect` complements the conjugate in the box, and the
+step-set reflection it replaced is kept here as its oracle.
 """
 
 from __future__ import annotations
@@ -73,6 +77,14 @@ def _boundary_rectangle_box_by_steps(index, ctx):
     west = {_cyclic_label(index + t, ctx.n) for t in range(1, ctx.k)}
     west.add(_cyclic_label(index + ctx.k + 1, ctx.n))
     return from_steps(ctx, west)
+
+
+def _sigma_reflect_by_steps(diagram):
+    """Oracle: the south steps of the border path become the west steps
+    of the image in the transposed box."""
+    ctx = diagram.context
+    south = frozenset(range(1, ctx.n + 1)) - to_steps(diagram)
+    return from_steps(BoxContext(ctx.n - ctx.k, ctx.n), south)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +299,27 @@ def test_theta_valuation_delta_2_4_table():
         assert theta_valuation_delta(i, j, CTX24) == expected
 
 
+def test_theta_valuation_delta_matches_max_diag_on_every_box():
+    checked = 0
+    for n in range(2, 10):
+        for k in range(1, n):
+            ctx = BoxContext(k, n)
+            for i in range(n):
+                rect, box = boundary_rectangle(i, ctx), boundary_rectangle_box(i, ctx)
+                for j in range(n):
+                    mu = boundary_rectangle(j, ctx)
+                    want = max_diag(box, mu) - max_diag(rect, mu)
+                    assert theta_valuation_delta(i, j, ctx) == want, (k, n, i, j)
+                    checked += 1
+    assert checked == sum(n * n * (n - 1) for n in range(2, 10))
+
+
+def test_theta_valuation_delta_refuses_boundary_indices():
+    for i, j in [(4, 0), (-1, 0), (0, 4), (0, -1)]:
+        with pytest.raises(ValueError, match="boundary index"):
+            theta_valuation_delta(i, j, CTX24)
+
+
 def test_theta_valuation_delta_3_5_spot():
     ctx = BoxContext(3, 5)
     assert theta_valuation_delta(1, 1, ctx) == 1
@@ -309,6 +342,16 @@ def test_sigma_reflect_transposes_context():
     ctx = BoxContext(1, 3)
     image = sigma_reflect(YoungDiagram(ctx, (1,)))
     assert image.context == BoxContext(2, 3)
+
+
+def test_sigma_reflect_matches_the_step_oracle_on_every_box():
+    reflected = 0
+    for n in range(2, 11):
+        for k in range(1, n):
+            for lam in all_diagrams(BoxContext(k, n)):
+                assert sigma_reflect(lam) == _sigma_reflect_by_steps(lam), lam
+                reflected += 1
+    assert reflected == 2026
 
 
 def test_sigma_reflect_involution_small():
