@@ -283,13 +283,14 @@ def classical_periods(f: LaurentPolynomial, order: int) -> list[QPolynomial]:
 
     c_0 is 1 even for the zero polynomial (empty product convention).
     The work is done over plain ints: f is scaled by the lcm L of its
-    coefficient denominators, and only f^k with k <= K = ceil(order/2)
-    are built, each term x^e q^p keyed by one int p + Q * sum_i e_i B^i
+    coefficient denominators to W, and each term x^e q^p of W^k,
+    k <= K = ceil(order/2), is keyed by one int p + Q * sum_i e_i B^i
     with B = 2Km + 1, Q = Kh + 1 (m the largest |e_i| and h the largest
-    q-power of f): no digit carries in f^k, so products add keys and -e
-    packs to the negated key.  Each c_d is then read off as
-    sum_e [f^a]_e [f^b]_{-e} with a = floor(d/2), b = d - a, and divided
-    by L^d.
+    q-power of f): no digit carries in W^k, so products add keys and -e
+    packs to the negated key.  Each c_d is read off as
+    sum_e [W^a]_e [W^b]_{-e} with a = floor(d/2), b = d - a, and divided
+    by L^d.  One loop over d holds only these two powers: at even d they
+    are the same, and at odd d, W^b is new, built as W times W^a.
     """
     if order < 0:
         raise ValueError("period order must be non-negative")
@@ -304,38 +305,27 @@ def classical_periods(f: LaurentPolynomial, order: int) -> list[QPolynomial]:
         for e, coeff in f.terms.items()
         for p, c in _to_ints(coeff, scale).items()
     }
-    powers = _low_powers(folded, half, q_base)
+    # `current` is W^b by packed key, where a cancelled term may stay as 0;
+    # `high` is W^b by packed Laurent part, then q-power, without zeros,
+    # and `low` is W^a in the same form
+    current, high = {0: 1}, {0: {0: 1}}
     out: list[QPolynomial] = []
     for d in range(order + 1):
-        low, high = powers[d // 2], powers[d - d // 2]
+        low = high
+        if d % 2:
+            step: dict[int, int] = {}
+            _add_product(step, folded, current)  # W, the short factor, outside
+            current, high = step, {}
+            for key, c in step.items():
+                if c:
+                    e, p = divmod(key, q_base)
+                    high.setdefault(e, {})[p] = c
         total: dict[int, int] = {}
         for e, q_coeffs in low.items():
             if partner := high.get(-e):
                 _add_product(total, q_coeffs, partner)
         out.append(_from_ints(total, scale**d))
     return out
-
-
-def _low_powers(
-    folded: dict[int, int], count: int, q_base: int
-) -> list[dict[int, dict[int, int]]]:
-    """Powers W^k, k = 0..count, indexed by packed Laurent part, then q-power.
-
-    `folded` is W itself: it maps each packed key p + q_base * e to an
-    int coefficient.
-    """
-    current = {0: 1}
-    powers = [{0: {0: 1}}]
-    for _ in range(count):
-        step: dict[int, int] = {}
-        _add_product(step, folded, current)  # W, the short factor, outside
-        current = {key: c for key, c in step.items() if c}
-        grouped: dict[int, dict[int, int]] = {}
-        for key, c in current.items():
-            e, p = divmod(key, q_base)
-            grouped.setdefault(e, {})[p] = c
-        powers.append(grouped)
-    return powers
 
 
 # ---------------------------------------------------------------------------

@@ -227,18 +227,26 @@ class TestExitCodes:
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds the child on Linux"
     )
-    def test_running_out_of_memory_is_domain_error(self, p2_poly_file, monkeypatch):
+    def test_running_out_of_memory_is_domain_error(self, tmp_path, monkeypatch):
         import resource
 
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
+        # The P^8 mirror x_1 + ... + x_8 + 1/(x_1...x_8): W^k has
+        # C(k + 8, 8) terms, about 4.9e7 at k = 30, far past the cap.
+        # (The P^2 mirror at order 1000 needs only W^500 and W^499 at
+        # once, which fit.)
+        exps = [[int(i == j) for j in range(8)] for i in range(8)] + [[-1] * 8]
+        terms = [{"coeff": "1", "exp": exp} for exp in exps]
+        poly = tmp_path / "p8.json"
+        poly.write_text(json.dumps({"vars": [f"x{i}" for i in range(8)], "terms": terms}))
         # With pymalloc, a failed arena falls back to malloc, which may live
         # on heap holes for minutes at the cap; plain malloc raises at the
         # first request that does not fit.
         monkeypatch.setenv("PYTHONMALLOC", "malloc")
         done = run_python(
-            "-m", "fanoperiods", "period", "--poly", p2_poly_file, "--order", "1000",
+            "-m", "fanoperiods", "period", "--poly", str(poly), "--order", "400",
             preexec_fn=cap_address_space, timeout=120,
         )
         assert done.returncode == 1

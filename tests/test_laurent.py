@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,22 @@ def test_periods_p2_multinomial():
             assert c == QPolynomial.of(expected)
         else:
             assert c.is_zero()
+
+
+def test_periods_p2_multinomial_hold_two_powers_at_a_time():
+    # holding every W^k, k <= 75, at once peaks at about 24 MiB under
+    # tracemalloc; holding only the two powers that c_d pairs, at about 2.2
+    tracemalloc.start()
+    try:
+        cs = classical_periods(_p2_mirror(), 150)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for d, c in enumerate(cs):
+        m, rest = divmod(d, 3)
+        expected = 0 if rest else math.factorial(3 * m) // math.factorial(m) ** 3
+        assert c == QPolynomial.of(expected)
+    assert peak < 8 << 20
 
 
 def test_periods_of_zero_polynomial():
