@@ -4,14 +4,16 @@ Every subcommand is deterministic (identical argv and input files give
 byte-identical primary output) and every number is emitted as an exact
 decimal or fraction string.  Exit codes: 0 on success, 1 on a domain
 error (unreadable file, inconsistent data, impossible parameters), 2 on
-a usage error (unknown subcommand or flag grammar).
+a usage error (unknown subcommand or flag grammar).  A canonical argv is
+read straight from the grammar table; argparse, built from the same table,
+is imported only for help, usage errors and the forms it alone accepts.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from . import frobenius, grassmannian, periods, polytope, selfcheck, young
@@ -129,16 +131,18 @@ def _set_q_to_one(f: LaurentPolynomial) -> LaurentPolynomial:
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        )
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
 
 
@@ -232,34 +236,80 @@ def _cmd_selfcheck(args):
 
 
 # ---------------------------------------------------------------------------
-# argument grammar
+# argument grammar: per subcommand its handler, its help and the argparse
+# keyword arguments of each flag.  Both the argparse parser (help and usage
+# errors) and the exact reader (every canonical call) are built from it.
+
+_Q_FLAG = ("--q", {
+    "choices": ("keep", "one"), "default": "keep",
+    "help": "keep the Novikov parameter symbolic, or set q = 1 (default keep)"})
+_POLY_FLAG = ("--poly", {
+    "required": True, "metavar": "FILE", "help": "Laurent polynomial JSON input"})
+_OUT_FLAG = ("--out", {
+    "metavar": "FILE", "default": None,
+    "help": "write primary output to FILE instead of standard output"})
+
+_COMMANDS = {
+    "period": (_cmd_period, "constant terms of powers of a Laurent polynomial", (
+        _POLY_FLAG,
+        ("--order", {"type": _nonnegative_int, "default": 10, "metavar": "N",
+                     "help": "largest power to expand (default 10)"}),
+        _Q_FLAG,
+        _OUT_FLAG,
+    )),
+    "polytope": (_cmd_polytope, "polar dual of the support of a Laurent polynomial", (
+        _POLY_FLAG,
+        ("--order", {"type": _nonnegative_int, "default": 2, "metavar": "N",
+                     "help": "count lattice points in dilations 1..N (default 2)"}),
+        _OUT_FLAG,
+    )),
+    "grassmannian": (
+        _cmd_grassmannian, "superpotential chart, polytope, periods, or valuation report", (
+            ("--k", {"required": True, "type": _positive_int, "metavar": "K",
+                     "help": "subspace dimension"}),
+            ("--n", {"required": True, "type": _positive_int, "metavar": "N",
+                     "help": "ambient dimension"}),
+            ("--emit", {"choices": ("superpotential", "polytope", "periods", "valuations"),
+                        "default": "superpotential",
+                        "help": "which artifact to produce (default superpotential)"}),
+            ("--order", {"type": _nonnegative_int, "default": None, "metavar": "N",
+                         "help": "period order (default 8) or largest counted dilation "
+                                 "(default 1); ignored by the other emitters"}),
+            _Q_FLAG,
+            _OUT_FLAG,
+        )),
+    "frobenius": (
+        _cmd_frobenius, "theta series and structure constants from a period file", (
+            ("--periods", {
+                "required": True, "metavar": "FILE",
+                "help": 'period JSON input: {"index": 3, "coeffs": ["1", "0", ...]}'}),
+            ("--max-p", {"type": _positive_int, "default": 4, "metavar": "P",
+                         "help": "largest theta index to reconstruct; the input order "
+                                 "bounds what is reachable (default 4)"}),
+            ("--emit", {
+                "choices": ("table", "series"), "default": "table",
+                "help": "structure-constant records or the theta series tails (default table)"}),
+            _Q_FLAG,
+            _OUT_FLAG,
+        )),
+    "catalog": (_cmd_catalog, "built-in mirrors with frozen period heads", (
+        ("name", {"nargs": "?", "default": "list",
+                  "help": 'entry name, or "list" for every entry (default list)'}),
+        _OUT_FLAG,
+    )),
+    "selfcheck": (
+        _cmd_selfcheck, "run the full invariant battery and report pass/fail", (_OUT_FLAG,)),
+}
 
 
-def _add_q_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--q",
-        choices=("keep", "one"),
-        default="keep",
-        help="keep the Novikov parameter symbolic, or set q = 1 (default keep)",
-    )
+def _dest(name: str) -> str:
+    # the attribute argparse stores a flag under: --max-p gives max_p
+    return name.lstrip("-").replace("-", "_")
 
 
-def _add_poly_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--poly", required=True, metavar="FILE", help="Laurent polynomial JSON input"
-    )
+def _build_parser():
+    import argparse
 
-
-def _add_out_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="write primary output to FILE instead of standard output",
-    )
-
-
-def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanoperiods",
         description=(
@@ -270,125 +320,61 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    period = sub.add_parser(
-        "period", help="constant terms of powers of a Laurent polynomial"
-    )
-    _add_poly_flag(period)
-    period.add_argument(
-        "--order",
-        type=_nonnegative_int,
-        default=10,
-        metavar="N",
-        help="largest power to expand (default 10)",
-    )
-    _add_q_flag(period)
-    _add_out_flag(period)
-    period.set_defaults(handler=_cmd_period)
-
-    polytope_parser = sub.add_parser(
-        "polytope", help="polar dual of the support of a Laurent polynomial"
-    )
-    _add_poly_flag(polytope_parser)
-    polytope_parser.add_argument(
-        "--order",
-        type=_nonnegative_int,
-        default=2,
-        metavar="N",
-        help="count lattice points in dilations 1..N (default 2)",
-    )
-    _add_out_flag(polytope_parser)
-    polytope_parser.set_defaults(handler=_cmd_polytope)
-
-    grassmannian_parser = sub.add_parser(
-        "grassmannian",
-        help="superpotential chart, polytope, periods, or valuation report",
-    )
-    grassmannian_parser.add_argument(
-        "--k", required=True, type=_positive_int, metavar="K", help="subspace dimension"
-    )
-    grassmannian_parser.add_argument(
-        "--n", required=True, type=_positive_int, metavar="N", help="ambient dimension"
-    )
-    grassmannian_parser.add_argument(
-        "--emit",
-        choices=("superpotential", "polytope", "periods", "valuations"),
-        default="superpotential",
-        help="which artifact to produce (default superpotential)",
-    )
-    grassmannian_parser.add_argument(
-        "--order",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help=(
-            "period order (default 8) or largest counted dilation "
-            "(default 1); ignored by the other emitters"
-        ),
-    )
-    _add_q_flag(grassmannian_parser)
-    _add_out_flag(grassmannian_parser)
-    grassmannian_parser.set_defaults(handler=_cmd_grassmannian)
-
-    frobenius_parser = sub.add_parser(
-        "frobenius",
-        help="theta series and structure constants from a period file",
-    )
-    frobenius_parser.add_argument(
-        "--periods",
-        required=True,
-        metavar="FILE",
-        help='period JSON input: {"index": 3, "coeffs": ["1", "0", ...]}',
-    )
-    frobenius_parser.add_argument(
-        "--max-p",
-        dest="max_p",
-        type=_positive_int,
-        default=4,
-        metavar="P",
-        help=(
-            "largest theta index to reconstruct; the input order bounds "
-            "what is reachable (default 4)"
-        ),
-    )
-    frobenius_parser.add_argument(
-        "--emit",
-        choices=("table", "series"),
-        default="table",
-        help="structure-constant records or the theta series tails (default table)",
-    )
-    _add_q_flag(frobenius_parser)
-    _add_out_flag(frobenius_parser)
-    frobenius_parser.set_defaults(handler=_cmd_frobenius)
-
-    catalog_parser = sub.add_parser(
-        "catalog", help="built-in mirrors with frozen period heads"
-    )
-    catalog_parser.add_argument(
-        "name",
-        nargs="?",
-        default="list",
-        help='entry name, or "list" for every entry (default list)',
-    )
-    _add_out_flag(catalog_parser)
-    catalog_parser.set_defaults(handler=_cmd_catalog)
-
-    selfcheck_parser = sub.add_parser(
-        "selfcheck", help="run the full invariant battery and report pass/fail"
-    )
-    _add_out_flag(selfcheck_parser)
-    selfcheck_parser.set_defaults(handler=_cmd_selfcheck)
-
+    for command, (handler, help_text, flags) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for name, options in flags:
+            command_parser.add_argument(name, **options)
+        command_parser.set_defaults(handler=handler)
     return parser
+
+
+def _read_exact(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for a canonical call, or None.
+
+    Canonical: a subcommand, its positional (if it has one and it comes
+    first), then known long flags, each once, each with a separate value
+    that does not start with "-".  Every other argv, help and usage errors
+    included, is left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, flags = _COMMANDS[argv[0]]
+    args = {"command": argv[0], "handler": handler}
+    tokens = list(argv[1:])
+    for name, _ in flags:
+        if not name.startswith("-") and tokens and not tokens[0].startswith("-"):
+            args[name] = tokens.pop(0)
+    if len(tokens) % 2:
+        return None
+    options = {name: spec for name, spec in flags if name.startswith("--")}
+    for flag, text in zip(tokens[::2], tokens[1::2]):
+        spec = options.get(flag)
+        if spec is None or _dest(flag) in args or text.startswith("-"):
+            return None
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except Exception:
+            # argparse runs the converter again and reports what it raised
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        args[_dest(flag)] = value
+    for name, spec in flags:
+        if _dest(name) not in args:
+            if spec.get("required"):
+                return None
+            args[_dest(name)] = spec.get("default")
+    return SimpleNamespace(**args)
 
 
 def run(argv: Sequence[str]) -> int:
     """Execute one subcommand; returns the process exit code."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as stop:
-        return stop.code if isinstance(stop.code, int) else 2
+    args = _read_exact(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(list(argv))
+        except SystemExit as stop:
+            return stop.code if isinstance(stop.code, int) else 2
     code = 0
     # inputs are bounded by laurent.MAX_INPUT_DIGITS; exact results may run longer
     limit = sys.get_int_max_str_digits()

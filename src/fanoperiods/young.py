@@ -185,10 +185,21 @@ def theta_valuation_delta(i: int, j: int, ctx: BoxContext) -> int:
 
 def all_diagrams(ctx: BoxContext) -> list[YoungDiagram]:
     """Every diagram in the box, ordered by west-step set."""
-    return [
-        from_steps(ctx, members)
-        for members in combinations(range(1, ctx.n + 1), ctx.k)
-    ]
+    k = ctx.k
+    diagrams = []
+    for west in combinations(range(1, ctx.n + 1), k):
+        # the south steps between the (j-1)-th and j-th west step are rows
+        # of length k + 1 - j; those after the last one are zero rows, which
+        # a diagram does not store
+        rows, previous = (), 0
+        for length, step in zip(range(k, 0, -1), west):
+            rows += (length,) * (step - previous - 1)
+            previous = step
+        # a partition inside the box by construction: store it unchecked
+        diagram = YoungDiagram.__new__(YoungDiagram)
+        diagram._store(ctx, rows)
+        diagrams.append(diagram)
+    return diagrams
 
 
 def schur_dimension(shape: Union[YoungDiagram, Sequence[int]], n: int) -> int:

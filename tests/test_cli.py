@@ -8,9 +8,12 @@ the console script would produce; primary output is read back from
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import io
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 
 import fanoperiods
 from fanoperiods import polytope
-from fanoperiods.cli import CatalogEntry, catalog, main, run
+from fanoperiods.cli import CatalogEntry, _build_parser, _read_exact, catalog, main, run
 from fanoperiods.frobenius import structure_table, theta_ladder
 from fanoperiods.laurent import QPolynomial, classical_periods, laurent_to_json
 from fanoperiods.periods import PeriodSequence, periods_from_json, periods_to_json
@@ -61,6 +64,9 @@ def p2_periods_file(tmp_path):
     return str(path)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -83,6 +89,11 @@ def run_python(*argv, **options):
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, env=env, check=False, **options
     )
+
+
+# stdout, stderr and exit code of help and usage-error calls, recorded when
+# every call went through argparse, with the Python version and terminal width
+USAGE_GOLDEN = read_json(ROOT / "tests" / "cli_usage_golden.json")
 
 
 class TestExitCodes:
@@ -109,6 +120,20 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "subcommand" not in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        list(sys.version_info[:2]) != USAGE_GOLDEN["python"],
+        reason="argparse words help and errors differently in other Python versions",
+    )
+    @pytest.mark.parametrize(
+        "call",
+        USAGE_GOLDEN["calls"],
+        ids=[" ".join(c["argv"]) or "no-arguments" for c in USAGE_GOLDEN["calls"]],
+    )
+    def test_help_and_usage_errors_match_their_golden_bytes(self, call, monkeypatch):
+        # captured before the exact reader existed, when argparse parsed every call
+        monkeypatch.setenv("COLUMNS", str(USAGE_GOLDEN["columns"]))
+        assert run_captured(call["argv"]) == (call["code"], call["stdout"], call["stderr"])
 
     def test_missing_input_file_is_domain_error(self, tmp_path, capsys):
         assert run(["period", "--poly", str(tmp_path / "absent.json")]) == 1
@@ -252,6 +277,176 @@ class TestExitCodes:
         assert done.returncode == 1
         assert done.stdout == b""
         assert done.stderr == b"error: the period request ran out of memory\n"
+
+
+# one parser serves every comparison: parse_args leaves it unchanged
+PARSER = _build_parser()
+
+
+def _parsed_by_argparse(argv):
+    """vars() of the namespace argparse builds for argv, or None on a usage
+    error or help."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _benchmark_commands(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up while the module's classes are built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return [
+        list(job.argv)
+        for name in module.NAMES
+        for job in module.build(name, 1, tmp_path / name)
+    ]
+
+
+def _all_orders(command, *pairs):
+    return [
+        [command, *itertools.chain.from_iterable(order)]
+        for order in itertools.permutations(pairs)
+    ]
+
+
+CANONICAL_CALLS = [
+    ["period", "--poly", "p.json"],
+    ["polytope", "--poly", "p.json"],
+    ["grassmannian", "--k", "2", "--n", "4"],
+    ["frobenius", "--periods", "f.json"],
+    ["catalog"],
+    ["catalog", "p2"],
+    ["catalog", ""],
+    ["catalog", "p2", "--out", "o.json"],
+    ["catalog", "--out", "o.json"],
+    ["selfcheck"],
+    ["selfcheck", "--out", "o.json"],
+    *(
+        [command, *required, "--q", q]
+        for command, required in (
+            ("period", ["--poly", "p.json"]),
+            ("grassmannian", ["--k", "2", "--n", "4"]),
+            ("frobenius", ["--periods", "f.json"]),
+        )
+        for q in ("keep", "one")
+    ),
+    *(
+        ["grassmannian", "--k", "2", "--n", "4", "--emit", emit]
+        for emit in ("superpotential", "polytope", "periods", "valuations")
+    ),
+    *(["frobenius", "--periods", "f.json", "--emit", emit] for emit in ("table", "series")),
+    *(
+        ["period", "--poly", "p.json", "--order", text]
+        for text in ("0", "1", "+7", " 3", "0003", "1_0", "9" * 4300)
+    ),
+    ["polytope", "--poly", "p.json", "--order", "0"],
+    ["grassmannian", "--k", "1", "--n", "1", "--order", "0"],
+    ["frobenius", "--periods", "f.json", "--max-p", "1"],
+    ["period", "--poly", "", "--out", ""],
+    ["period", "--poly", "a=b", "--out", "o-p.json"],
+    *_all_orders(
+        "grassmannian",
+        ("--k", "3"), ("--n", "6"), ("--emit", "periods"), ("--order", "5"),
+        ("--q", "one"), ("--out", "o.json"),
+    ),
+    *_all_orders(
+        "frobenius",
+        ("--periods", "f.json"), ("--max-p", "3"), ("--emit", "series"), ("--q", "one"),
+        ("--out", "o.json"),
+    ),
+    *_all_orders("period", ("--poly", "p.json"), ("--order", "9"), ("--q", "one")),
+    *_all_orders("polytope", ("--poly", "p.json"), ("--order", "3"), ("--out", "o.json")),
+]
+
+# argv that the exact reader leaves to argparse: help, usage errors, and
+# forms argparse accepts that are not canonical
+OTHER_CALLS = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["orbit"],
+    ["period"],
+    ["period", "--help"],
+    ["period", "-h", "--poly", "p.json"],
+    ["period", "--poly"],
+    ["period", "--poly", "p.json", "--order=3"],
+    ["period", "--poly=p.json"],
+    ["period", "--pol", "p.json"],
+    ["period", "--poly", "p.json", "--ord", "3"],
+    ["period", "--poly", "p.json", "--o", "3"],
+    ["period", "--poly", "a.json", "--poly", "b.json"],
+    ["period", "--poly", "p.json", "--order", "3", "--order", "4"],
+    ["period", "--poly", "-x"],
+    ["period", "--poly", "p.json", "--order", "-3"],
+    ["period", "--poly", "p.json", "--order", "x"],
+    ["period", "--poly", "p.json", "--order", ""],
+    ["period", "--poly", "p.json", "--order", "9" * 4301],
+    ["period", "--poly", "p.json", "--q", "maybe"],
+    ["period", "--poly", "p.json", "--", "x"],
+    ["period", "extra", "--poly", "p.json"],
+    ["period", "--poly", "p.json", "--k", "2"],
+    ["grassmannian", "--k", "0", "--n", "4"],
+    ["grassmannian", "--k", "2"],
+    ["grassmannian", "--k", "2", "--n", "4", "--emit", "poems"],
+    ["frobenius", "--periods", "f.json", "--max-p", "0"],
+    ["frobenius", "--periods", "f.json", "--max_p", "3"],
+    ["catalog", "--out", "o.json", "p2"],
+    ["catalog", "p2", "p3"],
+    ["catalog", "p2", "--out"],
+    ["catalog", "-p2"],
+    ["selfcheck", "extra"],
+    ["selfcheck", "--order", "3"],
+    ["Period", "--poly", "p.json"],
+    ["--out", "o.json", "catalog"],
+]
+
+
+class TestExactReader:
+    """`run` reads canonical argv without argparse; it must build the
+    namespace argparse would, and leave every other argv to argparse."""
+
+    def test_canonical_calls_give_argparses_namespace(self):
+        for argv in CANONICAL_CALLS:
+            read = _read_exact(argv)
+            assert read is not None, argv
+            assert vars(read) == _parsed_by_argparse(argv), argv
+
+    def test_readme_and_benchmark_calls_give_argparses_namespace(self, tmp_path, monkeypatch):
+        lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+        readme = [shlex.split(line)[1:] for line in lines if line.startswith("fanoperiods ")]
+        benchmark = _benchmark_commands(tmp_path, monkeypatch)
+        assert len(readme) >= 11 and len(benchmark) >= 30
+        for argv in readme + benchmark:
+            read = _read_exact(argv)
+            assert read is not None, argv
+            assert vars(read) == _parsed_by_argparse(argv), argv
+
+    def test_other_calls_are_left_to_argparse(self):
+        for argv in OTHER_CALLS:
+            assert _read_exact(argv) is None, argv
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([
+                "period", "polytope", "grassmannian", "frobenius", "catalog", "selfcheck",
+                "--poly", "--order", "--q", "--out", "--k", "--n", "--emit", "--periods",
+                "--max-p", "one", "keep", "table", "series", "periods", "polytope",
+                "p2", "list", "0", "1", "3", "-1", "x", "", "--", "-h",
+            ]),
+            max_size=9,
+        )
+    )
+    def test_any_argv_gives_none_or_argparses_namespace(self, argv):
+        read = _read_exact(argv)
+        if read is not None:
+            assert vars(read) == _parsed_by_argparse(argv)
 
 
 class TestPeriodSubcommand:
@@ -906,6 +1101,59 @@ class TestLazyModules:
         assert json.loads(done.stdout) == [code, loaded]
 
 
+# Runs argv through cli.run in this fresh interpreter and prints the exit
+# code, which of argparse and the two modules it imports (gettext, locale)
+# are loaded, and the first line of stdout and the last line of stderr.
+ARGPARSE_SCRIPT = """
+import contextlib, io, json, sys
+import fanoperiods.cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = fanoperiods.cli.run(sys.argv[1:])
+loaded = sorted({"argparse", "gettext", "locale"} & set(sys.modules))
+print(json.dumps([code, loaded, out.getvalue().partition("\\n")[0],
+                  err.getvalue().rstrip("\\n").rpartition("\\n")[2]]))
+"""
+
+
+class TestArgparseLoadsOnlyForHelpAndErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["period", "--poly", "{poly}", "--order", "4"],
+            ["polytope", "--poly", "{poly}"],
+            ["grassmannian", "--k", "2", "--n", "4", "--emit", "valuations"],
+            ["frobenius", "--periods", "{periods}", "--max-p", "2", "--q", "one"],
+            ["catalog", "p2"],
+            ["selfcheck", "--out", "{out}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_well_formed_call_loads_none_of_them(
+        self, argv, p2_poly_file, p2_periods_file, tmp_path
+    ):
+        out = str(tmp_path / "out.txt")
+        argv = [arg.format(poly=p2_poly_file, periods=p2_periods_file, out=out) for arg in argv]
+        done = run_python("-c", ARGPARSE_SCRIPT, *argv)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)[:2] == [0, []]
+
+    def test_help_loads_argparse_and_prints_usage(self):
+        done = run_python("-c", ARGPARSE_SCRIPT, "grassmannian", "--help")
+        code, loaded, first_out, _ = json.loads(done.stdout)
+        assert code == 0 and first_out.startswith("usage: fanoperiods grassmannian")
+        assert "argparse" in loaded
+
+    def test_usage_error_loads_argparse_and_names_the_flag(self):
+        done = run_python("-c", ARGPARSE_SCRIPT, "grassmannian", "--k", "0", "--n", "4")
+        code, loaded, _, last_err = json.loads(done.stdout)
+        assert code == 2 and "argparse" in loaded
+        assert last_err == (
+            "fanoperiods grassmannian: error: argument --k: "
+            "expected a positive integer, got '0'"
+        )
+
+
 class TestBenchTracer:
     def test_traced_call_exits_zero_and_records_polytope_spans(self, tmp_path):
         # the tracer wraps every module it names right after importing the
@@ -920,6 +1168,27 @@ class TestBenchTracer:
         assert done.returncode == 0, done.stderr
         names = {span[2] for span in read_json(spans_file)["spans"]}
         assert {"polytope.vertices", "polytope.lattice_point_count"} <= names
+
+    @pytest.mark.parametrize(
+        "argv, span",
+        [
+            (["catalog", "p2"], "cli.emit"),
+            (["grassmannian", "--k", "0", "--n", "4"], "cli.parse"),
+        ],
+        ids=["well-formed", "usage-error"],
+    )
+    def test_traced_call_prints_what_an_untraced_call_prints(self, argv, span, tmp_path):
+        # the tracer wraps cli._emit and cli._build_parser by name: a well-formed
+        # call reaches the writer, a usage error the argparse fallback
+        tracer = ROOT / "bench" / "tracer.py"
+        spans_file = tmp_path / "spans.json"
+        traced = run_python(str(tracer), str(spans_file), "7", *argv)
+        untraced = run_python("-m", "fanoperiods", *argv)
+        assert (traced.returncode, traced.stdout) == (untraced.returncode, untraced.stdout)
+        assert traced.stderr == untraced.stderr
+        spans = read_json(spans_file)
+        assert spans["job"] == "7"
+        assert span in {s[2] for s in spans["spans"]}
 
 
 class TestSelfcheckSubcommand:

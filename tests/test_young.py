@@ -169,6 +169,19 @@ def test_all_diagrams_count():
             assert len(all_diagrams(BoxContext(k, n))) == comb(n, k)
 
 
+def test_all_diagrams_match_from_steps_on_every_box():
+    # all_diagrams stores rows it builds without validating them; the
+    # validating from_steps route must give the same diagrams in the same order
+    for n in range(2, 10):
+        for k in range(1, n):
+            ctx = BoxContext(k, n)
+            built = all_diagrams(ctx)
+            expected = [from_steps(ctx, west) for west in combinations(range(1, n + 1), k)]
+            assert built == expected
+            assert [d.rows for d in built] == [d.rows for d in expected]
+            assert [YoungDiagram(ctx, d.rows) for d in built] == built
+
+
 # ---------------------------------------------------------------------------
 # boundary rectangles
 
