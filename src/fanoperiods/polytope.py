@@ -8,8 +8,9 @@ dependent; only feasible solutions become Fractions.  It refuses systems
 with more than MAX_SUBSET_SOLVES such subsets (the Gr(3,7) NO body,
 50,388 subsets, takes about 1 s).  Lattice counts and boundedness come
 from a Fourier-Motzkin projection chain built once per system, so
-counting never enumerates vertices; a count, or a document's counts
-together, walking past MAX_WALK_NODES nodes is refused, not left to run.
+counting never enumerates vertices: it walks the chain's levels, memoized
+on the residuals of the rows still to be read.  A count, or a document's
+counts together, making more than MAX_WALK_NODES walk calls is refused.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count
-from operator import mul
+from operator import floordiv, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from fanoperiods._record import Record
@@ -27,9 +28,10 @@ from fanoperiods.laurent import _as_fraction
 # of Gr(3,6) needs C(14, 9) = 2002, that of Gr(3,7) C(19, 12) = 50388.
 MAX_SUBSET_SOLVES = 100_000
 
-# Nodes a lattice count may visit on its Fourier-Motzkin levels, about
-# 3.5 us each; Gr(3,6) at dilation 2 visits 3,129,218, while Gr(1,20) at
-# dilation 1 (C(39, 19) points) would run for days.
+# Calls a lattice count may make on its Fourier-Motzkin levels, memo hits
+# included, so the limit bounds time (a walk reaches it in 15-25 s on a
+# 2-vCPU host); Gr(3,6) at dilation 2 makes 60,243 calls and Gr(1,20) at
+# dilation 1 (C(39, 19) points) 3,949.
 MAX_WALK_NODES = 10_000_000
 
 
@@ -180,8 +182,8 @@ def vertices(system: HalfspaceSystem) -> list[tuple[Fraction, ...]]:
 #
 # Coordinates are eliminated one at a time, each time the one whose
 # elimination pairs the fewest rows, and counted in the reverse order.
-# Level j bounds coordinate order[j] given order[0..j-1]; its row
-# (normal, coef, offset) is the integer inequality
+# Level j bounds coordinate order[j] given order[0..j-1]; each of its rows
+# is the integer inequality
 #     <normal, v[order[0..j-1]]> + coef * v[order[j]] >= offset * dilation,
 # with coef > 0 (a lower bound) or coef < 0 (an upper bound).
 #
@@ -201,36 +203,24 @@ def _primitive(
 
 
 class _ProjectionChain(NamedTuple):
-    """levels[j] = (lower, upper): the rows bounding the j-th counted coordinate.
+    """levels[j] = (lower, divisors, column) for the j-th counted coordinate.
 
-    Offsets are linear in the dilation, so one chain serves every dilation
-    and, read with all offsets 0, describes the recession cone.
+    Its `lower` lower rows come first; a row's divisor is -|coef|, and
+    `column` is the coordinate's coefficient in each row of a later level.
+    `offsets` holds every row's offset, level by level.  Offsets are
+    linear in the dilation, so one chain serves every dilation and, read
+    with all offsets 0, describes the recession cone.
     """
 
-    levels: tuple[tuple[tuple, tuple], ...]
+    levels: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    offsets: tuple[int, ...]
     empty: bool  # some derived row reads 0 >= b with b > 0
 
     @property
     def bounded(self) -> bool:
         # the recession cone is {0} exactly when every coordinate is pinned
         # from both sides once the coordinates before it are
-        return all(lower and upper for lower, upper in self.levels)
-
-
-def _level(j: int, order: tuple[int, ...], rows) -> tuple:
-    """Integer rows of level j, keeping the tightest offset per normal."""
-    tightest: dict[tuple[int, ...], Fraction] = {}
-    for _, normal, offset in rows:
-        if normal not in tightest or offset > tightest[normal]:
-            tightest[normal] = offset
-    return tuple(
-        (
-            tuple(b.denominator * n[k] for k in order[:j]),
-            b.denominator * n[order[j]],
-            b.numerator,
-        )
-        for n, b in tightest.items()
-    )
+        return all(0 < lower < len(divisors) for lower, divisors, _ in self.levels)
 
 
 def _pairs_to_combine(rows: dict, i: int) -> int:
@@ -251,7 +241,7 @@ def _projection_chain(system: HalfspaceSystem) -> _ProjectionChain:
         for k, f in enumerate(system.facets)
     }
     alive = list(range(system.dim))
-    eliminated = []
+    levels, later = [], []  # later: (normal, offset) of the rows of `levels`
     empty = False
     while alive:
         i = min(alive, key=lambda i: _pairs_to_combine(rows, i))
@@ -262,7 +252,7 @@ def _projection_chain(system: HalfspaceSystem) -> _ProjectionChain:
         for hp, p, bp in lower:
             for hq, q, bq in upper:
                 h = hp | hq
-                if len(h) > len(eliminated) + 2 or h in below:
+                if len(h) > len(levels) + 2 or h in below:
                     continue
                 normal = tuple(p[i] * y - q[i] * x for x, y in zip(p, q))
                 offset = p[i] * bq - q[i] * bp
@@ -270,48 +260,56 @@ def _projection_chain(system: HalfspaceSystem) -> _ProjectionChain:
                     below[h] = _primitive(normal, offset)
                 elif offset > 0:
                     empty = True
-        eliminated.append((i, lower, upper))
         rows = below
-    order = tuple(i for i, _, _ in reversed(eliminated))
-    levels = tuple(
-        (_level(j, order, lower), _level(j, order, upper))
-        for j, (_, lower, upper) in enumerate(reversed(eliminated))
-    )
-    return _ProjectionChain(levels, empty)
+        # the tightest offset per normal; lower normals (positive at i) first
+        tightest: dict[tuple[int, ...], Fraction] = {}
+        for _, n, b in lower + upper:
+            tightest[n] = max(b, tightest.get(n, b))
+        # each row scaled by its offset's denominator is an integer row
+        divisors = tuple(-abs(b.denominator * n[i]) for n, b in tightest.items())
+        column = tuple(b.denominator * n[i] for n, b in later)
+        levels.append((sum(n[i] > 0 for n in tightest), divisors, column))
+        later = [*tightest.items(), *later]
+    offsets = tuple(b.numerator for _, b in later)
+    return _ProjectionChain(tuple(reversed(levels)), offsets, empty)
 
 
 def _count_points(chain: _ProjectionChain, dilation: int, nodes: Iterator[int]) -> int:
-    """Integer points of the dilated polytope, walked level by level; each
-    node walked draws the next number from `nodes`."""
-    levels = [
-        (
-            [(a, c, b * dilation) for a, c, b in lower],
-            [(a, c, b * dilation) for a, c, b in upper],
-        )
-        for lower, upper in chain.levels
-    ]
-    last = len(levels) - 1
-    prefix: list[int] = []
+    """Integer points of the dilated polytope, walked level by level.
 
-    def walk(j: int) -> int:
+    The points below a prefix depend only on the residuals offset * dilation
+    - <normal, prefix> of the rows at its level and later, so each level but
+    the last memoizes on that tuple.  Every call, memo hits too, draws from
+    `nodes`."""
+    levels = chain.levels
+    last = len(levels) - 1
+    memos: list[dict[tuple[int, ...], int]] = [{} for _ in range(last)]
+
+    def walk(j: int, res: tuple[int, ...]) -> int:
         if next(nodes) > MAX_WALK_NODES:
             raise ValueError(
                 f"lattice count at dilation {dilation} brings the walk past "
                 f"the limit of {MAX_WALK_NODES} nodes"
             )
-        lower, upper = levels[j]
-        lo = max(-((sum(map(mul, a, prefix)) - b) // c) for a, c, b in lower)
-        hi = min((b - sum(map(mul, a, prefix))) // c for a, c, b in upper)
+        if j < last and res in memos[j]:
+            return memos[j][res]
+        lower, divisors, column = levels[j]
+        # a lower row reads x >= ceil(res / coef), an upper one
+        # x <= floor(res / coef); both are floor divisions by -|coef|
+        quotients = list(map(floordiv, res, divisors))
+        lo = -min(quotients[:lower])
+        hi = min(quotients[lower:])
         if j == last:
             return max(hi - lo + 1, 0)
+        rest = tuple(map(sub, res[len(divisors) :], [lo * c for c in column]))
         total = 0
-        for x in range(lo, hi + 1):
-            prefix.append(x)
-            total += walk(j + 1)
-            prefix.pop()
+        for _ in range(lo, hi + 1):
+            total += walk(j + 1, rest)
+            rest = tuple(map(sub, rest, column))
+        memos[j][res] = total
         return total
 
-    return walk(0)
+    return walk(0, tuple(b * dilation for b in chain.offsets))
 
 
 class GeometryFlags(NamedTuple):
@@ -344,9 +342,10 @@ def lattice_point_count(
     Fourier-Motzkin chain: each coordinate ranges over the exact integer
     interval its level allows given the coordinates before it, and the
     last coordinate adds its interval length instead of visiting points.
-    An empty polytope counts 0 at every dilation, including 0.  A walk
-    past MAX_WALK_NODES nodes is refused (ValueError); counts given one
-    `nodes` counter, such as itertools.count(1), share that limit.
+    An empty polytope counts 0 at every dilation, including 0.  A node is
+    one call of the walk, a memo hit included; a walk past MAX_WALK_NODES
+    nodes is refused (ValueError), and counts given one `nodes` counter,
+    such as itertools.count(1), share that limit.
     """
     if dilation < 0:
         raise ValueError("dilation must be non-negative")

@@ -571,14 +571,22 @@ class TestGrassmannianSubcommand:
         assert json.loads(capsys.readouterr().out) == []
 
     def test_lattice_walk_past_the_limit_exits_one(self, monkeypatch, capsys):
-        # the Gr(2,5) count at dilation 1 walks 1,191 nodes
-        monkeypatch.setattr(polytope, "MAX_WALK_NODES", 1000)
+        # the Gr(2,5) count at dilation 1 walks 421 nodes
+        monkeypatch.setattr(polytope, "MAX_WALK_NODES", 400)
         argv = ["grassmannian", "--k", "2", "--n", "5", "--emit", "polytope", "--order", "1"]
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "dilation 1" in captured.err
-        assert "limit of 1000 nodes" in captured.err
+        assert "limit of 400 nodes" in captured.err
+
+    def test_projective_space_of_dimension_nineteen_is_counted(self):
+        # Gr(1,20) = P^19: C(39, 19) points at dilation 1, in a few thousand
+        # memoized walk nodes
+        argv = ["grassmannian", "--k", "1", "--n", "20", "--emit", "polytope", "--order", "1"]
+        code, out, err = run_captured(argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["lattice_counts"] == {"1": 68923264410}
 
     @pytest.mark.parametrize("order", ["100000000", str(10**20)])
     def test_order_above_the_walk_limit_is_refused_at_once(self, order):

@@ -19,7 +19,7 @@ import time
 import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,7 +38,7 @@ from fanoperiods.polytope import (
     polar_from_support,
     vertices,
 )
-from fanoperiods.young import BoxContext
+from fanoperiods.young import BoxContext, schur_dimension
 
 
 def parse_document(data):
@@ -289,9 +289,9 @@ def test_nobody_polytope_has_one_vertex_per_schubert_cell(k, n):
 
 
 def test_lattice_count_refuses_a_walk_past_the_node_limit(monkeypatch):
-    # Gr(2,5) at dilation 1 walks 1,191 nodes, Gr(2,4) at dilation 2 walks 376
-    monkeypatch.setattr(polytope, "MAX_WALK_NODES", 1000)
-    with pytest.raises(ValueError, match="dilation 1 .* limit of 1000 nodes"):
+    # Gr(2,5) at dilation 1 walks 421 nodes, Gr(2,4) at dilation 2 walks 376
+    monkeypatch.setattr(polytope, "MAX_WALK_NODES", 400)
+    with pytest.raises(ValueError, match="dilation 1 .* limit of 400 nodes"):
         lattice_point_count(nobody_polytope(BoxContext(2, 5)), 1)
     assert lattice_point_count(nobody_polytope(BoxContext(2, 4)), 2) == 825
 
@@ -318,6 +318,40 @@ def test_a_refused_order_materializes_no_dilations(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize(
+    "k, n, dilation, ceiling",
+    [
+        (2, 5, 1, 600),
+        (2, 5, 2, 4_000),
+        (2, 5, 3, 15_000),
+        (3, 6, 2, 100_000),
+        (3, 7, 1, 40_000),
+        (2, 8, 1, 25_000),
+    ],
+)
+def test_nobody_counts_are_hook_content_within_a_node_ceiling(k, n, dilation, ceiling):
+    # the memoized walk takes 421, 2,861, 10,201, 60,243, 28,663 and 15,508
+    # nodes here; a walk of every prefix took 1,191, 14,576, 76,161,
+    # 3,129,218, 2,307,667 and 2,788,258
+    nodes = count(1)
+    system = nobody_polytope(BoxContext(k, n))
+    hilbert = schur_dimension((n * dilation,) * k, n)
+    assert lattice_point_count(system, dilation, nodes=nodes) == hilbert
+    assert next(nodes) <= ceiling
+
+
+def test_memo_key_keeps_the_last_row_of_the_chain():
+    # v = (z, y, x), counted x first and z last: z <= x + 1, the upper row
+    # of the last level, is the only row below x's level that reads x, so a
+    # memo key without the chain's last residual would count 18, not 27
+    prism = polar_from_support(
+        [(1, 0, 0), (-1, 0, 1), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    )
+    assert lattice_point_count(prism, 1) == 27
+    for r in range(4):
+        assert lattice_point_count(prism, r) == _box_scan_count(prism, r)
 
 
 def test_unbounded_polytope_has_no_counts():
