@@ -1,32 +1,31 @@
 """Rational polytopes given by halfspaces: exact vertices and lattice counts.
 
 A halfspace is {v : <normal, v> >= offset} with an integer normal and a
-rational offset.  Vertex enumeration walks the dimension-sized facet
-subsets depth first, growing one fraction-free integer elimination per
-shared prefix and pruning every subset whose prefix is already
-dependent; only feasible solutions become Fractions.  It refuses systems
-with more than MAX_SUBSET_SOLVES such subsets (the Gr(3,7) NO body,
-50,388 subsets, takes about 1 s).  Lattice counts and boundedness come
-from a Fourier-Motzkin projection chain built once per system, so
-counting never enumerates vertices: it walks the chain's levels, memoized
-on the residuals of the rows still to be read.  A count, or a document's
-counts together, making more than MAX_WALK_NODES walk calls is refused.
+rational offset.  Vertices come from the double description method, in
+integers and one facet at a time, so their cost follows the rays kept;
+more than MAX_RAY_SCANS ray scans are refused (the Gr(5,10) NO body, 42
+facets in dimension 25, takes about 0.04 s).  Lattice counts and
+boundedness come from a Fourier-Motzkin projection chain built once per
+system, so counting never enumerates vertices: it walks the chain's
+levels, memoized on the residuals of the rows still to be read.  A count,
+or a document's counts together, making more than MAX_WALK_NODES walk
+calls is refused.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count
-from operator import floordiv, mul, sub
+from itertools import count, product, repeat
+from operator import and_, floordiv, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from fanoperiods._record import Record
 from fanoperiods.laurent import _as_fraction
 
-# C(facets, dim) square solves allowed in vertex enumeration; the NO body
-# of Gr(3,6) needs C(14, 9) = 2002, that of Gr(3,7) C(19, 12) = 50388.
-MAX_SUBSET_SOLVES = 100_000
+# Ray scans of vertex enumeration's adjacency tests; the limit bounds time
+# (a refusal takes 15-25 s on a 2-vCPU host), and Gr(5,10) takes 104,619.
+MAX_RAY_SCANS = 300_000_000
 
 # Calls a lattice count may make on its Fourier-Motzkin levels, memo hits
 # included, so the limit bounds time (a walk reaches it in 15-25 s on a
@@ -82,99 +81,84 @@ def polar_from_support(exponents: Iterable[Sequence[int]]) -> HalfspaceSystem:
     Zero vectors impose no condition and are dropped; an empty (or
     all-zero) support has no polar polytope and raises.
     """
-    normals: set[tuple[int, ...]] = set()
-    dim: int | None = None
-    for e in exponents:
-        vec = tuple(int(c) for c in e)
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ValueError("support vectors of mixed dimension")
-        if any(vec):
-            normals.add(vec)
-    if dim is None or not normals:
+    vectors = [tuple(int(c) for c in e) for e in exponents]
+    if len({len(vec) for vec in vectors}) > 1:
+        raise ValueError("support vectors of mixed dimension")
+    normals = sorted({vec for vec in vectors if any(vec)})
+    if not normals:
         raise ValueError("polar of an empty support is undefined")
-    return HalfspaceSystem(
-        dim, tuple(Halfspace(n, Fraction(-1)) for n in sorted(normals))
-    )
+    return HalfspaceSystem(len(normals[0]), (Halfspace(n, Fraction(-1)) for n in normals))
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination
-#
-# A facet <a, v> >= p/q becomes the integer row (q*a | p).  A basis is a
-# list of (pivot column, row) in which every row is zero in every other
-# row's pivot column; rows are kept divided by their gcd, so entries stay
-# small without ever forming a Fraction.
+# double description
 
 
-def _insert(basis: list, row: Sequence[int], dim: int) -> list | None:
-    """The basis grown by `row`, or None if `row` is dependent on it.
+def _combine(a: int, x: Sequence[int], b: int, y: Sequence[int]) -> tuple[int, ...]:
+    """a*x + b*y, divided by the gcd of its entries."""
+    v = [a * p + b * q for p, q in zip(x, y)]
+    g = math.gcd(*v)
+    return tuple(c // g for c in v)
 
-    Dependence is decided in the first `dim` columns; later columns (the
-    right-hand side) are carried along.  `basis` is left unchanged.
+
+def _vertex_rays(system: HalfspaceSystem) -> list[tuple[int, ...]]:
+    """The extreme rays (x | t), t > 0, of the cone cut out by t >= 0 and the
+    integer rows (q*a | -p) of the facets <a, v> >= p/q: the vertices x/t.
+
+    Double description: the cone starts as all of space, held as lines,
+    and takes one row at a time.  A line the row does not vanish on
+    becomes a ray, and the other lines and rays are projected along it
+    onto the row's hyperplane.  Otherwise the rays on the row's
+    non-negative side stay, and each pair on opposite sides that spans a
+    2-face (no third ray is tight on every row both are tight on) adds
+    the ray where that face meets the hyperplane.  A cone that keeps a
+    line has no vertex.  Testing a pair scans every ray; more than
+    MAX_RAY_SCANS ray scans raise ValueError.
     """
-    for col, b in basis:
-        f = row[col]
-        if f:
-            p = b[col]
-            row = [p * x - f * y for x, y in zip(row, b)]
-    col = next((c for c in range(dim) if row[c]), None)
-    if col is None:
-        return None
-    g = math.gcd(*row)
-    row = [x // g for x in row]
-    p = row[col]
-    grown = []
-    for c, b in basis:
-        f = b[col]
-        if f:
-            b = [p * y - f * x for x, y in zip(row, b)]
-            g = math.gcd(*b)
-            b = [y // g for y in b]
-        grown.append((c, b))
-    grown.append((col, row))
-    return grown
+    dim = system.dim
+    rows = [(0,) * dim + (1,)] + [
+        tuple(f.offset.denominator * a for a in f.normal) + (-f.offset.numerator,)
+        for f in system.facets
+    ]
+    lines = [tuple(int(i == j) for j in range(dim + 1)) for i in range(dim + 1)]
+    rays: list[tuple[tuple[int, ...], int]] = []  # (ray, bit set of its tight rows)
+    scans = 0
+    for k, row in enumerate(rows):
+        dots = [sum(map(mul, row, x)) for x in lines]
+        values = [sum(map(mul, row, x)) for x, _ in rays]
+        i = next((i for i, d in enumerate(dots) if d), None)
+        if i is not None:
+            line, d = lines.pop(i), dots.pop(i)
+            if d < 0:
+                line, d = tuple(-c for c in line), -d
+            lines = [_combine(d, x, -e, line) for x, e in zip(lines, dots)]
+            rays = [
+                (_combine(d, x, -v, line), t | 1 << k) for (x, t), v in zip(rays, values)
+            ]
+            rays.append((line, (1 << k) - 1))
+            continue
+        tights = [t for _, t in rays]
+        kept = [(x, t if v else t | 1 << k) for (x, t), v in zip(rays, values) if v >= 0]
+        positive = [(x, t, v) for (x, t), v in zip(rays, values) if v > 0]
+        negative = [(x, t, v) for (x, t), v in zip(rays, values) if v < 0]
+        for (xp, tp, vp), (xn, tn, vn) in product(positive, negative):
+            scans += len(rays)
+            if scans > MAX_RAY_SCANS:
+                raise ValueError(
+                    f"vertex enumeration passes the limit of {MAX_RAY_SCANS} "
+                    f"ray scans at facet {k} of {len(system.facets)}"
+                )
+            common = tp & tn
+            if list(map(and_, tights, repeat(common))).count(common) == 2:
+                kept.append((_combine(vp, xn, -vn, xp), common | 1 << k))
+        rays = kept
+    return [] if lines else [x for x, _ in rays if x[dim]]
 
 
 def vertices(system: HalfspaceSystem) -> list[tuple[Fraction, ...]]:
-    """All basic feasible solutions, each listed once, sorted.
-
-    Facet subsets are walked depth first in `combinations` order, one
-    elimination per prefix: a facet dependent on its prefix prunes every
-    subset that extends the prefix.  Refuses (ValueError) when the
-    C(facets, dim) square subsystems exceed MAX_SUBSET_SOLVES.
-    """
-    dim = system.dim
-    solves = math.comb(len(system.facets), dim)
-    if solves > MAX_SUBSET_SOLVES:
-        raise ValueError(
-            f"vertex enumeration needs C({len(system.facets)}, {dim}) = "
-            f"{solves} subset solves, over the limit of {MAX_SUBSET_SOLVES}"
-        )
-    rows = [
-        [f.offset.denominator * a for a in f.normal] + [f.offset.numerator]
-        for f in system.facets
-    ]
-    found: set[tuple[Fraction, ...]] = set()
-
-    def walk(basis: list, start: int) -> None:
-        if len(basis) == dim:
-            # diagonal: coordinate c is rhs_c / pivot_c = point[c] / det
-            det = math.lcm(*(b[c] for c, b in basis))
-            point = [0] * dim
-            for c, b in basis:
-                point[c] = b[dim] * (det // b[c])
-            if all(sum(map(mul, row, point)) >= row[dim] * det for row in rows):
-                found.add(tuple(Fraction(x, det) for x in point))
-            return
-        for j in range(start, len(rows) - dim + len(basis) + 1):
-            grown = _insert(basis, rows[j], dim)
-            if grown is not None:
-                walk(grown, j + 1)
-
-    walk([], 0)
-    return sorted(found)
+    """All basic feasible solutions, each listed once, sorted."""
+    rays = _vertex_rays(system)
+    return sorted(tuple(Fraction(c, x[-1]) for c in x[:-1]) for x in rays)
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +305,11 @@ class GeometryFlags(NamedTuple):
 def geometry_flags(system: HalfspaceSystem) -> GeometryFlags:
     """Boundedness, full-dimensionality of the vertex hull, origin strictly inside."""
     bounded = system._chain.bounded
-    vs = vertices(system)
-    basis: list = []
-    for v in vs[1:]:
-        diff = [x - b for x, b in zip(v, vs[0])]
-        scale = math.lcm(*(d.denominator for d in diff))
-        row = [d.numerator * (scale // d.denominator) for d in diff]
-        basis = _insert(basis, row, system.dim) or basis
-    full_dimensional = len(basis) == system.dim
+    # the vertex hull spans when the rays (v | 1) do: only then is y = 0 a vertex
+    # of the system <ray, y> = 0
+    rays = _vertex_rays(system)
+    equalities = [Halfspace([s * c for c in x], 0) for x in rays for s in (1, -1)]
+    full_dimensional = bool(_vertex_rays(HalfspaceSystem(system.dim + 1, equalities)))
     origin_interior = all(f.offset < 0 for f in system.facets)
     return GeometryFlags(bounded, full_dimensional, origin_interior)
 

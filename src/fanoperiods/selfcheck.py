@@ -1,9 +1,9 @@
 """Built-in invariant battery behind the selfcheck subcommand.
 
-Each check raises AssertionError with a readable message when an
-identity fails and returns a one-line success detail otherwise;
-run_all times every check and keeps going past failures so a broken
-install reports everything that is wrong at once.
+Each check raises AssertionError explicitly (python -O keeps it) with a
+readable message when an identity fails and returns a one-line success
+detail otherwise; run_all times every check and keeps going past
+failures so a broken install reports everything that is wrong at once.
 """
 
 from __future__ import annotations
@@ -68,9 +68,8 @@ def check_period_identity() -> str:
     got = classical_periods(_plane_mirror(), 15)
     want = _plane_closed_form(15)
     for d, coeff in enumerate(got):
-        assert coeff == QPolynomial.of(want[d]), (
-            f"c_{d} = {coeff}, expected {want[d]}"
-        )
+        if coeff != QPolynomial.of(want[d]):
+            raise AssertionError(f"c_{d} = {coeff}, expected {want[d]}")
     return "plane mirror periods through order 15 match the multinomial closed form"
 
 
@@ -83,9 +82,10 @@ def check_valuation_deltas() -> str:
                 for j in range(n):
                     want = (1 if i == j else 0) - (1 if i == n - k else 0)
                     got = theta_valuation_delta(i, j, ctx)
-                    assert got == want, (
-                        f"delta at k={k} n={n} i={i} j={j}: got {got}, expected {want}"
-                    )
+                    if got != want:
+                        raise AssertionError(
+                            f"delta at k={k} n={n} i={i} j={j}: got {got}, expected {want}"
+                        )
                     checked += 1
     return f"{checked} boundary valuation deltas match the Kronecker pattern for n <= 8"
 
@@ -98,9 +98,10 @@ def check_reflection_symmetry() -> str:
             reflected = [sigma_reflect(mu) for mu in diagrams]
             for mu, mu_image in zip(diagrams, reflected):
                 for lam, lam_image in zip(diagrams, reflected):
-                    assert max_diag(mu, lam) == max_diag(lam_image, mu_image), (
-                        f"reflection mismatch at k={k} n={n} {mu.rows} {lam.rows}"
-                    )
+                    if max_diag(mu, lam) != max_diag(lam_image, mu_image):
+                        raise AssertionError(
+                            f"reflection mismatch at k={k} n={n} {mu.rows} {lam.rows}"
+                        )
                     pairs += 1
     return f"diagonal statistic is reflection symmetric on {pairs} diagram pairs, n <= 6"
 
@@ -110,14 +111,14 @@ def check_flow_soundness() -> str:
         ctx = BoxContext(k, n)
         net = build_rectangles_network(ctx)
         empty = YoungDiagram(ctx, ())
-        assert flow_polynomial(net, empty) == LaurentPolynomial.one(
-            net.variable_names
-        ), f"({k},{n}) empty flow is not 1"
+        if flow_polynomial(net, empty) != LaurentPolynomial.one(net.variable_names):
+            raise AssertionError(f"({k},{n}) empty flow is not 1")
         for diagram in all_diagrams(ctx):
             for e, coeff in flow_polynomial(net, diagram).terms.items():
-                assert coeff == QPolynomial.one(), (
-                    f"({k},{n}) flow of {diagram.rows} has coefficient {coeff} at {e}"
-                )
+                if coeff != QPolynomial.one():
+                    raise AssertionError(
+                        f"({k},{n}) flow of {diagram.rows} has coefficient {coeff} at {e}"
+                    )
 
         def coordinate(west: set[int]) -> LaurentPolynomial:
             return flow_polynomial(net, from_steps(ctx, west))
@@ -132,42 +133,50 @@ def check_flow_soundness() -> str:
                 rhs = coordinate(s | {a, b}) * coordinate(s | {c, d}) + coordinate(
                     s | {a, d}
                 ) * coordinate(s | {b, c})
-                assert lhs == rhs, f"({k},{n}) relation fails at {quad} over {sorted(s)}"
+                if lhs != rhs:
+                    raise AssertionError(
+                        f"({k},{n}) relation fails at {quad} over {sorted(s)}"
+                    )
     return "short relations, unit coefficients, and the empty flow hold on (2,4) and (2,5)"
 
 
 def check_valuation_realization() -> str:
     for k, n in ((2, 4), (2, 5), (3, 5)):
         mismatches = verify_valuations(BoxContext(k, n))
-        assert not mismatches, f"({k},{n}) valuation mismatches: {mismatches[:3]}"
+        if mismatches:
+            raise AssertionError(f"({k},{n}) valuation mismatches: {mismatches[:3]}")
     return "valuation report is empty for (2,4), (2,5), and (3,5)"
 
 
 def check_polytope_counts() -> str:
     system = nobody_polytope(BoxContext(2, 4))
     flags = geometry_flags(system)
-    assert flags.bounded, "polytope is unbounded"
-    assert flags.full_dimensional, "polytope is not full dimensional"
-    assert flags.origin_interior, "origin is not interior"
+    if not flags.bounded:
+        raise AssertionError("polytope is unbounded")
+    if not flags.full_dimensional:
+        raise AssertionError("polytope is not full dimensional")
+    if not flags.origin_interior:
+        raise AssertionError("origin is not interior")
     for r in (1, 2):
         want = schur_dimension((4 * r, 4 * r), 4)
         got = lattice_point_count(system, r)
-        assert got == want, f"dilation {r} counts {got}, hook content gives {want}"
+        if got != want:
+            raise AssertionError(f"dilation {r} counts {got}, hook content gives {want}")
     return "dilations 1 and 2 count 105 and 825 points, matching hook content"
 
 
 def check_grassmannian_period_shape() -> str:
     coeffs = grass_periods(BoxContext(2, 4), 12)
-    assert coeffs[4] == QPolynomial.of(48, 1), f"c_4 = {coeffs[4]}"
+    if coeffs[4] != QPolynomial.of(48, 1):
+        raise AssertionError(f"c_4 = {coeffs[4]}")
     for d, coeff in enumerate(coeffs):
-        if d % 4:
-            assert coeff.is_zero(), f"c_{d} = {coeff} sits off the index-4 grading"
-            continue
+        if d % 4 and not coeff.is_zero():
+            raise AssertionError(f"c_{d} = {coeff} sits off the index-4 grading")
         for power, amount in coeff.items():
-            assert power * 4 == d, f"c_{d} carries q^{power}"
-            assert amount.denominator == 1 and amount >= 0, (
-                f"c_{d} = {coeff} is not a non-negative integer"
-            )
+            if power * 4 != d:
+                raise AssertionError(f"c_{d} carries q^{power}")
+            if amount.denominator != 1 or amount < 0:
+                raise AssertionError(f"c_{d} = {coeff} is not a non-negative integer")
     return "degree-12 period head is integral, non-negative, and on the index-4 grading"
 
 
@@ -175,12 +184,15 @@ def check_reconstruction_round_trip() -> str:
     periods = PeriodSequence.from_plain(_plane_closed_form(12), 3)
     n1 = reconstruct_N1(periods)
     for d, coeff in enumerate(periods.coeffs):
-        assert residue_product([n1] * d) == coeff, f"power {d} misses c_{d}"
-    assert n1.tail_term(1).is_zero(), f"a_1 = {n1.tail_term(1)}"
-    assert n1.tail_term(2) == QPolynomial.of(2, 1), f"a_2 = {n1.tail_term(2)}"
+        if residue_product([n1] * d) != coeff:
+            raise AssertionError(f"power {d} misses c_{d}")
+    if not n1.tail_term(1).is_zero():
+        raise AssertionError(f"a_1 = {n1.tail_term(1)}")
+    if n1.tail_term(2) != QPolynomial.of(2, 1):
+        raise AssertionError(f"a_2 = {n1.tail_term(2)}")
     for i in range(1, n1.valid_to + 1):
-        if i % 3 != 2:
-            assert n1.tail_term(i).is_zero(), f"a_{i} = {n1.tail_term(i)}"
+        if i % 3 != 2 and not n1.tail_term(i).is_zero():
+            raise AssertionError(f"a_{i} = {n1.tail_term(i)}")
     return "order-12 plane periods round trip; a_1 = 0, a_2 = 2q, grading vanishing holds"
 
 
@@ -190,9 +202,11 @@ def check_two_route_consistency() -> str:
     for p in range(1, 6):
         for q in range(1, 7 - p):
             direct = residue_product([series[p - 1], series[q - 1]])
-            assert direct == table.entry(p, q, 0), (
-                f"residue route gives {direct} at ({p},{q}), table has {table.entry(p, q, 0)}"
-            )
+            if direct != table.entry(p, q, 0):
+                raise AssertionError(
+                    f"residue route gives {direct} at ({p},{q}), "
+                    f"table has {table.entry(p, q, 0)}"
+                )
     return "residue products agree with the r = 0 table entries for p + q <= 6"
 
 
@@ -200,16 +214,19 @@ def check_associativity() -> str:
     trivial = PeriodSequence((QPolynomial.one(),) + (QPolynomial.zero(),) * 20)
     table6 = structure_table(theta_ladder(trivial, 6), 6)
     violations = associativity_check(table6)
-    assert not violations, f"trivial table violates associativity: {violations[:2]}"
+    if violations:
+        raise AssertionError(f"trivial table violates associativity: {violations[:2]}")
     table4 = structure_table(
         theta_ladder(PeriodSequence.from_plain(_plane_closed_form(12), 3), 4), 4
     )
     violations = associativity_check(table4)
-    assert not violations, f"plane table violates associativity: {violations[:2]}"
+    if violations:
+        raise AssertionError(f"plane table violates associativity: {violations[:2]}")
     corrupted_entries = dict(table4.entries)
     corrupted_entries[(1, 2, 0)] = table4.entry(1, 2, 0) + QPolynomial.one()
     corrupted = StructureTable(4, corrupted_entries)
-    assert associativity_check(corrupted), "corrupted entry went unnoticed"
+    if not associativity_check(corrupted):
+        raise AssertionError("corrupted entry went unnoticed")
     return "trivial and plane tables associate exactly; a corrupted entry is caught"
 
 

@@ -33,6 +33,7 @@ from fanoperiods.frobenius import structure_table, theta_ladder
 from fanoperiods.laurent import QPolynomial, classical_periods, laurent_to_json
 from fanoperiods.periods import PeriodSequence, periods_from_json, periods_to_json
 from fanoperiods.polytope import geometry_flags
+from fanoperiods.young import schur_dimension
 from test_laurent import _period_test_polys
 from test_polytope import parse_document
 
@@ -587,6 +588,17 @@ class TestGrassmannianSubcommand:
         code, out, err = run_captured(argv)
         assert (code, err) == (0, "")
         assert json.loads(out)["lattice_counts"] == {"1": 68923264410}
+
+    def test_grassmannian_four_eight_polytope_is_counted(self):
+        # C(26, 16) facet subsets refused this chart before vertices came
+        # from double description; it has C(8, 4) = 70 vertices
+        argv = ["grassmannian", "--k", "4", "--n", "8", "--emit", "polytope", "--order", "1"]
+        code, out, err = run_captured(argv)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert len(data["vertices"]) == 70
+        assert data["lattice_counts"] == {"1": schur_dimension((8,) * 4, 8)}
+        assert schur_dimension((8,) * 4, 8) == 184_225_041
 
     @pytest.mark.parametrize("order", ["100000000", str(10**20)])
     def test_order_above_the_walk_limit_is_refused_at_once(self, order):
@@ -1207,3 +1219,18 @@ class TestSelfcheckSubcommand:
         assert len(lines) == 11
         assert all(line.startswith("PASS ") for line in lines[:-1])
         assert lines[-1] == "10/10 checks passed"
+
+    def test_an_injected_fault_fails_under_python_O(self):
+        # python -O strips assert statements, so the checks raise explicitly
+        done = run_python(
+            "-O",
+            "-c",
+            "import sys; from fanoperiods import cli, selfcheck; "
+            "assert False, 'asserts are on'; "
+            "selfcheck.associativity_check = lambda table: []; "
+            "sys.exit(cli.run(['selfcheck']))",
+        )
+        assert done.returncode == 1, done.stderr
+        lines = done.stdout.decode().splitlines()
+        assert "FAIL associativity: corrupted entry went unnoticed" in lines
+        assert lines[-1] == "9/10 checks passed"

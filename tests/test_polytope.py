@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from fanoperiods import polytope
 from fanoperiods.grassmannian import nobody_polytope
 from fanoperiods.polytope import (
-    MAX_SUBSET_SOLVES,
     Halfspace,
     HalfspaceSystem,
     UnboundedPolytopeError,
@@ -267,18 +266,23 @@ def test_redundant_facet_changes_nothing():
     assert set(vertices(padded)) == set(vertices(system))
 
 
-def test_vertex_enumeration_refuses_over_budget():
-    # 20 facets in dimension 9: C(20, 9) = 167960 square solves
+def test_vertex_enumeration_refuses_over_budget(monkeypatch):
+    # the cube [-1, 1]^9 cut by |x_1 + ... + x_9| <= 1 has 252 vertices
+    # and takes 23,384,914 ray scans; the NO body of Gr(4,8) takes 7,821
     normals = [tuple(int(i == j) for j in range(9)) for i in range(9)]
     normals += [tuple(-c for c in n) for n in normals]
     normals += [(1,) * 9, (-1,) * 9]
     big = HalfspaceSystem(9, tuple(Halfspace(n, Fraction(-1)) for n in normals))
-    assert math.comb(20, 9) > MAX_SUBSET_SOLVES
-    with pytest.raises(ValueError, match=f"167960 subset solves.*{MAX_SUBSET_SOLVES}"):
+    monkeypatch.setattr(polytope, "MAX_RAY_SCANS", 100_000)
+    with pytest.raises(ValueError, match="limit of 100000 ray scans at facet"):
         vertices(big)
+    assert len(vertices(nobody_polytope(BoxContext(4, 8)))) == 70
 
 
-@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 5), (2, 6), (3, 6), (2, 7)])
+@pytest.mark.parametrize(
+    "k, n",
+    [(2, 4), (2, 5), (3, 5), (2, 6), (3, 6), (2, 7), (3, 7), (2, 8), (4, 8), (3, 8), (2, 9)],
+)
 def test_nobody_polytope_has_one_vertex_per_schubert_cell(k, n):
     # observed, not proven: the NO body of Gr(k, n) has C(n, k) vertices,
     # as many as the rectangles seed has Plucker coordinates
@@ -553,6 +557,22 @@ def test_explicit_vertex_examples():
     assert geometry_flags(_THIN_TRIANGLE).full_dimensional
     assert not geometry_flags(_POINT).full_dimensional
     assert not geometry_flags(_EMPTY_SQUARE).full_dimensional
+
+
+def test_full_dimensional_reads_the_vertex_hull_of_an_unbounded_polyhedron():
+    # conv{0, e1, e2} + cone{(1, 1, 1), (1, 1, -1)}: its three vertices lie
+    # in the plane z = 0, which is no facet, so no facet is tight at every
+    # vertex although the vertex hull is flat
+    system = _halfspaces(
+        3,
+        ((1, -1, 0), -1), ((-1, 1, 0), -1),
+        ((0, 1, 1), 0), ((0, 1, -1), 0), ((1, 0, 1), 0), ((1, 0, -1), 0),
+    )
+    vs = vertices(system)
+    assert vs == [(_frac(0), _frac(0), _frac(0)), (_frac(0), _frac(1), _frac(0)),
+                  (_frac(1), _frac(0), _frac(0))]
+    assert not _full_dimensional_by_fractions(vs, 3)
+    assert geometry_flags(system) == (False, False, False)
 
 
 def test_geometry_flags_triangle():
