@@ -205,14 +205,7 @@ def _cmd_frobenius(args):
         )
     series = frobenius.theta_ladder(sequence, args.max_p)
     if args.emit == "series":
-        return [
-            {
-                "p": n.p,
-                "valid_to": n.valid_to,
-                "tail": [{"i": i, "value": str(n.tail[i])} for i in sorted(n.tail)],
-            }
-            for n in series
-        ]
+        return frobenius.series_records(series)
     return frobenius.table_records(frobenius.structure_table(series, args.max_p))
 
 

@@ -27,7 +27,9 @@ Grunsky coefficients a_i(N_p)/p are the ones symmetric in (p, i) (on
 the plane, a_1(N_2) = 4q and a_2(N_1) = 2q give N_{2,1} = N_{1,2} = 2q).
 The structure constants below the leading one are
 C(p,q,r) = a_{p-r}(N_q) + a_{q-r}(N_p), a term counting only when its
-index is positive; the ladder uses the row p = 1.
+index is positive; the ladder uses the row p = 1, and the table builds
+each once per pair p <= q.  Both CLI documents, table_records (every
+in-range entry, zeros included) and series_records, are built here.
 """
 
 from __future__ import annotations
@@ -182,26 +184,6 @@ def reconstruct_N1(periods: PeriodSequence) -> ThetaSeries:
     return ThetaSeries(1, tail, valid_to=max(order - 1, 0))
 
 
-def _structure_constant(
-    series: Sequence[ThetaSeries], p: int, q: int, r: int
-) -> QPolynomial:
-    """C(p,q,r) = a_{p-r}(N_q) + a_{q-r}(N_p) for r < p + q, from the ladder
-    series = [N_1, N_2, ...]; N_0 = 1 has an empty tail."""
-    value = QPolynomial.zero()
-    for index, owner in ((p - r, q), (q - r, p)):
-        if index > 0 and owner:
-            value = value + series[owner - 1].tail_term(index)
-    return value
-
-
-def _require_ladder(series: Sequence[ThetaSeries]) -> None:
-    for position, item in enumerate(series, 1):
-        if item.p != position:
-            raise ValueError(
-                f"series at position {position} has leading exponent {item.p}"
-            )
-
-
 def theta_ladder(periods: PeriodSequence, top: int) -> list[ThetaSeries]:
     """N_1..N_top: reconstruct_N1, then the product recursion.
 
@@ -286,39 +268,52 @@ class StructureTable(Record):
 
 
 def structure_table(series: Sequence[ThetaSeries], total: int) -> StructureTable:
-    """All structure constants with p + q <= total.
-
-    entry(p,q,p+q) = 1; otherwise a_{p-r}(N_q) + a_{q-r}(N_p).  The
-    q = 0 row degenerates to the identity since N_0 = 1 has an empty tail.
-    """
-    _require_ladder(series)
+    """All structure constants with p + q <= total, from series = [N_1, N_2, ...]:
+    entry(p,q,p+q) = 1 and a_{p-r}(N_q) + a_{q-r}(N_p) below it, built once
+    for p <= q and filed under (p,q,r) and (q,p,r)."""
+    for position, item in enumerate(series, 1):
+        if item.p != position:
+            raise ValueError(f"series at position {position} has leading exponent {item.p}")
     if total > len(series):
-        raise ValueError(
-            f"need series through N_{total} for total degree {total}"
-        )
-    entries: dict[tuple[int, int, int], QPolynomial] = {}
-    for p in range(total + 1):
-        for q in range(total + 1 - p):
-            for r in range(p + q + 1):
-                if r == p + q:
-                    value = QPolynomial.one()
-                else:
-                    value = _structure_constant(series, p, q, r)
+        raise ValueError(f"need series through N_{total} for total degree {total}")
+    one = QPolynomial.one()
+    entries = {}
+    for p in range(total // 2 + 1):
+        for q in range(p, total + 1 - p):
+            entries[(p, q, p + q)] = entries[(q, p, p + q)] = one
+            # no term counts for r >= q, nor in the p = 0 row: N_0 = 1 has no tail
+            for r in range(q if p else 0):
+                value = series[p - 1].tail_term(q - r)
+                if r < p:
+                    value = value + series[q - 1].tail_term(p - r)
                 if value:
-                    entries[(p, q, r)] = value
+                    entries[(p, q, r)] = entries[(q, p, r)] = value
     return StructureTable(total, entries)
 
 
 def table_records(table: StructureTable) -> list[dict]:
-    """Every in-range entry as {"p","q","r","value"} with exact strings."""
+    """Every in-range entry as {"p","q","r","value"} with exact strings,
+    each stored value formatted once however many keys share it."""
+    entries, zero = table.entries, QPolynomial.zero()
+    texts: dict[int, str] = {}
     records = []
     for p in range(table.total + 1):
         for q in range(table.total + 1 - p):
             for r in range(p + q + 1):
-                records.append(
-                    {"p": p, "q": q, "r": r, "value": str(table.entry(p, q, r))}
-                )
+                value = entries.get((p, q, r), zero)
+                if id(value) not in texts:
+                    texts[id(value)] = str(value)
+                records.append({"p": p, "q": q, "r": r, "value": texts[id(value)]})
     return records
+
+
+def series_records(series: Sequence[ThetaSeries]) -> list[dict]:
+    """Each series as {"p","valid_to","tail"}, its tail as [{"i","value"}] by i."""
+    return [
+        {"p": n.p, "valid_to": n.valid_to,
+         "tail": [{"i": i, "value": str(n.tail[i])} for i in sorted(n.tail)]}
+        for n in series
+    ]
 
 
 def residue_product(series: Sequence[ThetaSeries]) -> QPolynomial:

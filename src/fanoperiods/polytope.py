@@ -9,7 +9,7 @@ boundedness come from a Fourier-Motzkin projection chain built once per
 system, so counting never enumerates vertices: it walks the chain's
 levels, memoized on the residuals of the rows still to be read.  A count,
 or a document's counts together, making more than MAX_WALK_NODES walk
-calls is refused.
+calls is refused, as is a count storing over MAX_MEMO_STATES states.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ MAX_RAY_SCANS = 300_000_000
 # 2-vCPU host); Gr(3,6) at dilation 2 makes 60,243 calls and Gr(1,20) at
 # dilation 1 (C(39, 19) points) 3,949.
 MAX_WALK_NODES = 10_000_000
+
+# States one lattice count may store in its memos, about 400 bytes each, so the
+# limit bounds memory; Gr(4,9) at dilation 1 stores 508,531 (212 MB max RSS).
+MAX_MEMO_STATES = 1_000_000
 
 
 class UnboundedPolytopeError(ValueError):
@@ -264,10 +268,11 @@ def _count_points(chain: _ProjectionChain, dilation: int, nodes: Iterator[int]) 
     The points below a prefix depend only on the residuals offset * dilation
     - <normal, prefix> of the rows at its level and later, so each level but
     the last memoizes on that tuple.  Every call, memo hits too, draws from
-    `nodes`."""
+    `nodes`; past MAX_MEMO_STATES stored states the count is refused."""
     levels = chain.levels
     last = len(levels) - 1
     memos: list[dict[tuple[int, ...], int]] = [{} for _ in range(last)]
+    stored = count(1)
 
     def walk(j: int, res: tuple[int, ...]) -> int:
         if next(nodes) > MAX_WALK_NODES:
@@ -290,6 +295,11 @@ def _count_points(chain: _ProjectionChain, dilation: int, nodes: Iterator[int]) 
         for _ in range(lo, hi + 1):
             total += walk(j + 1, rest)
             rest = tuple(map(sub, rest, column))
+        if next(stored) > MAX_MEMO_STATES:
+            raise ValueError(
+                f"lattice count at dilation {dilation} stores more walk states "
+                f"than the limit of {MAX_MEMO_STATES}"
+            )
         memos[j][res] = total
         return total
 
@@ -326,7 +336,8 @@ def lattice_point_count(
     An empty polytope counts 0 at every dilation, including 0.  A node is
     one call of the walk, a memo hit included; a walk past MAX_WALK_NODES
     nodes is refused (ValueError), and counts given one `nodes` counter,
-    such as itertools.count(1), share that limit.
+    such as itertools.count(1), share that limit.  A count storing more
+    than MAX_MEMO_STATES memo states is refused too; each count has its own.
     """
     if dilation < 0:
         raise ValueError("dilation must be non-negative")

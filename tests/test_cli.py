@@ -581,6 +581,18 @@ class TestGrassmannianSubcommand:
         assert "dilation 1" in captured.err
         assert "limit of 400 nodes" in captured.err
 
+    def test_lattice_memo_past_the_state_limit_exits_one(self, monkeypatch, capsys):
+        # the Gr(2,5) count at dilation 1 stores 155 memo states
+        monkeypatch.setattr(polytope, "MAX_MEMO_STATES", 150)
+        argv = ["grassmannian", "--k", "2", "--n", "5", "--emit", "polytope", "--order", "1"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: lattice count at dilation 1 stores more walk states than "
+            "the limit of 150\n"
+        )
+
     def test_projective_space_of_dimension_nineteen_is_counted(self):
         # Gr(1,20) = P^19: C(39, 19) points at dilation 1, in a few thousand
         # memoized walk nodes
@@ -978,6 +990,23 @@ class TestDeterminism:
         assert run(["frobenius", "--periods", str(path)] + argv) == 0
         printed = capsys.readouterr().out.encode()
         assert hashlib.sha256(printed).hexdigest() == digest
+
+    # sha256 of stdout recorded while structure_table computed every key
+    # (p, q, r) on its own and table_records read each through entry():
+    # 10,416 records in 678,052 bytes, about 0.17 s for the whole process.
+    def test_frobenius_table_at_max_p_30_is_frozen(self, tmp_path, capsys):
+        path = tmp_path / "periods.json"
+        values = _graded(3, lambda m: factorial(3 * m) // factorial(m) ** 3, 60)
+        path.write_text(json.dumps({"index": 3, "coeffs": values}))
+        start = time.perf_counter()
+        assert run(["frobenius", "--periods", str(path), "--max-p", "30"]) == 0
+        elapsed = time.perf_counter() - start
+        printed = capsys.readouterr().out.encode()
+        assert len(printed) == 678_052
+        assert hashlib.sha256(printed).hexdigest() == (
+            "caf435799e7d651352cb8eeb88132aacd3f4cf8b8440ab923ee5355d18e294ff"
+        )
+        assert elapsed < 1.0, f"took {elapsed:.2f}s, over the 1.0s budget"
 
     # sha256 of stdout recorded before the flow sum dropped the sink
     # permutations and vertex enumeration moved to a single elimination.

@@ -11,8 +11,9 @@ The module runs the theta ladder on plain ints with q folded into the
 key; the q-polynomial routes it replaced (Miller's recurrence, the
 windowed product, the extension step and the residue product over
 Fraction coefficients, on a window class of their own) are kept below
-as its oracles.  So is the associativity sweep over q-polynomial
-entries, which the int-scaled sweep replaced.
+as its oracles.  So are the associativity sweep over q-polynomial
+entries, which the int-scaled sweep replaced, and the structure table
+built one key (p, q, r) at a time, which the once-per-pair table replaced.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from fanoperiods.frobenius import (
     associativity_check,
     reconstruct_N1,
     residue_product,
+    series_records,
     structure_table,
     table_records,
     theta_ladder,
@@ -695,6 +697,72 @@ class TestIntKernelMatchesQPolynomialOracles:
             assert all(c.denominator == 1 for _, c in value.items())
 
 
+def _structure_constant(
+    series: Sequence[ThetaSeries], p: int, q: int, r: int
+) -> QPolynomial:
+    """C(p,q,r) = a_{p-r}(N_q) + a_{q-r}(N_p) for r < p + q, from the ladder
+    series = [N_1, N_2, ...]; N_0 = 1 has an empty tail."""
+    value = QPolynomial.zero()
+    for index, owner in ((p - r, q), (q - r, p)):
+        if index > 0 and owner:
+            value = value + series[owner - 1].tail_term(index)
+    return value
+
+
+def _structure_table_by_entries(series: Sequence[ThetaSeries], total: int) -> StructureTable:
+    """Oracle for structure_table: every key (p, q, r) on its own, both
+    halves of each symmetric pair computed separately."""
+    for position, item in enumerate(series, 1):
+        if item.p != position:
+            raise ValueError(
+                f"series at position {position} has leading exponent {item.p}"
+            )
+    if total > len(series):
+        raise ValueError(
+            f"need series through N_{total} for total degree {total}"
+        )
+    entries: dict[tuple[int, int, int], QPolynomial] = {}
+    for p in range(total + 1):
+        for q in range(total + 1 - p):
+            for r in range(p + q + 1):
+                if r == p + q:
+                    value = QPolynomial.one()
+                else:
+                    value = _structure_constant(series, p, q, r)
+                if value:
+                    entries[(p, q, r)] = value
+    return StructureTable(total, entries)
+
+
+@st.composite
+def graded_ladders(draw) -> tuple[list[ThetaSeries], int]:
+    """A ladder N_1..N_top (top 1..8) from periods on a grading of index
+    1..4 with fractional and negative coefficients, and a total <= top."""
+    index = draw(st.integers(1, 4), label="index")
+    top = draw(st.integers(1, 8), label="top")
+    order = draw(st.integers(top, 10), label="order")
+    coeffs = [ONE, ZERO] + [
+        draw(KERNEL_Q, label=f"c_{d}") if d % index == 0 else ZERO
+        for d in range(2, order + 1)
+    ]
+    series = theta_ladder(PeriodSequence(tuple(coeffs)), top)
+    return series, draw(st.integers(0, top), label="total")
+
+
+@st.composite
+def short_windowed_ladders(draw) -> tuple[list[ThetaSeries], int]:
+    """Hand-built N_1..N_top with windows too short for some table keys."""
+    top = draw(st.integers(1, 5), label="top")
+    series = []
+    for p in range(1, top + 1):
+        valid_to = draw(st.integers(0, 4), label=f"valid_to of N_{p}")
+        tail = draw(
+            st.dictionaries(st.integers(1, 4), KERNEL_Q, max_size=3), label=f"tail of N_{p}"
+        )
+        series.append(ThetaSeries(p, {i: c for i, c in tail.items() if i <= valid_to}, valid_to))
+    return series, draw(st.integers(0, top), label="total")
+
+
 class TestStructureTable:
     def test_trivial_table(self):
         table = structure_table(theta_ladder(trivial_periods(10), 4), 4)
@@ -719,11 +787,55 @@ class TestStructureTable:
                 assert table.entry(0, q, r) == (ONE if q == r else ZERO)
 
     def test_symmetry(self):
-        table = structure_table(p2_series(top=4), 4)
+        series = p2_series(top=4)
+        table = structure_table(series, 4)
+        oracle = _structure_table_by_entries(series, 4)
         for p in range(5):
             for q in range(5 - p):
                 for r in range(p + q + 1):
-                    assert table.entry(p, q, r) == table.entry(q, p, r)
+                    assert table.entry(p, q, r) == oracle.entry(q, p, r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ladder=graded_ladders())
+    def test_matches_the_per_entry_oracle(self, ladder):
+        series, total = ladder
+        assert structure_table(series, total) == _structure_table_by_entries(series, total)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ladder=short_windowed_ladders())
+    def test_short_windows_match_the_per_entry_oracle(self, ladder):
+        series, total = ladder
+        expected = _outcome(_structure_table_by_entries, series, total)
+        if isinstance(expected, StructureTable):
+            assert structure_table(series, total) == expected
+        else:
+            assert expected[0] is UntrustedCoefficientError
+            with pytest.raises(UntrustedCoefficientError):
+                structure_table(series, total)
+
+    def test_a_window_too_short_for_the_table_is_refused(self):
+        series = [ThetaSeries(1, {}, 0), ThetaSeries(2, {}, 0)]
+        for build in (structure_table, _structure_table_by_entries):
+            with pytest.raises(UntrustedCoefficientError, match="exceeds trusted window 0"):
+                build(series, 2)
+
+    @pytest.mark.parametrize(
+        "series, total, message",
+        [
+            ([ThetaSeries(2, {}, 4)], 1, "series at position 1 has leading exponent 2"),
+            (
+                [ThetaSeries(1, {}, 4), ThetaSeries(1, {}, 4)],
+                5,
+                "series at position 2 has leading exponent 1",
+            ),
+            ([ThetaSeries(1, {}, 4)], 2, "need series through N_2 for total degree 2"),
+        ],
+    )
+    def test_refusals_match_the_per_entry_oracle(self, series, total, message):
+        for build in (structure_table, _structure_table_by_entries):
+            with pytest.raises(ValueError) as err:
+                build(series, total)
+            assert str(err.value) == message
 
     def test_leading_entries(self):
         table = structure_table(p2_series(top=4), 4)
@@ -736,6 +848,65 @@ class TestStructureTable:
         records = table_records(table)
         assert {"p": 1, "q": 1, "r": 0, "value": "0"} in records
         assert {"p": 1, "q": 1, "r": 2, "value": "1"} in records
+
+    @settings(max_examples=100, deadline=None)
+    @given(ladder=graded_ladders())
+    def test_records_match_the_accessor_and_the_tails(self, ladder):
+        series, total = ladder
+        table = structure_table(series, total)
+        assert table_records(table) == [
+            {"p": p, "q": q, "r": r, "value": str(table.entry(p, q, r))}
+            for p in range(total + 1)
+            for q in range(total + 1 - p)
+            for r in range(p + q + 1)
+        ]
+        assert series_records(series) == [
+            {
+                "p": n.p,
+                "valid_to": n.valid_to,
+                "tail": [
+                    {"i": i, "value": str(n.tail_term(i))}
+                    for i in range(1, n.valid_to + 1)
+                    if n.tail_term(i)
+                ],
+            }
+            for n in series
+        ]
+
+    def test_series_records_list_each_tail_by_index(self):
+        series = [ThetaSeries(1, {3: Fraction(-1, 2), 1: QPolynomial.of(2, 1)}, 4)]
+        assert series_records(series) == [
+            {
+                "p": 1,
+                "valid_to": 4,
+                "tail": [{"i": 1, "value": "2q"}, {"i": 3, "value": "-1/2"}],
+            }
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_records_of_a_table_that_shares_values(self, data):
+        # one object under several unrelated keys, and equal values under
+        # distinct objects: each record still prints its own entry
+        total = data.draw(st.integers(0, 4), label="total")
+        keys = [
+            (p, q, r)
+            for p in range(total + 1)
+            for q in range(total + 1 - p)
+            for r in range(p + q + 1)
+        ]
+        shared = data.draw(st.lists(KERNEL_Q, min_size=1, max_size=3), label="values")
+        entries = {
+            key: data.draw(st.sampled_from(shared), label=str(key))
+            for key in data.draw(st.lists(st.sampled_from(keys), unique=True), label="keys")
+        }
+        for key in data.draw(st.lists(st.sampled_from(keys), unique=True), label="copies"):
+            entries[key] = QPolynomial(dict(entries.get(key, ONE).items()))
+        table = StructureTable(total, entries)
+        assert table_records(table) == [
+            {"p": p, "q": q, "r": r, "value": str(table.entry(p, q, r))}
+            for p, q, r in keys
+        ]
 
     @pytest.mark.parametrize(
         "key", [(5, 5, 0), (1, 1, 3), (2, 1, 0), (-1, 1, 0), (1, 0, -1)]

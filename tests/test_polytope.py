@@ -309,6 +309,27 @@ def test_counts_of_one_document_share_the_node_limit(monkeypatch):
         build_document(system, 2)
 
 
+def test_lattice_count_refuses_a_memo_past_the_state_limit(monkeypatch):
+    # Gr(2,5) at dilation 1 stores 155 states, Gr(2,4) at dilation 2 stores 91
+    monkeypatch.setattr(polytope, "MAX_MEMO_STATES", 150)
+    with pytest.raises(
+        ValueError, match="dilation 1 stores more walk states than the limit of 150"
+    ):
+        lattice_point_count(nobody_polytope(BoxContext(2, 5)), 1)
+    assert lattice_point_count(nobody_polytope(BoxContext(2, 4)), 2) == 825
+
+
+def test_each_count_of_a_document_has_its_own_state_limit(monkeypatch):
+    # Gr(2,4) stores 31 states at dilation 1 and 91 at dilation 2: 122 in
+    # all, but the memos of one count are gone before the next starts
+    monkeypatch.setattr(polytope, "MAX_MEMO_STATES", 100)
+    system = nobody_polytope(BoxContext(2, 4))
+    assert build_document(system, 2)["lattice_counts"] == {"1": 105, "2": 825}
+    monkeypatch.setattr(polytope, "MAX_MEMO_STATES", 90)
+    with pytest.raises(ValueError, match="dilation 2 stores more walk states"):
+        build_document(system, 2)
+
+
 def test_a_refused_order_materializes_no_dilations(monkeypatch):
     # the counts run one dilation at a time, so a huge order costs only the
     # walk up to the dilation that passes the limit
