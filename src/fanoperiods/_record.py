@@ -19,21 +19,14 @@ class Record:
     def __init_subclass__(cls):
         # `_values(record)` is the field tuple; an attrgetter builds it
         # about four times faster than a generator over `_fields`.  `_store`
-        # calls the slot setters, unrolled for one and two fields: half the
-        # cost of a loop of `object.__setattr__` by name.
+        # calls the slot setters in field order.
         fields = cls._fields
         get = attrgetter(*fields) if fields else (lambda record: ())
-        setters = tuple(getattr(cls, name).__set__ for name in fields)
         if len(fields) == 1:
-            (put,) = setters
             cls._values = staticmethod(lambda record: (get(record),))
-            cls._store = lambda record, value: put(record, value)
-            return
-        cls._values = staticmethod(get)
-        if len(fields) == 2:
-            put_a, put_b = setters
-            cls._store = lambda record, a, b: (put_a(record, a), put_b(record, b))
-            return
+        else:
+            cls._values = staticmethod(get)
+        setters = tuple(getattr(cls, name).__set__ for name in fields)
 
         def store(record, *values):
             for put, value in zip(setters, values):

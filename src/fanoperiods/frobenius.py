@@ -199,12 +199,13 @@ def theta_ladder(periods: PeriodSequence, top: int) -> list[ThetaSeries]:
     """
     if top < 1:
         raise ValueError(f"the ladder starts at N_1, got top {top}")
-    n1 = reconstruct_N1(periods)
-    if top > n1.valid_to + 1:
+    window = max(periods.order - 1, 0)  # valid_to of N_1
+    if top > window + 1:
         raise UntrustedCoefficientError(
             f"N_{top} needs tail index {top - 1} of N_1, beyond its trusted "
-            f"window {n1.valid_to}"
+            f"window {window}"
         )
+    n1 = reconstruct_N1(periods)
     scale = _common_denominator(n1.tail.values())
     a = {i: _to_ints(value, scale) for i, value in n1.tail.items()}
     folded = [a]  # A_1, A_2, ...

@@ -262,6 +262,13 @@ def _projection_chain(system: HalfspaceSystem) -> _ProjectionChain:
     return _ProjectionChain(tuple(reversed(levels)), offsets, empty)
 
 
+def _past_walk_limit(dilation: int) -> ValueError:
+    return ValueError(
+        f"lattice count at dilation {dilation} brings the walk past "
+        f"the limit of {MAX_WALK_NODES} nodes"
+    )
+
+
 def _count_points(chain: _ProjectionChain, dilation: int, nodes: Iterator[int]) -> int:
     """Integer points of the dilated polytope, walked level by level.
 
@@ -276,10 +283,7 @@ def _count_points(chain: _ProjectionChain, dilation: int, nodes: Iterator[int]) 
 
     def walk(j: int, res: tuple[int, ...]) -> int:
         if next(nodes) > MAX_WALK_NODES:
-            raise ValueError(
-                f"lattice count at dilation {dilation} brings the walk past "
-                f"the limit of {MAX_WALK_NODES} nodes"
-            )
+            raise _past_walk_limit(dilation)
         if j < last and res in memos[j]:
             return memos[j][res]
         lower, divisors, column = levels[j]
@@ -363,14 +367,27 @@ def build_document(system: HalfspaceSystem, order: int = 0) -> dict:
 
     The counts are taken one dilation at a time and share one walk limit,
     so an order far beyond what the limit allows is refused at the first
-    dilation that passes it.  Counts of an unbounded polytope are refused
-    (UnboundedPolytopeError); with order 0 its document has none.
+    dilation that passes it.  On a chain of two levels the walk makes one
+    call at its root and one per value of the first coordinate, so that
+    refusal comes before any count.  Counts of an unbounded polytope are
+    refused (UnboundedPolytopeError); with order 0 its document has none.
     """
-    if order >= 1 and not system._chain.bounded:
-        raise UnboundedPolytopeError(
-            "the polar polytope is unbounded (the origin is not interior to the "
-            "convex hull of the support), so it has no lattice counts"
-        )
+    if order >= 1:
+        chain = system._chain
+        if not chain.bounded:
+            raise UnboundedPolytopeError(
+                "the polar polytope is unbounded (the origin is not interior to "
+                "the convex hull of the support), so it has no lattice counts"
+            )
+        if len(chain.levels) == 2 and not chain.empty:
+            lower, divisors, _ = chain.levels[0]
+            offsets = chain.offsets[: len(divisors)]
+            walked = 0
+            for r in range(1, order + 1):
+                quotients = [b * r // d for b, d in zip(offsets, divisors)]
+                walked += 1 + max(min(quotients[lower:]) + min(quotients[:lower]) + 1, 0)
+                if walked > MAX_WALK_NODES:
+                    raise _past_walk_limit(r)
     vs = vertices(system)
     counts: dict[str, int] = {}
     nodes = count(1)

@@ -531,6 +531,19 @@ class TestPolytopeSubcommand:
         assert (code, out) == (1, "")
         assert f"--order {order} is above {polytope.MAX_WALK_NODES}" in err
 
+    def test_a_two_level_walk_past_the_limit_is_refused_before_counting(self, p2_poly_file):
+        # the walk of a planar polar makes one call at its root and one per
+        # value of the first coordinate, so the dilation that passes the
+        # limit is known before any count; walking up to it takes 15-25 s
+        start = time.perf_counter()
+        code, out, err = run_captured(["polytope", "--poly", p2_poly_file, "--order", "3000"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: lattice count at dilation 2581 brings the walk past the limit "
+            "of 10000000 nodes\n"
+        )
+
 
 class TestGrassmannianSubcommand:
     def test_polytope_example_passes_geometry_flags(self, tmp_path):

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fanoperiods import frobenius
 from fanoperiods.frobenius import (
     ReconstructionError,
     StructureTable,
@@ -673,6 +674,22 @@ class TestIntKernelMatchesQPolynomialOracles:
             theta_ladder(trivial_periods(3), 4)
         with pytest.raises(UntrustedCoefficientError):
             _extend_q_polynomials(ladder)
+
+    @pytest.mark.parametrize("order, top, window", [(0, 2, 0), (1, 2, 0), (240, 241, 239)])
+    def test_an_unreachable_top_is_refused_before_reconstructing(
+        self, monkeypatch, order, top, window
+    ):
+        # the window of N_1 follows from the order alone, so a top beyond it
+        # costs no reconstruction
+        def refuse(periods):
+            raise AssertionError("reconstruct_N1 ran")
+
+        monkeypatch.setattr(frobenius, "reconstruct_N1", refuse)
+        message = f"N_{top} needs tail index {top - 1} of N_1, beyond its trusted window {window}"
+        with pytest.raises(UntrustedCoefficientError, match=f"^{re.escape(message)}$"):
+            theta_ladder(trivial_periods(order), top)
+        with pytest.raises(AssertionError, match="reconstruct_N1 ran"):
+            theta_ladder(trivial_periods(order), top - 1)
 
     def test_power_recurrence_division_is_exact(self):
         assert _divide_exactly(-12, 4) == -3

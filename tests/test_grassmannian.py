@@ -11,8 +11,11 @@ the flow polynomial, is kept here as an oracle.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import factorial
+import time
+from fractions import Fraction
+from itertools import combinations, product
+from math import comb, factorial
+from operator import add
 
 import pytest
 
@@ -375,7 +378,86 @@ class TestPolytope:
         assert 1176 == schur_dimension((5, 5, 5), 5)
 
 
+def _inverse_powers(d, n, degree):
+    """Coefficients of prod_{l=1}^d (x + l)^(-n) through x^degree, where
+    (x + l)^(-n) = sum_m (-1)^m C(n+m-1, m) x^m / l^(n+m)."""
+    series = [Fraction(1)] + [Fraction(0)] * degree
+    for l in range(1, d + 1):
+        factor = [
+            Fraction((-1) ** m * comb(n + m - 1, m), l ** (n + m)) for m in range(degree + 1)
+        ]
+        series = [
+            sum(series[i] * factor[m - i] for i in range(m + 1)) for m in range(degree + 1)
+        ]
+    return series
+
+
+def _vandermonde(degrees):
+    """prod_{i<j} (x_i - x_j)(x_i - x_j + d_i - d_j) as {exponent tuple: int}."""
+    k = len(degrees)
+    unit = [tuple(int(a == b) for b in range(k)) for a in range(k + 1)]  # unit[k] = 0
+    poly = {(0,) * k: 1}
+    for i, j in combinations(range(k), 2):
+        for shift in (0, degrees[i] - degrees[j]):
+            # multiply by x_i - x_j + shift
+            expanded = {}
+            for e, c in poly.items():
+                for step, scale in ((unit[i], c), (unit[j], -c), (unit[k], shift * c)):
+                    key = tuple(map(add, e, step))
+                    expanded[key] = expanded.get(key, 0) + scale
+            poly = {e: c for e, c in expanded.items() if c}
+    return poly
+
+
+def martin_periods(k, n, order):
+    """c_0..c_order of Gr(k,n) by Martin's integration formula: with
+    eps = (-1)^((k-1)d + k(k-1)/2), c_{nd} = (nd)! eps/k! q^d times
+
+        sum_{d_1+...+d_k=d} [x_1^(n-1)...x_k^(n-1)]
+            prod_{i<j} (x_i - x_j)(x_i - x_j + d_i - d_j)
+            prod_i x_i^(n-k) prod_{l=1}^{d_i} (x_i + l)^(-n),
+
+    and every other c_m is 0 (Hori-Vafa; Bertram-Ciocan-Fontanine-Kim)."""
+    coeffs = [QPolynomial.zero()] * (order + 1)
+    for d in range(order // n + 1):
+        eps = (-1) ** ((k - 1) * d + k * (k - 1) // 2)
+        total = Fraction(0)
+        for degrees in product(range(d + 1), repeat=k):
+            if sum(degrees) != d:
+                continue
+            series = [_inverse_powers(d_i, n, n - 1) for d_i in degrees]
+            for e, c in _vandermonde(degrees).items():
+                # [x_i^(n-1)] of x_i^(e_i) x_i^(n-k) (series in x_i)
+                term = Fraction(c)
+                for e_i, s in zip(e, series):
+                    m = n - 1 - e_i - (n - k)
+                    term *= s[m] if m >= 0 else 0
+                total += term
+        coeffs[n * d] = QPolynomial.of(factorial(n * d) * eps * total / factorial(k), d)
+    return coeffs
+
+
 class TestPeriods:
+    @pytest.mark.parametrize(
+        "k, n, order", [(1, 3, 12), (2, 4, 16), (2, 5, 15), (2, 6, 12), (3, 6, 12)]
+    )
+    def test_matches_martins_closed_form(self, k, n, order):
+        start = time.perf_counter()
+        assert grass_periods(BoxContext(k, n), order) == martin_periods(k, n, order)
+        assert time.perf_counter() - start < 2.0
+
+    def test_gr25_matches_the_apery_form_through_order_25(self):
+        # c_{5d} = (5d)!/(d!)^5 a_d q^d, a_d = sum_j C(d,j)^2 C(d+j,j) the
+        # Apery numbers of zeta(2): 1, 3, 19, 147, 1251, 11253
+        start = time.perf_counter()
+        coeffs = grass_periods(CTX25, 25)
+        for m, coeff in enumerate(coeffs):
+            d = m // 5
+            apery = sum(comb(d, j) ** 2 * comb(d + j, j) for j in range(d + 1))
+            closed = factorial(5 * d) // factorial(d) ** 5 * apery if m % 5 == 0 else 0
+            assert coeff == QPolynomial.of(closed, d), m
+        assert time.perf_counter() - start < 5.0
+
     def test_gr24_heads(self):
         coeffs = grass_periods(CTX24, 8)
         assert coeffs[0] == QPolynomial.one()

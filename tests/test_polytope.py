@@ -330,6 +330,27 @@ def test_each_count_of_a_document_has_its_own_state_limit(monkeypatch):
         build_document(system, 2)
 
 
+@pytest.mark.parametrize(
+    "support", [[(1, 0), (0, 1), (-1, -1)], [(2, 1), (-1, 3), (-3, -2), (1, -1)]]
+)
+@pytest.mark.parametrize("limit", [1, 2, 7, 40, 400, 4000])
+def test_a_two_level_refusal_names_the_dilation_the_walk_would(monkeypatch, support, limit):
+    # a planar polar has a two-level chain, whose document is refused from
+    # the first level's ranges before any count; the dilation and message
+    # must be those at which one shared walk passes the limit
+    monkeypatch.setattr(polytope, "MAX_WALK_NODES", limit)
+    system = polar_from_support(support)
+    assert len(system._chain.levels) == 2
+    nodes = count(1)
+    with pytest.raises(ValueError, match="brings the walk past") as walked:
+        for r in count(1):
+            lattice_point_count(system, r, nodes=nodes)
+    monkeypatch.setattr(polytope, "_count_points", None)
+    with pytest.raises(ValueError) as refused:
+        build_document(system, 10**6)
+    assert str(refused.value) == str(walked.value)
+
+
 def test_a_refused_order_materializes_no_dilations(monkeypatch):
     # the counts run one dilation at a time, so a huge order costs only the
     # walk up to the dilation that passes the limit

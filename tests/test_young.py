@@ -169,16 +169,26 @@ def test_all_diagrams_count():
             assert len(all_diagrams(BoxContext(k, n))) == comb(n, k)
 
 
+def _rows_by_runs(k, west):
+    """The south steps between the (j-1)-th and j-th west step are rows of
+    length k + 1 - j; those after the last one are zero rows."""
+    rows, previous = (), 0
+    for length, step in zip(range(k, 0, -1), west):
+        rows += (length,) * (step - previous - 1)
+        previous = step
+    return rows
+
+
 def test_all_diagrams_match_from_steps_on_every_box():
-    # all_diagrams stores rows it builds without validating them; the
-    # validating from_steps route must give the same diagrams in the same order
+    # every diagram comes from from_steps in west-step order; its rows must
+    # equal the run lengths between west steps, an independent formula
     for n in range(2, 10):
         for k in range(1, n):
             ctx = BoxContext(k, n)
             built = all_diagrams(ctx)
-            expected = [from_steps(ctx, west) for west in combinations(range(1, n + 1), k)]
-            assert built == expected
-            assert [d.rows for d in built] == [d.rows for d in expected]
+            steps = list(combinations(range(1, n + 1), k))
+            assert built == [from_steps(ctx, west) for west in steps]
+            assert [d.rows for d in built] == [_rows_by_runs(k, west) for west in steps]
             assert [YoungDiagram(ctx, d.rows) for d in built] == built
 
 
