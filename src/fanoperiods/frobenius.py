@@ -7,7 +7,8 @@ expansion of N_1^d is the test oracle).  N_1 fixes the whole ladder:
 N_n is the unique monic degree-n polynomial in N_1 of the form t^n plus
 a negative tail, which theta_ladder reads off the recursion theta_n =
 theta_1 theta_{n-1} - lower terms, and the ladder gives the
-multiplication table of the theta basis.  All series are truncated
+multiplication table of the theta basis, whose row p = 1 gives the
+periods back (periods_from_table).  All series are truncated
 honestly: every value carries the largest tail index it trusts, a
 finite integer, and operations refuse to emit coefficients outside the
 joint window rather than zero-filling.
@@ -15,11 +16,12 @@ joint window rather than zero-filling.
 The arithmetic runs on plain ints, through the one int product kernel
 and the Fraction/int helpers of `laurent`.  ThetaSeries is the only
 window type: the ladder runs on N_1's tail scaled by its common
-denominator L, and the factors of a residue product are folded together
-at one scale as {t-exponent: {q-power: int}}; Miller's recurrence runs
-on phi(L u), whose coefficients are integral.  Fractions are built only
-where the returned records are; the same steps over q-polynomials with
-Fraction coefficients are kept in the test suite as oracles.
+denominator L as {t-exponent: {q-power: int}}, and the table's read-back
+and associativity sweep run on entries scaled the same way; Miller's
+recurrence runs on phi(L u), whose coefficients are integral.  Fractions
+are built only where the returned records are; the same steps over
+q-polynomials with Fraction coefficients, and the residue product of
+windowed series, are kept in the test suite as oracles.
 
 Tail coefficients satisfy a_i(N_p) = p * N_{p,i} with N_{p,i} the
 two-point invariants: N_p is the p-th Faber polynomial of N_1, and its
@@ -94,47 +96,8 @@ class ThetaSeries(Record):
         return self.tail.get(i, QPolynomial.zero())
 
 
-# ---------------------------------------------------------------------------
-# Windows
-#
-# The ThetaSeries a product multiplies are folded at one scale L, the common
-# denominator of their coefficients: each becomes {t-exponent: {q-power:
-# L * coefficient}} with its trusted floor and its top, the leading
-# exponent p.  Each pair of t-exponents goes through the int kernel of
-# `laurent`, and Fractions are built only for the values returned.
-
+# {t-exponent or target index: {q-power: int}}, at one integer scale
 Folded = dict[int, dict[int, int]]
-Window = tuple[Folded, int, int]
-
-
-def _fold(series: Sequence[ThetaSeries]) -> tuple[list[Window], int]:
-    """Each series as a window (terms, floor, top) at one scale L, and L."""
-    scale = _common_denominator(v for item in series for v in item.tail.values())
-    windows = []
-    for item in series:
-        terms = {-i: _to_ints(value, scale) for i, value in item.tail.items()}
-        terms[item.p] = {0: scale}
-        windows.append((terms, -item.valid_to, item.p))
-    return windows, scale
-
-
-def _windowed_product(left: Window, right: Window) -> Window:
-    """Product of two folded windows.
-
-    The unknown low-order terms of the factors reach every exponent below
-    max(floor_a + top_b, floor_b + top_a), so those are dropped.  Each
-    factor keeps its unit leading term t^top, so the product keeps
-    t^(top_a + top_b) as its own.
-    """
-    left_terms, left_floor, left_top = left
-    right_terms, right_floor, right_top = right
-    floor = max(left_floor + right_top, right_floor + left_top)
-    terms: Folded = {}
-    for e1, q1 in left_terms.items():
-        for e2, q2 in right_terms.items():
-            if e1 + e2 >= floor:
-                _add_product(terms.setdefault(e1 + e2, {}), q1, q2)
-    return terms, floor, left_top + right_top
 
 
 def _divide_exactly(value: int, divisor: int) -> int:
@@ -158,7 +121,8 @@ def reconstruct_N1(periods: PeriodSequence) -> ThetaSeries:
     the known tail's denominators: psi has coefficients in Z[q], so
     R_k = L^k P_k = [u^k] psi^d does too and each division by k is exact.
     The test suite compares against the q-polynomial recurrence and
-    against expanding N_1^d; selfcheck multiplies back with residue_product.
+    against expanding N_1^d; selfcheck reads the periods back off the
+    structure table built from the ladder.
     """
     coeffs = periods.coeffs
     order = periods.order
@@ -292,6 +256,29 @@ def structure_table(series: Sequence[ThetaSeries], total: int) -> StructureTable
     return StructureTable(total, entries)
 
 
+def periods_from_table(table: StructureTable) -> list[QPolynomial]:
+    """c_0..c_total read back off the row p = 1 of the table.
+
+    theta_1 theta_r = sum_s C(1,r,s) theta_s, so theta_1^d = sum_r m_{d,r}
+    theta_r with m_0 = theta_0 and m_{d+1,s} = sum_r m_{d,r} C(1,r,s); theta_r
+    has no t^0 term for r >= 1, so c_d = m_{d,0}.  The row runs over ints at
+    its common denominator L, so m_d sits at L^d.
+    """
+    row = [[table.entry(1, r, s) for s in range(r + 2)] for r in range(table.total)]
+    scale = _common_denominator(value for values in row for value in values)
+    row_ints = [{s: _to_ints(v, scale) for s, v in enumerate(values) if v} for values in row]
+    periods = [QPolynomial.one()]
+    m: Folded = {0: {0: 1}}
+    for d in range(1, table.total + 1):
+        step: Folded = {}
+        for r, value in m.items():
+            for s, c in row_ints[r].items():
+                _add_product(step.setdefault(s, {}), value, c)
+        m = step
+        periods.append(_from_ints(m.get(0, {}), scale**d))
+    return periods
+
+
 def table_records(table: StructureTable) -> list[dict]:
     """Every in-range entry as {"p","q","r","value"} with exact strings,
     each stored value formatted once however many keys share it."""
@@ -315,27 +302,6 @@ def series_records(series: Sequence[ThetaSeries]) -> list[dict]:
          "tail": [{"i": i, "value": str(n.tail[i])} for i in sorted(n.tail)]}
         for n in series
     ]
-
-
-def residue_product(series: Sequence[ThetaSeries]) -> QPolynomial:
-    """t^0 coefficient of the windowed product of the factors; 1 for none.
-
-    The factors are folded at one scale L and multiplied into one running
-    product over ints, which then sits at L^m for m factors; only its t^0
-    coefficient is converted back, and only if the window trusts it.
-    """
-    if not series:
-        return QPolynomial.one()
-    windows, scale = _fold(series)
-    product = windows[0]
-    for window in windows[1:]:
-        product = _windowed_product(product, window)
-    terms, floor, _ = product
-    if floor > 0:
-        raise UntrustedCoefficientError(
-            f"exponent 0 lies below the trusted floor {floor}"
-        )
-    return _from_ints(terms.get(0, {}), scale ** len(series))
 
 
 def associativity_check(table: StructureTable) -> list[dict]:

@@ -277,6 +277,8 @@ def _count_points(chain: _ProjectionChain, dilation: int, nodes: Iterator[int]) 
     the last memoizes on that tuple.  Every call, memo hits too, draws from
     `nodes`; past MAX_MEMO_STATES stored states the count is refused."""
     levels = chain.levels
+    if not levels:
+        return 1  # R^0 holds one point
     last = len(levels) - 1
     memos: list[dict[tuple[int, ...], int]] = [{} for _ in range(last)]
     stored = count(1)

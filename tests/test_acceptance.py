@@ -94,17 +94,10 @@ def test_criterion_07_grassmannian_period_shape():
 def test_criterion_08_reconstruction_round_trip():
     _criterion(
         8,
-        "order-12 plane periods round trip; a_1 = 0, a_2 = 2q, grading vanishing",
+        "order-12 plane periods come back off the table of total 12; "
+        "a_1 = 0, a_2 = 2q, grading vanishing",
         selfcheck.check_reconstruction_round_trip,
         1.0,
-    )
-
-
-def test_criterion_09_two_route_consistency():
-    _criterion(
-        9,
-        "residue products equal the r = 0 table entries for p + q <= 6",
-        selfcheck.check_two_route_consistency,
     )
 
 
@@ -127,5 +120,5 @@ def test_criterion_11_selfcheck_command(capsys):
         f"in under 3 minutes ({elapsed:.2f}s)"
     )
     assert code == 0, captured.out
-    assert "10/10 checks passed" in captured.out
+    assert "9/9 checks passed" in captured.out
     assert elapsed < 180, f"selfcheck took {elapsed:.2f}s"

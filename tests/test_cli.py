@@ -1052,15 +1052,15 @@ class TestDeterminism:
         printed = capsys.readouterr().out.encode()
         assert hashlib.sha256(printed).hexdigest() == digest
 
-    # sha256 of stdout recorded while max_diag still differenced cell sets
-    # and the associativity sweep multiplied every entry; the detail lines
-    # carry the battery's counts (1092 deltas, 1262 pairs), so this pins
-    # coverage as well as verdicts.  Timings go to stderr.
+    # sha256 of stdout re-recorded when the periods came back off the table
+    # in one check instead of through two residue-product checks; the
+    # detail lines carry the battery's counts (1092 deltas, 1262 pairs),
+    # so this pins coverage as well as verdicts.  Timings go to stderr.
     def test_selfcheck_output_is_frozen(self, capsys):
         assert run(["selfcheck"]) == 0
         printed = capsys.readouterr().out.encode()
         assert hashlib.sha256(printed).hexdigest() == (
-            "30038e39931c1cac64a20c1e1da89f8adcb8b3ac567650aa72b8f485789d83c3"
+            "712c6eb47cef7415e8c082c64b496b66ea9c0ff58e6329b96b4e296c4324fe06"
         )
 
     def test_file_and_rerun_identical(self, p2_poly_file, tmp_path):
@@ -1258,9 +1258,9 @@ class TestSelfcheckSubcommand:
         assert run(["selfcheck"]) == 0
         captured = capsys.readouterr()
         lines = captured.out.strip().splitlines()
-        assert len(lines) == 11
+        assert len(lines) == 10
         assert all(line.startswith("PASS ") for line in lines[:-1])
-        assert lines[-1] == "10/10 checks passed"
+        assert lines[-1] == "9/9 checks passed"
 
     def test_an_injected_fault_fails_under_python_O(self):
         # python -O strips assert statements, so the checks raise explicitly
@@ -1275,4 +1275,29 @@ class TestSelfcheckSubcommand:
         assert done.returncode == 1, done.stderr
         lines = done.stdout.decode().splitlines()
         assert "FAIL associativity: corrupted entry went unnoticed" in lines
-        assert lines[-1] == "9/10 checks passed"
+        assert lines[-1] == "8/9 checks passed"
+
+    def test_a_corrupted_row_entry_fails_under_python_O(self):
+        # C(1,7,0) raised by 1 in every table of total 8 or more: the round
+        # trip reads it back into c_8, which the plane grading makes 0
+        done = run_python(
+            "-O",
+            "-c",
+            "import sys\n"
+            "from fanoperiods import cli, frobenius, selfcheck\n"
+            "from fanoperiods.laurent import QPolynomial\n"
+            "assert False, 'asserts are on'\n"
+            "def corrupt(series, total):\n"
+            "    table = frobenius.structure_table(series, total)\n"
+            "    if total < 8:\n"
+            "        return table\n"
+            "    entries = dict(table.entries)\n"
+            "    entries[(1, 7, 0)] = table.entry(1, 7, 0) + QPolynomial.one()\n"
+            "    return frobenius.StructureTable(total, entries)\n"
+            "selfcheck.structure_table = corrupt\n"
+            "sys.exit(cli.run(['selfcheck']))\n",
+        )
+        assert done.returncode == 1, done.stderr
+        lines = done.stdout.decode().splitlines()
+        assert "FAIL reconstruction round trip: the table gives c_8 = 1, expected 0" in lines
+        assert lines[-1] == "8/9 checks passed"

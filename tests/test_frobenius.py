@@ -11,9 +11,12 @@ The module runs the theta ladder on plain ints with q folded into the
 key; the q-polynomial routes it replaced (Miller's recurrence, the
 windowed product, the extension step and the residue product over
 Fraction coefficients, on a window class of their own) are kept below
-as its oracles.  So are the associativity sweep over q-polynomial
-entries, which the int-scaled sweep replaced, and the structure table
-built one key (p, q, r) at a time, which the once-per-pair table replaced.
+as its oracles.  The residue product is also the independent route to
+the periods and the r = 0 table entries that periods_from_table and
+structure_table reach through the ladder.  The associativity sweep over
+q-polynomial entries, which the int-scaled sweep replaced, and the
+structure table built one key (p, q, r) at a time, which the
+once-per-pair table replaced, are oracles too.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import re
 import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Mapping, NamedTuple, Sequence
 
 import pytest
@@ -36,8 +39,8 @@ from fanoperiods.frobenius import (
     UntrustedCoefficientError,
     _divide_exactly,
     associativity_check,
+    periods_from_table,
     reconstruct_N1,
-    residue_product,
     series_records,
     structure_table,
     table_records,
@@ -170,7 +173,10 @@ def _multiply_q_polynomials(a: ThetaSeries | _Window, b: ThetaSeries | _Window) 
 
 
 def _residue_product_q_polynomials(series: Sequence[ThetaSeries]) -> QPolynomial:
-    """Oracle for residue_product: fold the factors with the oracle product."""
+    """t^0 coefficient of the windowed product of the factors; 1 for none.
+
+    The residue route to c_d = N_1^d[t^0] and C(p,q,0) = (N_p N_q)[t^0],
+    which shares no step with the ladder, the table or periods_from_table."""
     if not series:
         return QPolynomial.one()
     accumulated = _as_window(series[0])
@@ -305,18 +311,6 @@ def kernel_periods(draw) -> PeriodSequence:
     return PeriodSequence((ONE, ZERO, *rest)[: order + 1])
 
 
-@st.composite
-def kernel_windows(draw) -> ThetaSeries:
-    """A ThetaSeries with a small window."""
-    valid_to = draw(st.integers(0, 8), label="valid_to")
-    tail = draw(st.dictionaries(st.integers(1, max(valid_to, 1)), KERNEL_Q, max_size=5))
-    return ThetaSeries(
-        draw(st.integers(0, 4), label="p"),
-        {i: c for i, c in tail.items() if i <= valid_to},
-        valid_to,
-    )
-
-
 def p2_series(order: int = 12, top: int = 4) -> list[ThetaSeries]:
     return theta_ladder(p2_periods(order), top)
 
@@ -411,25 +405,26 @@ class TestSeriesMultiply:
 
     def test_plain_monomials(self):
         t = ThetaSeries(1, {}, valid_to=4)
-        assert residue_product([t, t]) == ZERO
+        assert _residue_product_q_polynomials([t, t]) == ZERO
         # t * t is trusted down to t^-3, so its t^-3 coefficient reads 0
-        assert residue_product([t, t, ThetaSeries(3, {}, valid_to=3)]) == ZERO
+        assert _residue_product_q_polynomials([t, t, ThetaSeries(3, {}, valid_to=3)]) == ZERO
         with pytest.raises(UntrustedCoefficientError):
-            residue_product([t, t, ThetaSeries(4, {}, valid_to=3)])
+            _residue_product_q_polynomials([t, t, ThetaSeries(4, {}, valid_to=3)])
 
     def test_square_with_tail(self):
         series = ThetaSeries(1, {1: QPolynomial.of(3)}, valid_to=4)
         square = [series, series]
-        assert residue_product(square) == QPolynomial.of(6)
-        assert residue_product(square + [ThetaSeries(2, {}, valid_to=3)]) == QPolynomial.of(9)
-        assert residue_product(square + [ThetaSeries(3, {}, valid_to=3)]) == ZERO
+        residue = _residue_product_q_polynomials
+        assert residue(square) == QPolynomial.of(6)
+        assert residue(square + [ThetaSeries(2, {}, valid_to=3)]) == QPolynomial.of(9)
+        assert residue(square + [ThetaSeries(3, {}, valid_to=3)]) == ZERO
         with pytest.raises(UntrustedCoefficientError):
-            residue_product(square + [ThetaSeries(4, {}, valid_to=3)])
+            residue(square + [ThetaSeries(4, {}, valid_to=3)])
 
     def test_residue_identity(self):
         series = p2_series(top=3)
         n1, n2 = series[0], series[1]
-        residue = residue_product([n1, n2])
+        residue = _residue_product_q_polynomials([n1, n2])
         expected = n1.tail_term(2) + n2.tail_term(1)
         assert residue == expected == QPolynomial.of(6, 1)
 
@@ -463,7 +458,7 @@ class TestReconstruction:
         periods = p2_periods(10)
         n1 = reconstruct_N1(periods)
         for d in range(len(periods.coeffs)):
-            assert residue_product([n1] * d) == periods.coeffs[d], d
+            assert _residue_product_q_polynomials([n1] * d) == periods.coeffs[d], d
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -476,7 +471,7 @@ class TestReconstruction:
         periods = PeriodSequence(coeffs)
         n1 = reconstruct_N1(periods)
         for d in range(len(coeffs)):
-            assert residue_product([n1] * d) == coeffs[d], d
+            assert _residue_product_q_polynomials([n1] * d) == coeffs[d], d
 
     @settings(deadline=None, max_examples=80)
     @given(PERIOD_COEFFICIENTS)
@@ -506,7 +501,7 @@ class TestReconstruction:
             if i % 3 != 2:
                 assert n1.tail_term(i) == ZERO, i
         for d in (12, 18, 24):
-            assert residue_product([n1] * d) == periods.coeffs[d], d
+            assert _residue_product_q_polynomials([n1] * d) == periods.coeffs[d], d
 
 
 class TestExtendSeries:
@@ -630,13 +625,6 @@ class TestIntKernelMatchesQPolynomialOracles:
         )
         assert time.perf_counter() - start < 2.0
 
-    @settings(max_examples=80, deadline=5000)
-    @given(st.lists(kernel_windows(), max_size=4))
-    def test_residue_product(self, factors):
-        assert _outcome(residue_product, factors) == _outcome(
-            _residue_product_q_polynomials, factors
-        )
-
     @settings(max_examples=60, deadline=5000)
     @given(kernel_periods())
     def test_ladder_from_periods(self, periods):
@@ -653,20 +641,9 @@ class TestIntKernelMatchesQPolynomialOracles:
             theta_ladder(periods, top + 1)
         with pytest.raises(UntrustedCoefficientError):
             _extend_q_polynomials(slow)
-        for d in range(periods.order + 2):
-            assert _outcome(residue_product, [fast[0]] * d) == _outcome(
-                _residue_product_q_polynomials, [slow[0]] * d
-            )
         assert time.perf_counter() - start < 2.0
 
     def test_window_errors_name_the_same_limit(self):
-        n1 = reconstruct_N1(trivial_periods(3))
-        for factors in ([n1] * 5, [n1, ThetaSeries(4, {}, valid_to=0)]):
-            with pytest.raises(UntrustedCoefficientError) as fast:
-                residue_product(factors)
-            with pytest.raises(UntrustedCoefficientError) as slow:
-                _residue_product_q_polynomials(factors)
-            assert str(fast.value) == str(slow.value)
         # the ladder is refused before any step: its message names the
         # requested rung and N_1's window, where the oracle's step fails
         ladder = theta_ladder(trivial_periods(3), 3)
@@ -944,31 +921,79 @@ class TestStructureTable:
             table.entry(1, 1, 3)
 
 
+class TestPeriodsFromTable:
+    """Periods -> N_1 -> ladder -> table -> periods, read off the row p = 1."""
+
+    @staticmethod
+    def _round_trip(periods: PeriodSequence) -> list[QPolynomial]:
+        top = max(periods.order, 1)
+        return periods_from_table(structure_table(theta_ladder(periods, top), top))
+
+    @settings(max_examples=100, deadline=5000)
+    @given(kernel_periods())
+    @example(trivial_periods(0))
+    @example(trivial_periods(1))
+    def test_round_trip(self, periods):
+        # an order-0 sequence needs N_1, so its table of total 1 reads back
+        # c_1 = 0 too, which every sequence has
+        got = self._round_trip(periods)
+        assert got == list(periods.coeffs) + [ZERO] * (len(got) - len(periods.coeffs))
+        assert len(got) == max(periods.order, 1) + 1
+
+    def test_gr25_apery_form_at_order_15(self):
+        # c_{5d} = (5d)!/(d!)^5 a_d q^d with a_d = sum_j C(d,j)^2 C(d+j,j)
+        values = [
+            factorial(m) // factorial(m // 5) ** 5
+            * sum(comb(m // 5, j) ** 2 * comb(m // 5 + j, j) for j in range(m // 5 + 1))
+            if m % 5 == 0 else 0
+            for m in range(16)
+        ]
+        periods = PeriodSequence.from_plain(values, 5)
+        assert periods.coeffs[10] == QPolynomial.of(113400 * 19, 2)
+        assert self._round_trip(periods) == list(periods.coeffs)
+
+    def test_only_the_row_p_1_is_read(self):
+        table = structure_table(p2_series(order=12, top=12), 12)
+        row = StructureTable(12, {k: v for k, v in table.entries.items() if k[0] == 1})
+        assert periods_from_table(row) == periods_from_table(table) == list(p2_periods(12).coeffs)
+
+    def test_a_corrupted_row_entry_changes_c_8(self):
+        table = structure_table(p2_series(order=12, top=12), 12)
+        entries = dict(table.entries)
+        entries[(1, 7, 0)] = table.entry(1, 7, 0) + ONE
+        got = periods_from_table(StructureTable(12, entries))
+        want = list(p2_periods(12).coeffs)
+        assert got[:8] == want[:8]
+        assert got[8] == want[8] + ONE
+
+    def test_total_zero(self):
+        assert periods_from_table(StructureTable(0, {(0, 0, 0): ONE})) == [ONE]
+
+
 class TestResidueProduct:
     def test_monomials_only(self):
         t2 = ThetaSeries(2, {}, valid_to=4)
-        assert residue_product([t2, t2]) == ZERO
+        assert _residue_product_q_polynomials([t2, t2]) == ZERO
 
     def test_empty_product(self):
-        assert residue_product([]) == ONE
+        assert _residue_product_q_polynomials([]) == ONE
 
     def test_matches_structure_constant_route(self):
         series = p2_series(top=4)
         table = structure_table(series, 4)
         for p in range(1, 4):
             for q in range(1, 5 - p):
-                assert residue_product([series[p - 1], series[q - 1]]) == table.entry(
-                    p, q, 0
-                ), (p, q)
+                residue = _residue_product_q_polynomials([series[p - 1], series[q - 1]])
+                assert residue == table.entry(p, q, 0), (p, q)
 
     def test_window_exhaustion(self):
         n1 = reconstruct_N1(trivial_periods(3))
         with pytest.raises(UntrustedCoefficientError):
-            residue_product([n1] * 5)
+            _residue_product_q_polynomials([n1] * 5)
         # t's window reaches t^-4, so t * t^4 is trusted only down to t^1
         t = ThetaSeries(1, {}, valid_to=4)
         with pytest.raises(UntrustedCoefficientError) as err:
-            residue_product([t, ThetaSeries(4, {}, valid_to=0)])
+            _residue_product_q_polynomials([t, ThetaSeries(4, {}, valid_to=0)])
         assert str(err.value) == "exponent 0 lies below the trusted floor 1"
 
 

@@ -449,6 +449,15 @@ def test_lattice_count_of_point():
     assert lattice_point_count(point, 3) == 1
 
 
+def test_zero_dimensional_space_counts_one_point():
+    # R^0 is one point at every dilation; its chain has no levels to walk
+    space = HalfspaceSystem(0, [])
+    assert [lattice_point_count(space, r) for r in range(4)] == [1, 1, 1, 1]
+    document = build_document(space, 2)
+    assert document["vertices"] == [[]]
+    assert document["lattice_counts"] == {"1": 1, "2": 1}
+
+
 def test_lattice_count_of_empty_polytope():
     empty = HalfspaceSystem(
         1, (Halfspace((1,), Fraction(1)), Halfspace((-1,), Fraction(1)))
