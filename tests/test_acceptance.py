@@ -2,7 +2,9 @@
 
 Each criterion delegates to the matching selfcheck battery function so
 the shipped `fanoperiods selfcheck` command and this gate can never
-drift apart; criteria with a time budget assert it here.  Run with -s
+drift apart; criteria with a time budget assert it here.  Criterion 9
+is the exception: the residue route it compares the table against now
+lives only in the tests, as the Fraction oracle of test_frobenius.  Run with -s
 (or read the -v PASSED/FAILED rows) to see the per-criterion lines.
 """
 
@@ -10,8 +12,12 @@ from __future__ import annotations
 
 import time
 
+from test_frobenius import _residue_product_q_polynomials
+
 from fanoperiods import selfcheck
 from fanoperiods.cli import run
+from fanoperiods.frobenius import structure_table, theta_ladder
+from fanoperiods.periods import PeriodSequence
 
 
 def _criterion(number, description, fn, limit_seconds=None):
@@ -98,6 +104,27 @@ def test_criterion_08_reconstruction_round_trip():
         "a_1 = 0, a_2 = 2q, grading vanishing",
         selfcheck.check_reconstruction_round_trip,
         1.0,
+    )
+
+
+def _two_route_consistency():
+    plane = PeriodSequence.from_plain(selfcheck._plane_closed_form(18), 3)
+    series = theta_ladder(plane, 6)
+    table = structure_table(series, 6)
+    for p in range(1, 6):
+        for q in range(1, 7 - p):
+            direct = _residue_product_q_polynomials([series[p - 1], series[q - 1]])
+            assert direct == table.entry(p, q, 0), (
+                f"residue route gives {direct} at ({p},{q}), "
+                f"table has {table.entry(p, q, 0)}"
+            )
+
+
+def test_criterion_09_two_route_consistency():
+    _criterion(
+        9,
+        "residue products equal the r = 0 table entries for p + q <= 6",
+        _two_route_consistency,
     )
 
 
