@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fanoperiods
-from fanoperiods import polytope
+from fanoperiods import grassmannian, polytope
 from fanoperiods.cli import CatalogEntry, _build_parser, _read_exact, catalog, main, run
 from fanoperiods.frobenius import structure_table, theta_ladder
 from fanoperiods.laurent import QPolynomial, classical_periods, laurent_to_json
@@ -624,6 +624,22 @@ class TestGrassmannianSubcommand:
         assert len(data["vertices"]) == 70
         assert data["lattice_counts"] == {"1": schur_dimension((8,) * 4, 8)}
         assert schur_dimension((8,) * 4, 8) == 184_225_041
+
+    @pytest.mark.parametrize(
+        "k, n, paths", [(12, 24, 705_432), (30, 60, 30_067_266_499_541_040)]
+    )
+    @pytest.mark.parametrize("emit", ["superpotential", "polytope", "periods", "valuations"])
+    def test_box_above_the_path_limit_is_refused_at_once(self, k, n, paths, emit):
+        # C(n-2, k-1) paths join the top source to the west sink
+        argv = ["grassmannian", "--k", str(k), "--n", str(n), "--emit", emit]
+        start = time.perf_counter()
+        code, out, err = run_captured(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: Gr({k},{n}) has {paths} paths from one source to one sink, "
+            f"above the limit of {grassmannian.MAX_SINGLE_PATHS}\n"
+        )
 
     @pytest.mark.parametrize("order", ["100000000", str(10**20)])
     def test_order_above_the_walk_limit_is_refused_at_once(self, order):

@@ -20,6 +20,7 @@ from operator import add
 import pytest
 
 from fanoperiods.grassmannian import (
+    MAX_SINGLE_PATHS,
     ChartError,
     _monomial_quotient,
     _single_paths,
@@ -45,6 +46,7 @@ from fanoperiods.young import (
     YoungDiagram,
     all_diagrams,
     boundary_rectangle,
+    boundary_rectangle_box,
     from_steps,
     schur_dimension,
     valuation_vector,
@@ -137,6 +139,31 @@ class TestNetworkShape:
         assert net.variable_names == ("x0",)
         assert tuple(d.rows for d in net.variable_labels) == ((),)
 
+    def test_single_path_counts_are_binomial(self):
+        # s from the top to c from the west: (n-k-c) west and (k-s) south
+        # steps in any order; source 1 to column 1 is the most, C(n-2, k-1),
+        # the count that build_rectangles_network refuses above its limit
+        for n in range(2, 11):
+            for k in range(1, n):
+                net = build_rectangles_network(BoxContext(k, n))
+                counts = {
+                    (s, c): len(_single_paths(net, s, c))
+                    for s in range(1, k + 1)
+                    for c in range(1, n - k + 1)
+                }
+                for (s, c), count in counts.items():
+                    assert count == comb((n - k - c) + (k - s), k - s), (k, n, s, c)
+                assert max(counts.values()) == counts[1, 1] == comb(n - 2, k - 1)
+
+    def test_path_limit_admits_gr_10_20_and_refuses_gr_11_22(self):
+        assert comb(18, 9) <= MAX_SINGLE_PATHS < comb(20, 10)
+        message = (
+            r"^Gr\(11,22\) has 184756 paths from one source to one sink, "
+            rf"above the limit of {MAX_SINGLE_PATHS}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            build_rectangles_network(BoxContext(11, 22))
+
     def test_network_is_cached(self):
         assert build_rectangles_network(CTX24) is build_rectangles_network(
             BoxContext(2, 4)
@@ -222,11 +249,11 @@ class TestPluckerRelations:
 
 
 class TestDeterminantCrossCheck:
-    # (3,6), (3,7) and (4,8) have flows with three and four sources.
+    # (3,6), (3,7), (4,8) and (5,10) have flows with three to five sources.
     @pytest.mark.parametrize(
         "ctx",
         [CTX24, CTX25, CTX35]
-        + [BoxContext(k, n) for k, n in ((3, 6), (2, 7), (3, 7), (4, 8))],
+        + [BoxContext(k, n) for k, n in ((3, 6), (2, 7), (3, 7), (4, 8), (5, 10))],
     )
     def test_determinant_equals_flow_sum(self, ctx):
         net = build_rectangles_network(ctx)
@@ -234,6 +261,22 @@ class TestDeterminantCrossCheck:
             assert flow_determinant(net, diagram) == flow_polynomial(
                 net, diagram
             ), (ctx, diagram.rows)
+
+    def test_gr612_boundary_diagrams(self):
+        # the 24 diagrams of the chart's numerators and denominators, with
+        # up to six sources each
+        ctx = BoxContext(6, 12)
+        net = build_rectangles_network(ctx)
+        diagrams = {
+            build(i, ctx)
+            for i in range(ctx.n)
+            for build in (boundary_rectangle, boundary_rectangle_box)
+        }
+        assert len(diagrams) == 24
+        for diagram in diagrams:
+            assert flow_determinant(net, diagram) == flow_polynomial(
+                net, diagram
+            ), diagram.rows
 
     def test_single_source_entry(self):
         net = build_rectangles_network(CTX24)
@@ -336,11 +379,27 @@ class TestSuperpotential:
     def test_gr25_term_count(self):
         assert len(superpotential_chart(CTX25).terms) == 9
 
+    def test_term_count_through_gr_7_14(self):
+        # k(n-k) + (k-1)(n-k-1) + 1 terms on every box with n <= 14, where
+        # k(n-k) <= 49; Gr(6,12), Gr(6,13) and Gr(7,14) have 62, 73 and 86
+        start = time.perf_counter()
+        for n in range(2, 15):
+            for k in range(1, n):
+                terms = superpotential_chart(BoxContext(k, n)).terms
+                assert len(terms) == k * (n - k) + (k - 1) * (n - k - 1) + 1, (k, n)
+        assert time.perf_counter() - start < 20.0
+
 
 class TestValuationReport:
     def test_empty_for_small_contexts(self):
         for ctx in SMALL_CONTEXTS:
             assert verify_valuations(ctx) == [], ctx
+
+    def test_empty_for_gr_6_12_within_budget(self):
+        # 924 flow polynomials with up to six sources each
+        start = time.perf_counter()
+        assert verify_valuations(BoxContext(6, 12)) == []
+        assert time.perf_counter() - start < 20.0
 
     def test_report_is_a_list(self):
         assert isinstance(verify_valuations(CTX24), list)
