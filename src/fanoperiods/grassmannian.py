@@ -14,13 +14,15 @@ counterclockwise.  A path enters along its source row heading west and
 alternates west runs with south runs, exiting at the bottom of its
 sink column.  Each west-to-south turn multiplies the path weight by
 the face monomial of the turning cell and each south-to-west turn
-divides by it.  The cell at row r, column c is weighted by the
-valuation vector of the diagram whose west steps are ([k] minus {r})
-together with {n+1-c}; this choice makes the empty flow weightless and
-every boundary rectangle a single unit monomial, which the test suite
-checks exhaustively at desk scale.  A flow polynomial sums the weights
-of the cell-disjoint families of one path per source, walked from the
-bottom source up and pruned at the first shared cell.
+divides by it.  With m = n - k, the cell at row r, column c weighs x0
+times every rectangle not containing the (m+1-c) x (k+1-r) box: the
+valuation vector of the diagram with west steps ([k] minus {r}) and
+n+1-c, which makes the empty flow weightless and every boundary
+rectangle a unit monomial.  A flow polynomial sums the weights of the
+cell-disjoint families of one path per source, walked from the bottom
+source up and pruned at the first shared cell.  The chart needs no
+flow: its summands are closed forms (`theta_restriction`), and the
+tests keep the flow quotients and valuation vectors as their oracles.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import comb
+from operator import add, sub
 
 from . import polytope
 from ._record import Record
@@ -41,23 +44,22 @@ from .laurent import (
 from .young import (
     BoxContext,
     YoungDiagram,
+    _require_boundary_index,
     all_diagrams,
     boundary_rectangle,
     boundary_rectangle_box,
-    from_steps,
     to_steps,
     valuation_vector,
 )
 
 Cell = tuple[int, int]
 
-# Paths from one source to one sink, C(n-2, k-1) at most; Gr(10,20) has 48,620
-# (its chart takes 10 s and 0.5 GB), Gr(11,22) 184,756 (39 s and 2.3 GB).
+# Paths from one source to one sink, C(n-2, k-1) at most; Gr(10,20) has 48,620,
+# Gr(11,22) 184,756.  Flows enumerate them; every emitter is refused past this.
 MAX_SINGLE_PATHS = 50_000
-
-
-class ChartError(ValueError):
-    """A frozen Pluecker coordinate failed to restrict to a monomial."""
+# Cells k(n-k); a chart holds about 2 k^2 (n-k)^2 exponent entries.  On 2 vCPUs
+# Gr(2,502), at the limit, prints in 1 s at 170 MB; Gr(2,1001) took 4.4 s, 630 MB.
+MAX_CELLS = 1_000
 
 
 class GridNetwork(Record):
@@ -89,37 +91,32 @@ class GridNetwork(Record):
 
 @lru_cache(maxsize=None)
 def build_rectangles_network(ctx: BoxContext) -> GridNetwork:
-    """Network for the rectangles seed of Gr(k, n); refused past MAX_SINGLE_PATHS."""
+    """Network for the rectangles seed of Gr(k, n); refused past
+    MAX_SINGLE_PATHS, then past MAX_CELLS."""
     k, n = ctx.k, ctx.n
     if (paths := comb(n - 2, k - 1)) > MAX_SINGLE_PATHS:
         raise ValueError(f"Gr({k},{n}) has {paths} paths from one source to one sink, "
                          f"above the limit of {MAX_SINGLE_PATHS}")
     width = n - k
+    if (cells := k * width) > MAX_CELLS:
+        raise ValueError(f"Gr({k},{n}) has {cells} cells, "
+                         f"above the limit of {MAX_CELLS}")
     names = ["x0"]
     variable_labels = [YoungDiagram(ctx, ())]
     # every rectangle but the full box, which comes last
-    for rows, cols in list(product(range(1, width + 1), range(1, k + 1)))[:-1]:
+    rectangles = list(product(range(1, width + 1), range(1, k + 1)))[:-1]
+    for rows, cols in rectangles:
         # Single-character indices never collide at desk scale;
         # wider boxes need the separator to keep names distinct.
         names.append(f"x{rows}{cols}" if max(rows, cols) < 10 else f"x{rows}_{cols}")
         variable_labels.append(YoungDiagram(ctx, (cols,) * rows))
-    cell_weights: dict[Cell, tuple[int, ...]] = {}
-    for row in range(1, k + 1):
-        for column in range(1, width + 1):
-            west = (frozenset(range(1, k + 1)) - {row}) | {n + 1 - column}
-            label = from_steps(ctx, west)
-            cell_weights[(row, column)] = valuation_vector(
-                label, tuple(variable_labels)
-            )
+    # x0 and every rectangle not containing the (width+1-c) x (k+1-r) box
+    cell_weights = {
+        (r, c): (1,) + tuple(int(a <= width - c or b <= k - r) for a, b in rectangles)
+        for r in range(1, k + 1)
+        for c in range(1, width + 1)
+    }
     return GridNetwork(ctx, tuple(names), tuple(variable_labels), cell_weights)
-
-
-def _vector_add(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(left, right))
-
-
-def _vector_sub(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a - b for a, b in zip(left, right))
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +136,7 @@ def _single_paths(
         passed: set[Cell] = set()
         for turn_column in range(entry_column, sink_column - 1, -1):
             here = cells | passed | {(row, turn_column)}
-            turned = _vector_add(weight, net.cell_weights[(row, turn_column)])
+            turned = tuple(map(add, weight, net.cell_weights[(row, turn_column)]))
             if turn_column == sink_column:
                 tail = {(r, sink_column) for r in range(row + 1, k + 1)}
                 results.append((frozenset(here | tail), turned))
@@ -148,8 +145,8 @@ def _single_paths(
                     descent = here | {
                         (r, turn_column) for r in range(row + 1, next_row + 1)
                     }
-                    rejoined = _vector_sub(
-                        turned, net.cell_weights[(next_row, turn_column)]
+                    rejoined = tuple(
+                        map(sub, turned, net.cell_weights[(next_row, turn_column)])
                     )
                     extend(next_row, turn_column - 1, frozenset(descent), rejoined)
             passed.add((row, turn_column))
@@ -191,42 +188,43 @@ def flow_polynomial(net: GridNetwork, diagram: YoungDiagram) -> LaurentPolynomia
             return
         for cells, weight in options[level]:
             if below.isdisjoint(cells):
-                place(level - 1, cells, _vector_add(total, weight))
+                place(level - 1, cells, tuple(map(add, total, weight)))
 
     place(len(options) - 1, frozenset(), (0,) * len(net.variable_names))
     terms = {total: QPolynomial.of(count) for total, count in counts.items()}
     return LaurentPolynomial(net.variable_names, terms)
 
 
-def _monomial_quotient(
-    numerator: LaurentPolynomial, denominator: LaurentPolynomial
-) -> LaurentPolynomial:
-    """Divide by a Laurent monomial; ChartError on a wider divisor."""
-    if denominator.is_zero() or not denominator.is_monomial():
-        raise ChartError(f"chart denominator is not a monomial: {denominator!r}")
-    ((shift, coeff),) = denominator.terms.items()
-    if not coeff.is_constant():
-        raise ChartError("chart denominator carries a Novikov power")
-    scale = coeff.constant_value()
-    terms = {
-        _vector_sub(exponents, shift): value / scale
-        for exponents, value in numerator.terms.items()
-    }
-    return LaurentPolynomial(numerator.names, terms)
+def _summand_exponents(i: int, ctx: BoxContext, rank: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of summand i; x{r}{c} sits at (r-1)k + c after x0."""
+    k, m = ctx.k, ctx.n - ctx.k
+    if i == m:
+        return [(-1,) * rank]
+    if i < m:
+        run = [(i - 1) * k + c for c in range(1, k + 1)] if i else [0]
+    else:
+        run = [(r - 1) * k + ctx.n - i for r in range(1, m + 1)]
+    vector, vectors = [0] * rank, []
+    for position in reversed(run):
+        vector[position] = 1
+        vectors.append(tuple(vector))
+    return vectors
 
 
 def theta_restriction(i: int, ctx: BoxContext) -> LaurentPolynomial:
     """The i-th superpotential summand, before Novikov decoration.
 
-    This is the flow polynomial of the one-box variation of boundary
-    rectangle i divided by the (monomial) flow of the rectangle
-    itself; a non-monomial denominator signals a network bug and
-    raises ChartError.  An index outside 0..n-1 raises ValueError.
+    This is the flow of the one-box variation of boundary rectangle i
+    divided by the unit monomial flow of the rectangle, in closed form
+    (m = n - k, x[r][c] the rectangle of r rows of length c): x0 for
+    i = 0; the k runs x[i][c]...x[i][k] for 0 < i < m; 1/(x0 times every
+    variable) for i = m; the m runs x[r][n-i]...x[m][n-i] for i > m.
+    An index outside 0..n-1 raises ValueError.
     """
-    net = build_rectangles_network(ctx)
-    numerator = flow_polynomial(net, boundary_rectangle_box(i, ctx))
-    denominator = flow_polynomial(net, boundary_rectangle(i, ctx))
-    return _monomial_quotient(numerator, denominator)
+    _require_boundary_index(i, ctx)
+    names = build_rectangles_network(ctx).variable_names
+    exponents = _summand_exponents(i, ctx, len(names))
+    return LaurentPolynomial(names, dict.fromkeys(exponents, QPolynomial.one()))
 
 
 def superpotential_chart(ctx: BoxContext) -> LaurentPolynomial:
@@ -234,16 +232,14 @@ def superpotential_chart(ctx: BoxContext) -> LaurentPolynomial:
 
     The Novikov parameter decorates the summand of the maximal
     rectangle; any of the n cyclic choices gives an isomorphic chart,
-    so a fixed deterministic one is used.
+    so a fixed deterministic one is used.  No two summands share a term.
     """
-    net = build_rectangles_network(ctx)
-    total = LaurentPolynomial.zero(net.variable_names)
+    names = build_rectangles_network(ctx).variable_names
+    one, terms = QPolynomial.one(), {}
     for i in range(ctx.n):
-        summand = theta_restriction(i, ctx)
-        if i == ctx.n - ctx.k:
-            summand = summand.map_coefficients(lambda p: p.shift_q(1))
-        total = total + summand
-    return total
+        coeff = one.shift_q(1) if i == ctx.n - ctx.k else one
+        terms.update(dict.fromkeys(_summand_exponents(i, ctx, len(names)), coeff))
+    return LaurentPolynomial(names, terms)
 
 
 def verify_valuations(ctx: BoxContext) -> list[dict]:
@@ -252,10 +248,11 @@ def verify_valuations(ctx: BoxContext) -> list[dict]:
     Two batteries run over the whole box: the componentwise minimal
     exponent vector of every flow polynomial must be attained and equal
     the diagonal statistic against the seed rectangles, and every theta
-    summand must tropicalize coordinatewise to
+    summand must be the flow of the one-box variation of mu_i over the
+    flow of mu_i and tropicalize coordinatewise to
     [variable label == mu_i] - [i == n-k].  Diagram records use keys
     lambda/expected/got; summand records use theta/expected/got.  An
-    empty list means both identities hold.
+    empty list means every identity holds.
     """
     net = build_rectangles_network(ctx)
     mismatches: list[dict] = []
@@ -285,7 +282,13 @@ def verify_valuations(ctx: BoxContext) -> list[dict]:
         expected_vec = [
             (1 if label == mu else 0) - drop for label in net.variable_labels
         ]
-        got_vec, _ = min_exponent_vector(theta_restriction(i, ctx))
+        theta = theta_restriction(i, ctx)
+        box = flow_polynomial(net, boundary_rectangle_box(i, ctx))
+        if box != theta * flow_polynomial(net, mu):
+            mismatches.append(
+                {"theta": i, "expected": "the flow quotient", "got": "another summand"}
+            )
+        got_vec, _ = min_exponent_vector(theta)
         if list(got_vec) != expected_vec:
             mismatches.append(
                 {"theta": i, "expected": expected_vec, "got": list(got_vec)}

@@ -76,14 +76,6 @@ class QPolynomial(Record):
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def is_constant(self) -> bool:
-        return not self._coeffs or set(self._coeffs) == {0}
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not q-free")
-        return self._coeffs.get(0, Fraction(0))
-
     def shift_q(self, by: int) -> QPolynomial:
         """Multiply by q**by."""
         return QPolynomial({p + by: c for p, c in self._coeffs.items()})
@@ -220,9 +212,6 @@ class LaurentPolynomial(Record):
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def map_coefficients(self, fn) -> LaurentPolynomial:
         return LaurentPolynomial(

@@ -5,8 +5,11 @@ heads frozen here were computed by hand from the staircase-path model
 (weights are products of the face variables at the turning cells)
 before the module was written, and cross-checked against the classical
 short Pluecker relations and a word count for the low period
-coefficients.  `flow_determinant`, the path-matrix determinant route to
-the flow polynomial, is kept here as an oracle.
+coefficients.  Three brute force routes are kept here as oracles:
+`flow_determinant`, the path-matrix determinant route to the flow
+polynomial; `theta_by_flows`, the flow quotient behind each closed-form
+summand; and `face_by_valuations`, the diagonal statistic behind each
+closed-form face weight.
 """
 
 from __future__ import annotations
@@ -15,14 +18,13 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
-from operator import add
+from operator import add, sub
 
 import pytest
 
 from fanoperiods.grassmannian import (
+    MAX_CELLS,
     MAX_SINGLE_PATHS,
-    ChartError,
-    _monomial_quotient,
     _single_paths,
     _terminals,
     build_rectangles_network,
@@ -105,6 +107,28 @@ def plucker(net, west):
     return flow_polynomial(net, from_steps(net.context, west))
 
 
+def theta_by_flows(i, ctx):
+    """Oracle for theta_restriction: the flow of the one-box variation of
+    boundary rectangle i divided by the flow of the rectangle, which must
+    be one monomial with coefficient 1."""
+    net = build_rectangles_network(ctx)
+    numerator = flow_polynomial(net, boundary_rectangle_box(i, ctx))
+    denominator = flow_polynomial(net, boundary_rectangle(i, ctx))
+    assert len(denominator.terms) == 1, (ctx, i)
+    ((shift, coeff),) = denominator.terms.items()
+    assert coeff == QPolynomial.one(), (ctx, i)
+    terms = {tuple(map(sub, e, shift)): c for e, c in numerator.terms.items()}
+    return LaurentPolynomial(net.variable_names, terms)
+
+
+def face_by_valuations(net, row, column):
+    """Oracle for a cell weight: the valuation vector of the diagram whose
+    west steps are ([k] minus {row}) together with {n+1-column}."""
+    ctx = net.context
+    west = (set(range(1, ctx.k + 1)) - {row}) | {ctx.n + 1 - column}
+    return valuation_vector(from_steps(ctx, west), net.variable_labels)
+
+
 class TestNetworkShape:
     def test_gr24_faces_and_variables(self):
         net = build_rectangles_network(CTX24)
@@ -164,6 +188,24 @@ class TestNetworkShape:
         with pytest.raises(ValueError, match=message):
             build_rectangles_network(BoxContext(11, 22))
 
+    def test_faces_match_the_valuation_route_through_n_12(self):
+        for n in range(2, 13):
+            for k in range(1, n):
+                net = build_rectangles_network(BoxContext(k, n))
+                assert len(net.cell_weights) == k * (n - k)
+                for (row, column), weight in net.cell_weights.items():
+                    expected = face_by_valuations(net, row, column)
+                    assert weight == expected, (k, n, row, column)
+
+    def test_cell_limit_admits_gr_1_1001_and_refuses_gr_1_1002(self):
+        assert MAX_CELLS == 1000
+        message = r"^Gr\(1,1002\) has 1001 cells, above the limit of 1000$"
+        with pytest.raises(ValueError, match=message):
+            build_rectangles_network(BoxContext(1, 1002))
+        # the path limit is checked first and keeps its message
+        with pytest.raises(ValueError, match="paths from one source to one sink"):
+            build_rectangles_network(BoxContext(40, 80))
+
     def test_network_is_cached(self):
         assert build_rectangles_network(CTX24) is build_rectangles_network(
             BoxContext(2, 4)
@@ -217,7 +259,7 @@ class TestFlowPolynomials:
             for i in range(ctx.n):
                 mu = boundary_rectangle(i, ctx)
                 poly = flow_polynomial(net, mu)
-                assert poly.is_monomial(), (ctx, i)
+                assert len(poly.terms) == 1, (ctx, i)
                 ((exponents, coeff),) = poly.terms.items()
                 assert coeff == QPolynomial.one()
                 assert exponents == valuation_vector(mu, net.variable_labels)
@@ -329,13 +371,13 @@ class TestThetaRestriction:
             with pytest.raises(ValueError, match=message):
                 theta_restriction(i, ctx)
 
-    def test_monomial_quotient_requires_monomial(self):
-        names = ("x",)
-        numerator = unit(names, (2,), (1,))
-        binomial = unit(names, (1,), (0,))
-        with pytest.raises(ChartError):
-            _monomial_quotient(numerator, binomial)
-        assert _monomial_quotient(numerator, unit(names, (1,))) == binomial
+    def test_closed_form_matches_the_flow_quotient_through_n_14(self):
+        for n in range(2, 15):
+            for k in range(1, n):
+                ctx = BoxContext(k, n)
+                for i in range(n):
+                    expected = theta_by_flows(i, ctx)
+                    assert theta_restriction(i, ctx) == expected, (k, n, i)
 
 
 class TestSuperpotential:
@@ -388,6 +430,24 @@ class TestSuperpotential:
                 terms = superpotential_chart(BoxContext(k, n)).terms
                 assert len(terms) == k * (n - k) + (k - 1) * (n - k - 1) + 1, (k, n)
         assert time.perf_counter() - start < 20.0
+
+    def test_gr_10_20_chart_within_budget(self):
+        # over 6 s while each summand was a quotient of two enumerated flows;
+        # the network is rebuilt so that no cached weight table helps
+        build_rectangles_network.cache_clear()
+        start = time.perf_counter()
+        terms = superpotential_chart(BoxContext(10, 20)).terms
+        assert time.perf_counter() - start < 1.0
+        assert len(terms) == 100 + 81 + 1
+
+    def test_gr_1_1000_chart_within_budget(self):
+        # P^999, one below the largest P^n the cell limit admits; its chart
+        # took about two minutes while the cell weights were valuation vectors
+        start = time.perf_counter()
+        chart = superpotential_chart(BoxContext(1, 1000))
+        assert time.perf_counter() - start < 2.0
+        assert len(chart.terms) == 1000
+        assert chart.terms[(-1,) * 999] == QPolynomial.of(1, 1)
 
 
 class TestValuationReport:
