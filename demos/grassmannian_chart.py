@@ -7,7 +7,6 @@ Run from the repository root:
 """
 
 from fanoperiods.grassmannian import (
-    build_rectangles_network,
     flow_polynomial,
     grass_periods,
     nobody_polytope,
@@ -24,13 +23,13 @@ def show(label: str, value) -> None:
 
 def main() -> None:
     ctx = BoxContext(2, 4)
-    net = build_rectangles_network(ctx)
+    chart = superpotential_chart(ctx)
 
     print("network chart")
-    show("variables", ", ".join(net.variable_names))
+    show("variables", ", ".join(chart.names))
     print("frozen coordinates as flow polynomials")
     for diagram in all_diagrams(ctx):
-        poly = flow_polynomial(net, diagram)
+        poly = flow_polynomial(diagram)
         show(f"p_{diagram.rows or '()'}", f"{len(poly.terms)} term(s)")
 
     print("theta summands (restrictions of neighbor over frozen)")
@@ -38,7 +37,6 @@ def main() -> None:
         mu = boundary_rectangle(i, ctx)
         show(f"theta_{i} (rectangle {mu.rows or '()'})", theta_restriction(i, ctx))
 
-    chart = superpotential_chart(ctx)
     print("superpotential")
     show("monomials", len(chart.terms))
 

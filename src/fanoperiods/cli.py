@@ -197,12 +197,6 @@ def _cmd_frobenius(args):
         # each c_d is one monomial in q, and so is every tail and table entry:
         # none is nonzero in Q[q] but zero at q = 1, so the same entries print
         sequence = periods.PeriodSequence([c.specialize_q(1) for c in sequence.coeffs])
-    if args.max_p > max(sequence.order, 1):
-        # N_p is trusted only to tail index order - p, and N_{p+1} needs index 1 of N_p
-        raise ValueError(
-            f"--max-p {args.max_p} needs a period file of order at least "
-            f"{args.max_p}; this file has order {sequence.order}"
-        )
     series = frobenius.theta_ladder(sequence, args.max_p)
     if args.emit == "series":
         return frobenius.series_records(series)

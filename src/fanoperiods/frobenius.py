@@ -163,11 +163,11 @@ def theta_ladder(periods: PeriodSequence, top: int) -> list[ThetaSeries]:
     """
     if top < 1:
         raise ValueError(f"the ladder starts at N_1, got top {top}")
-    window = max(periods.order - 1, 0)  # valid_to of N_1
-    if top > window + 1:
+    # N_1 is trusted to tail index max(order - 1, 0); N_top needs index top - 1
+    if top > max(periods.order, 1):
         raise UntrustedCoefficientError(
-            f"N_{top} needs tail index {top - 1} of N_1, beyond its trusted "
-            f"window {window}"
+            f"N_{top} needs a period sequence of order at least {top}; "
+            f"this one has order {periods.order}"
         )
     n1 = reconstruct_N1(periods)
     scale = _common_denominator(n1.tail.values())

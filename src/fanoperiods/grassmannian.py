@@ -18,10 +18,14 @@ divides by it.  With m = n - k, the cell at row r, column c weighs x0
 times every rectangle not containing the (m+1-c) x (k+1-r) box: the
 valuation vector of the diagram with west steps ([k] minus {r}) and
 n+1-c, which makes the empty flow weightless and every boundary
-rectangle a unit monomial.  A flow polynomial sums the weights of the
-cell-disjoint families of one path per source, walked from the bottom
-source up and pruned at the first shared cell.  The chart needs no
-flow: its summands are closed forms (`theta_restriction`), and the
+rectangle a unit monomial.  Everything is keyed by the box: its chart
+variables are a closed form, cached with both box limits;
+`build_rectangles_network` tabulates the face weights, and
+`flow_polynomial` takes a diagram, which carries its box.  A flow
+polynomial sums the weights of the cell-disjoint families of one path
+per source, walked from the bottom source up and pruned at the first
+shared cell.  The chart needs no flow and no face weight: its summands
+are closed forms over the variable names (`theta_restriction`), and the
 tests keep the flow quotients and valuation vectors as their oracles.
 """
 
@@ -33,7 +37,6 @@ from math import comb
 from operator import add, sub
 
 from . import polytope
-from ._record import Record
 from .laurent import (
     LaurentPolynomial,
     QPolynomial,
@@ -58,85 +61,69 @@ Cell = tuple[int, int]
 # Gr(11,22) 184,756.  Flows enumerate them; every emitter is refused past this.
 MAX_SINGLE_PATHS = 50_000
 # Cells k(n-k); a chart holds about 2 k^2 (n-k)^2 exponent entries.  On 2 vCPUs
-# Gr(2,502), at the limit, prints in 1 s at 170 MB; Gr(2,1001) took 4.4 s, 630 MB.
+# Gr(2,502), at the limit, prints in 0.8 s at 160 MB; Gr(2,1001) took 4.4 s, 630 MB.
 MAX_CELLS = 1_000
 
 
-class GridNetwork(Record):
-    """The grid network of the rectangles seed.
-
-    `variable_labels` lists the base face (empty diagram) followed by
-    every rectangle in the box but the full one, and matches
-    `variable_names` position by position.
-    `cell_weights` maps each grid cell to the exponent vector of its
-    face monomial.  Equality and hashing are by identity: a network is
-    an lru_cache key and its weight mapping is a plain dict.
-    """
-
-    __slots__ = _fields = (
-        "context", "variable_names", "variable_labels", "cell_weights"
-    )
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        context: BoxContext,
-        variable_names: tuple[str, ...],
-        variable_labels: tuple[YoungDiagram, ...],
-        cell_weights: dict[Cell, tuple[int, ...]],
-    ):
-        self._store(context, variable_names, variable_labels, cell_weights)
+def _rectangles(ctx: BoxContext) -> list[tuple[int, int]]:
+    """(rows, length) of every rectangle in the box but the full one, which comes last."""
+    return list(product(range(1, ctx.n - ctx.k + 1), range(1, ctx.k + 1)))[:-1]
 
 
 @lru_cache(maxsize=None)
-def build_rectangles_network(ctx: BoxContext) -> GridNetwork:
-    """Network for the rectangles seed of Gr(k, n); refused past
-    MAX_SINGLE_PATHS, then past MAX_CELLS."""
+def _variable_names(ctx: BoxContext) -> tuple[str, ...]:
+    """x0 for the base face, then x{rows}{length} for each of `_rectangles`;
+    the box is refused past MAX_SINGLE_PATHS, then past MAX_CELLS."""
     k, n = ctx.k, ctx.n
     if (paths := comb(n - 2, k - 1)) > MAX_SINGLE_PATHS:
         raise ValueError(f"Gr({k},{n}) has {paths} paths from one source to one sink, "
                          f"above the limit of {MAX_SINGLE_PATHS}")
-    width = n - k
-    if (cells := k * width) > MAX_CELLS:
+    if (cells := k * (n - k)) > MAX_CELLS:
         raise ValueError(f"Gr({k},{n}) has {cells} cells, "
                          f"above the limit of {MAX_CELLS}")
-    names = ["x0"]
-    variable_labels = [YoungDiagram(ctx, ())]
-    # every rectangle but the full box, which comes last
-    rectangles = list(product(range(1, width + 1), range(1, k + 1)))[:-1]
-    for rows, cols in rectangles:
-        # Single-character indices never collide at desk scale;
-        # wider boxes need the separator to keep names distinct.
-        names.append(f"x{rows}{cols}" if max(rows, cols) < 10 else f"x{rows}_{cols}")
-        variable_labels.append(YoungDiagram(ctx, (cols,) * rows))
+    # Single-character indices never collide at desk scale;
+    # wider boxes need the separator to keep names distinct.
+    return ("x0",) + tuple(
+        f"x{rows}{cols}" if max(rows, cols) < 10 else f"x{rows}_{cols}"
+        for rows, cols in _rectangles(ctx)
+    )
+
+
+@lru_cache(maxsize=None)
+def build_rectangles_network(ctx: BoxContext) -> dict[Cell, tuple[int, ...]]:
+    """Face weights of the rectangles-seed network of Gr(k, n): each grid
+    cell maps to the exponent vector of its face monomial over the chart
+    variables.  The box limits refuse it as they refuse the chart."""
+    _variable_names(ctx)
+    k, width = ctx.k, ctx.n - ctx.k
+    rectangles = _rectangles(ctx)
     # x0 and every rectangle not containing the (width+1-c) x (k+1-r) box
-    cell_weights = {
+    return {
         (r, c): (1,) + tuple(int(a <= width - c or b <= k - r) for a, b in rectangles)
         for r in range(1, k + 1)
         for c in range(1, width + 1)
     }
-    return GridNetwork(ctx, tuple(names), tuple(variable_labels), cell_weights)
 
 
 @lru_cache(maxsize=None)
 def _single_paths(
-    net: GridNetwork, source_row: int, sink_column: int
+    ctx: BoxContext, source_row: int, sink_column: int
 ) -> tuple[tuple[frozenset[Cell], tuple[int, ...]], ...]:
     """Monotone staircase paths from a source row to a sink column.
 
     Each path is reported as (cells, weight) where cells holds every
     grid cell the path passes through, turning cells included.
     """
-    k = net.context.k
-    zero = (0,) * len(net.variable_names)
+    k = ctx.k
+    cell_weights = build_rectangles_network(ctx)
+    zero = (0,) * len(_variable_names(ctx))
     results: list[tuple[frozenset[Cell], tuple[int, ...]]] = []
 
     def extend(row: int, entry_column: int, cells: frozenset[Cell], weight) -> None:
         passed: set[Cell] = set()
         for turn_column in range(entry_column, sink_column - 1, -1):
             here = cells | passed | {(row, turn_column)}
-            turned = tuple(map(add, weight, net.cell_weights[(row, turn_column)]))
+            turned = tuple(map(add, weight, cell_weights[(row, turn_column)]))
             if turn_column == sink_column:
                 tail = {(r, sink_column) for r in range(row + 1, k + 1)}
                 results.append((frozenset(here | tail), turned))
@@ -146,18 +133,18 @@ def _single_paths(
                         (r, turn_column) for r in range(row + 1, next_row + 1)
                     }
                     rejoined = tuple(
-                        map(sub, turned, net.cell_weights[(next_row, turn_column)])
+                        map(sub, turned, cell_weights[(next_row, turn_column)])
                     )
                     extend(next_row, turn_column - 1, frozenset(descent), rejoined)
             passed.add((row, turn_column))
 
-    extend(source_row, net.context.n - k, frozenset(), zero)
+    extend(source_row, ctx.n - k, frozenset(), zero)
     return tuple(results)
 
 
-def _terminals(net: GridNetwork, diagram: YoungDiagram) -> tuple[list[int], list[int]]:
+def _terminals(diagram: YoungDiagram) -> tuple[list[int], list[int]]:
     """Source rows and sink columns of the flow labeled by `diagram`."""
-    ctx = net.context
+    ctx = diagram.context
     west = to_steps(diagram)
     sources = [r for r in range(1, ctx.k + 1) if r not in west]
     columns = sorted(ctx.n + 1 - s for s in west if s > ctx.k)
@@ -165,21 +152,20 @@ def _terminals(net: GridNetwork, diagram: YoungDiagram) -> tuple[list[int], list
 
 
 @lru_cache(maxsize=None)
-def flow_polynomial(net: GridNetwork, diagram: YoungDiagram) -> LaurentPolynomial:
-    """Sum of the weights of cell-disjoint path families for `diagram`,
-    walked one path per source from the bottom source up; the empty
-    diagram has no sources and its one empty family weighs 1."""
-    if diagram.context != net.context:
-        raise ValueError(
-            f"diagram context {diagram.context} does not match {net.context}"
-        )
-    sources, columns = _terminals(net, diagram)
+def flow_polynomial(diagram: YoungDiagram) -> LaurentPolynomial:
+    """Sum of the weights of cell-disjoint path families for `diagram` on
+    the network of its box, walked one path per source from the bottom
+    source up; the empty diagram has no sources and its one empty family
+    weighs 1."""
+    ctx = diagram.context
+    names = _variable_names(ctx)
+    sources, columns = _terminals(diagram)
     # The network is planar with sources and sinks in boundary order, so only
     # the order-preserving pairing gives disjoint families, and in one each
     # path runs south-east of the path above it: a path that misses the path
     # placed just before it misses every path placed, so one check per step
     # is enough.  The bottom source has the fewest paths, so it goes first.
-    options = [_single_paths(net, s, c) for s, c in zip(sources, columns)]
+    options = [_single_paths(ctx, s, c) for s, c in zip(sources, columns)]
     counts: dict[tuple[int, ...], int] = {}
 
     def place(level: int, below: frozenset[Cell], total: tuple[int, ...]) -> None:
@@ -190,9 +176,9 @@ def flow_polynomial(net: GridNetwork, diagram: YoungDiagram) -> LaurentPolynomia
             if below.isdisjoint(cells):
                 place(level - 1, cells, tuple(map(add, total, weight)))
 
-    place(len(options) - 1, frozenset(), (0,) * len(net.variable_names))
+    place(len(options) - 1, frozenset(), (0,) * len(names))
     terms = {total: QPolynomial.of(count) for total, count in counts.items()}
-    return LaurentPolynomial(net.variable_names, terms)
+    return LaurentPolynomial(names, terms)
 
 
 def _summand_exponents(i: int, ctx: BoxContext, rank: int) -> list[tuple[int, ...]]:
@@ -222,7 +208,7 @@ def theta_restriction(i: int, ctx: BoxContext) -> LaurentPolynomial:
     An index outside 0..n-1 raises ValueError.
     """
     _require_boundary_index(i, ctx)
-    names = build_rectangles_network(ctx).variable_names
+    names = _variable_names(ctx)
     exponents = _summand_exponents(i, ctx, len(names))
     return LaurentPolynomial(names, dict.fromkeys(exponents, QPolynomial.one()))
 
@@ -234,10 +220,10 @@ def superpotential_chart(ctx: BoxContext) -> LaurentPolynomial:
     rectangle; any of the n cyclic choices gives an isomorphic chart,
     so a fixed deterministic one is used.  No two summands share a term.
     """
-    names = build_rectangles_network(ctx).variable_names
-    one, terms = QPolynomial.one(), {}
+    names = _variable_names(ctx)
+    one, q, terms = QPolynomial.one(), QPolynomial.of(1, 1), {}
     for i in range(ctx.n):
-        coeff = one.shift_q(1) if i == ctx.n - ctx.k else one
+        coeff = q if i == ctx.n - ctx.k else one
         terms.update(dict.fromkeys(_summand_exponents(i, ctx, len(names)), coeff))
     return LaurentPolynomial(names, terms)
 
@@ -254,11 +240,15 @@ def verify_valuations(ctx: BoxContext) -> list[dict]:
     lambda/expected/got; summand records use theta/expected/got.  An
     empty list means every identity holds.
     """
-    net = build_rectangles_network(ctx)
+    _variable_names(ctx)  # refuses the box before any diagram is built
+    # the base face and the rectangles, in the order of the chart variables
+    labels = [YoungDiagram(ctx, ())] + [
+        YoungDiagram(ctx, (cols,) * rows) for rows, cols in _rectangles(ctx)
+    ]
     mismatches: list[dict] = []
     for diagram in all_diagrams(ctx):
-        poly = flow_polynomial(net, diagram)
-        expected = valuation_vector(diagram, net.variable_labels)
+        poly = flow_polynomial(diagram)
+        expected = valuation_vector(diagram, labels)
         got, attained = min_exponent_vector(poly)
         if not attained:
             mismatches.append(
@@ -279,12 +269,10 @@ def verify_valuations(ctx: BoxContext) -> list[dict]:
     for i in range(ctx.n):
         mu = boundary_rectangle(i, ctx)
         drop = 1 if i == ctx.n - ctx.k else 0
-        expected_vec = [
-            (1 if label == mu else 0) - drop for label in net.variable_labels
-        ]
+        expected_vec = [(1 if label == mu else 0) - drop for label in labels]
         theta = theta_restriction(i, ctx)
-        box = flow_polynomial(net, boundary_rectangle_box(i, ctx))
-        if box != theta * flow_polynomial(net, mu):
+        box = flow_polynomial(boundary_rectangle_box(i, ctx))
+        if box != theta * flow_polynomial(mu):
             mismatches.append(
                 {"theta": i, "expected": "the flow quotient", "got": "another summand"}
             )

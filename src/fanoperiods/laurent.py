@@ -76,10 +76,6 @@ class QPolynomial(Record):
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def shift_q(self, by: int) -> QPolynomial:
-        """Multiply by q**by."""
-        return QPolynomial({p + by: c for p, c in self._coeffs.items()})
-
     def specialize_q(self, value: Rational) -> Fraction:
         v = _as_fraction(value)
         return sum((c * v**p for p, c in self._coeffs.items()), Fraction(0))

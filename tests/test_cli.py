@@ -726,8 +726,8 @@ class TestFrobeniusSubcommand:
         capsys.readouterr()
         assert run(["frobenius", "--periods", str(path), "--max-p", "7"]) == 1
         assert capsys.readouterr().err == (
-            "error: --max-p 7 needs a period file of order at least 7; "
-            "this file has order 6\n"
+            "error: N_7 needs a period sequence of order at least 7; "
+            "this one has order 6\n"
         )
 
     def test_off_grading_input_is_domain_error(self, tmp_path, capsys):

@@ -67,5 +67,6 @@ def test_readme_python_api_gives_the_values_it_states():
     assert scope["lattice_point_count"](scope["system"], 2) == 825
     head = [str(c) for c in scope["grass_periods"](scope["ctx"], 8)]
     assert head == ["1", "0", "0", "0", "48q", "0", "0", "0", "15120q^2"]
+    assert len(scope["p21"].terms) == 2
     assert str(scope["table"].entry(1, 2, 0)) == "6q"
     assert scope["associativity_check"](scope["table"]) == []

@@ -645,16 +645,16 @@ class TestIntKernelMatchesQPolynomialOracles:
 
     def test_window_errors_name_the_same_limit(self):
         # the ladder is refused before any step: its message names the
-        # requested rung and N_1's window, where the oracle's step fails
+        # requested rung and the order it needs, where the oracle's step fails
         ladder = theta_ladder(trivial_periods(3), 3)
-        with pytest.raises(UntrustedCoefficientError, match=r"N_4 .* window 2$"):
+        with pytest.raises(UntrustedCoefficientError, match=r"^N_4 .* at least 4; .* order 3$"):
             theta_ladder(trivial_periods(3), 4)
         with pytest.raises(UntrustedCoefficientError):
             _extend_q_polynomials(ladder)
 
-    @pytest.mark.parametrize("order, top, window", [(0, 2, 0), (1, 2, 0), (240, 241, 239)])
+    @pytest.mark.parametrize("order, top", [(0, 2), (1, 2), (240, 241)])
     def test_an_unreachable_top_is_refused_before_reconstructing(
-        self, monkeypatch, order, top, window
+        self, monkeypatch, order, top
     ):
         # the window of N_1 follows from the order alone, so a top beyond it
         # costs no reconstruction
@@ -662,7 +662,7 @@ class TestIntKernelMatchesQPolynomialOracles:
             raise AssertionError("reconstruct_N1 ran")
 
         monkeypatch.setattr(frobenius, "reconstruct_N1", refuse)
-        message = f"N_{top} needs tail index {top - 1} of N_1, beyond its trusted window {window}"
+        message = f"N_{top} needs a period sequence of order at least {top}; this one has order {order}"
         with pytest.raises(UntrustedCoefficientError, match=f"^{re.escape(message)}$"):
             theta_ladder(trivial_periods(order), top)
         with pytest.raises(AssertionError, match="reconstruct_N1 ran"):

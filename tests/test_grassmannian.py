@@ -14,6 +14,7 @@ closed-form face weight.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -27,6 +28,7 @@ from fanoperiods.grassmannian import (
     MAX_SINGLE_PATHS,
     _single_paths,
     _terminals,
+    _variable_names,
     build_rectangles_network,
     flow_polynomial,
     grass_periods,
@@ -64,27 +66,36 @@ SMALL_CONTEXTS = [
 ]
 
 
-def path_matrix_entry(net, source_row, sink_column):
+def rectangle_labels(ctx):
+    """The diagrams behind the chart variables: the base face (empty
+    diagram), then every rectangle r x c but the full box, r-major."""
+    k, m = ctx.k, ctx.n - ctx.k
+    rectangles = [YoungDiagram(ctx, (c,) * r) for r in range(1, m + 1) for c in range(1, k + 1)]
+    return [YoungDiagram(ctx, ())] + rectangles[:-1]
+
+
+def path_matrix_entry(ctx, source_row, sink_column):
     """All single-path weights between one source and one sink."""
     terms = {}
     one = QPolynomial.one()
-    for _, weight in _single_paths(net, source_row, sink_column):
+    for _, weight in _single_paths(ctx, source_row, sink_column):
         terms[weight] = terms.get(weight, QPolynomial.zero()) + one
-    return LaurentPolynomial(net.variable_names, terms)
+    return LaurentPolynomial(_variable_names(ctx), terms)
 
 
-def flow_determinant(net, diagram):
+def flow_determinant(diagram):
     """Oracle for flow_polynomial: the determinant route.
 
     The counterclockwise boundary ordering makes the disjoint-family
     sum equal the plain determinant of the path matrix over ascending
     sources and ascending sink columns, with positive sign.
     """
-    sources, columns = _terminals(net, diagram)
+    ctx = diagram.context
+    sources, columns = _terminals(diagram)
     if not sources:
-        return LaurentPolynomial.one(net.variable_names)
-    matrix = [[path_matrix_entry(net, s, c) for c in columns] for s in sources]
-    return _determinant(matrix, net.variable_names)
+        return LaurentPolynomial.one(_variable_names(ctx))
+    matrix = [[path_matrix_entry(ctx, s, c) for c in columns] for s in sources]
+    return _determinant(matrix, _variable_names(ctx))
 
 
 def _determinant(matrix, names):
@@ -103,65 +114,61 @@ def unit(names, *exponent_vectors):
     return LaurentPolynomial.from_dict(names, {e: 1 for e in exponent_vectors})
 
 
-def plucker(net, west):
-    return flow_polynomial(net, from_steps(net.context, west))
+def plucker(ctx, west):
+    return flow_polynomial(from_steps(ctx, west))
 
 
 def theta_by_flows(i, ctx):
     """Oracle for theta_restriction: the flow of the one-box variation of
     boundary rectangle i divided by the flow of the rectangle, which must
     be one monomial with coefficient 1."""
-    net = build_rectangles_network(ctx)
-    numerator = flow_polynomial(net, boundary_rectangle_box(i, ctx))
-    denominator = flow_polynomial(net, boundary_rectangle(i, ctx))
+    numerator = flow_polynomial(boundary_rectangle_box(i, ctx))
+    denominator = flow_polynomial(boundary_rectangle(i, ctx))
     assert len(denominator.terms) == 1, (ctx, i)
     ((shift, coeff),) = denominator.terms.items()
     assert coeff == QPolynomial.one(), (ctx, i)
     terms = {tuple(map(sub, e, shift)): c for e, c in numerator.terms.items()}
-    return LaurentPolynomial(net.variable_names, terms)
+    return LaurentPolynomial(numerator.names, terms)
 
 
-def face_by_valuations(net, row, column):
+def face_by_valuations(ctx, row, column):
     """Oracle for a cell weight: the valuation vector of the diagram whose
     west steps are ([k] minus {row}) together with {n+1-column}."""
-    ctx = net.context
     west = (set(range(1, ctx.k + 1)) - {row}) | {ctx.n + 1 - column}
-    return valuation_vector(from_steps(ctx, west), net.variable_labels)
+    return valuation_vector(from_steps(ctx, west), rectangle_labels(ctx))
 
 
 class TestNetworkShape:
     def test_gr24_faces_and_variables(self):
-        net = build_rectangles_network(CTX24)
-        assert net.variable_names == ("x0", "x11", "x12", "x21")
-        assert tuple(d.rows for d in net.variable_labels) == (
+        assert _variable_names(CTX24) == ("x0", "x11", "x12", "x21")
+        labels = rectangle_labels(CTX24)
+        assert tuple(d.rows for d in labels) == (
             (),
             (1,),
             (2,),
             (1, 1),
         )
-        rectangles = [d for d in net.variable_labels if d.rows]
+        rectangles = [d for d in labels if d.rows]
         assert len(rectangles) == 3
         assert all(len(set(d.rows)) == 1 for d in rectangles)
 
     def test_gr25_faces_and_variables(self):
-        net = build_rectangles_network(CTX25)
-        assert net.variable_names == ("x0", "x11", "x12", "x21", "x22", "x31")
-        assert tuple(d.rows for d in net.variable_labels) == (
+        assert _variable_names(CTX25) == ("x0", "x11", "x12", "x21", "x22", "x31")
+        assert tuple(d.rows for d in rectangle_labels(CTX25)) == (
             (), (1,), (2,), (1, 1), (2, 2), (1, 1, 1)
         )
 
     def test_face_count_formula(self):
         for ctx in SMALL_CONTEXTS:
-            net = build_rectangles_network(ctx)
-            assert len(net.variable_names) == ctx.k * (ctx.n - ctx.k)
-            assert len(net.variable_labels) == len(net.variable_names)
+            names, labels = _variable_names(ctx), rectangle_labels(ctx)
+            assert len(names) == ctx.k * (ctx.n - ctx.k)
+            assert len(labels) == len(names)
             full_box = YoungDiagram(ctx, (ctx.k,) * (ctx.n - ctx.k))
-            assert full_box not in net.variable_labels
+            assert full_box not in labels
 
     def test_single_face_network(self):
-        net = build_rectangles_network(CTX12)
-        assert net.variable_names == ("x0",)
-        assert tuple(d.rows for d in net.variable_labels) == ((),)
+        assert _variable_names(CTX12) == ("x0",)
+        assert build_rectangles_network(CTX12) == {(1, 1): (1,)}
 
     def test_single_path_counts_are_binomial(self):
         # s from the top to c from the west: (n-k-c) west and (k-s) south
@@ -169,9 +176,9 @@ class TestNetworkShape:
         # the count that build_rectangles_network refuses above its limit
         for n in range(2, 11):
             for k in range(1, n):
-                net = build_rectangles_network(BoxContext(k, n))
+                ctx = BoxContext(k, n)
                 counts = {
-                    (s, c): len(_single_paths(net, s, c))
+                    (s, c): len(_single_paths(ctx, s, c))
                     for s in range(1, k + 1)
                     for c in range(1, n - k + 1)
                 }
@@ -187,14 +194,18 @@ class TestNetworkShape:
         )
         with pytest.raises(ValueError, match=message):
             build_rectangles_network(BoxContext(11, 22))
+        # a flow reads its box off its diagram and is refused with it
+        with pytest.raises(ValueError, match=message):
+            flow_polynomial(YoungDiagram(BoxContext(11, 22), ()))
 
     def test_faces_match_the_valuation_route_through_n_12(self):
         for n in range(2, 13):
             for k in range(1, n):
-                net = build_rectangles_network(BoxContext(k, n))
-                assert len(net.cell_weights) == k * (n - k)
-                for (row, column), weight in net.cell_weights.items():
-                    expected = face_by_valuations(net, row, column)
+                ctx = BoxContext(k, n)
+                weights = build_rectangles_network(ctx)
+                assert len(weights) == k * (n - k)
+                for (row, column), weight in weights.items():
+                    expected = face_by_valuations(ctx, row, column)
                     assert weight == expected, (k, n, row, column)
 
     def test_cell_limit_admits_gr_1_1001_and_refuses_gr_1_1002(self):
@@ -215,15 +226,11 @@ class TestNetworkShape:
 class TestFlowPolynomials:
     def test_empty_diagram_normalization(self):
         for ctx in (CTX12, CTX24, CTX25, CTX35):
-            net = build_rectangles_network(ctx)
             empty = YoungDiagram(ctx, ())
-            assert flow_polynomial(net, empty) == LaurentPolynomial.one(
-                net.variable_names
-            )
+            assert flow_polynomial(empty) == LaurentPolynomial.one(_variable_names(ctx))
 
     def test_gr24_flow_table(self):
-        net = build_rectangles_network(CTX24)
-        names = net.variable_names
+        names = _variable_names(CTX24)
         table = {
             (1,): unit(names, (1, 0, 0, 0)),
             (2,): unit(names, (1, 1, 0, 1)),
@@ -233,60 +240,67 @@ class TestFlowPolynomials:
         }
         for rows, expected in table.items():
             diagram = YoungDiagram(CTX24, rows)
-            assert flow_polynomial(net, diagram) == expected, rows
+            assert flow_polynomial(diagram) == expected, rows
 
     def test_gr25_flow_spots(self):
-        net = build_rectangles_network(CTX25)
-        names = net.variable_names
-        assert flow_polynomial(net, YoungDiagram(CTX25, (2,))) == unit(
+        names = _variable_names(CTX25)
+        assert flow_polynomial(YoungDiagram(CTX25, (2,))) == unit(
             names, (1, 1, 0, 1, 0, 1)
         )
         full = YoungDiagram(CTX25, (2, 2, 2))
-        assert flow_polynomial(net, full) == unit(names, (2, 2, 2, 1, 1, 1))
+        assert flow_polynomial(full) == unit(names, (2, 2, 2, 1, 1, 1))
+
+    def test_every_flow_through_n_11_is_unchanged(self):
+        # sha256 over the reprs of the 4,072 flows of the boxes with n <= 11,
+        # recorded while a flow took the box's network record as well
+        digest = hashlib.sha256()
+        for n in range(2, 12):
+            for k in range(1, n):
+                for diagram in all_diagrams(BoxContext(k, n)):
+                    digest.update(repr(flow_polynomial(diagram)).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "6993fdeef7cc5c8cb34eb24d8ba856cda64ca8d92bd0381271aa483f7a6ed289"
+        )
 
     def test_unit_coefficients_everywhere(self):
         for ctx in SMALL_CONTEXTS:
-            net = build_rectangles_network(ctx)
             for diagram in all_diagrams(ctx):
-                poly = flow_polynomial(net, diagram)
+                poly = flow_polynomial(diagram)
                 assert not poly.is_zero()
                 for coeff in poly.terms.values():
                     assert coeff == QPolynomial.one(), (ctx, diagram.rows)
 
     def test_boundary_rectangles_are_frozen_monomials(self):
         for ctx in SMALL_CONTEXTS:
-            net = build_rectangles_network(ctx)
             for i in range(ctx.n):
                 mu = boundary_rectangle(i, ctx)
-                poly = flow_polynomial(net, mu)
+                poly = flow_polynomial(mu)
                 assert len(poly.terms) == 1, (ctx, i)
                 ((exponents, coeff),) = poly.terms.items()
                 assert coeff == QPolynomial.one()
-                assert exponents == valuation_vector(mu, net.variable_labels)
+                assert exponents == valuation_vector(mu, rectangle_labels(ctx))
 
     def test_flow_minimum_matches_diagonal_statistic(self):
         for ctx in (CTX24, CTX25, CTX35):
-            net = build_rectangles_network(ctx)
             for diagram in all_diagrams(ctx):
-                vec, attained = min_exponent_vector(flow_polynomial(net, diagram))
+                vec, attained = min_exponent_vector(flow_polynomial(diagram))
                 assert attained, (ctx, diagram.rows)
-                assert vec == valuation_vector(diagram, net.variable_labels)
+                assert vec == valuation_vector(diagram, rectangle_labels(ctx))
 
 
 class TestPluckerRelations:
     @pytest.mark.parametrize("ctx", [CTX24, CTX25, CTX35])
     def test_three_term_relation(self, ctx):
-        net = build_rectangles_network(ctx)
         rest = range(1, ctx.n + 1)
         for quad in combinations(rest, 4):
             a, b, c, d = quad
             others = [v for v in rest if v not in quad]
             for extra in combinations(others, ctx.k - 2):
                 s = set(extra)
-                lhs = plucker(net, s | {a, c}) * plucker(net, s | {b, d})
-                rhs = plucker(net, s | {a, b}) * plucker(net, s | {c, d}) + plucker(
-                    net, s | {a, d}
-                ) * plucker(net, s | {b, c})
+                lhs = plucker(ctx, s | {a, c}) * plucker(ctx, s | {b, d})
+                rhs = plucker(ctx, s | {a, b}) * plucker(ctx, s | {c, d}) + plucker(
+                    ctx, s | {a, d}
+                ) * plucker(ctx, s | {b, c})
                 assert lhs == rhs, (ctx, quad, sorted(s))
 
 
@@ -298,17 +312,13 @@ class TestDeterminantCrossCheck:
         + [BoxContext(k, n) for k, n in ((3, 6), (2, 7), (3, 7), (4, 8), (5, 10))],
     )
     def test_determinant_equals_flow_sum(self, ctx):
-        net = build_rectangles_network(ctx)
         for diagram in all_diagrams(ctx):
-            assert flow_determinant(net, diagram) == flow_polynomial(
-                net, diagram
-            ), (ctx, diagram.rows)
+            assert flow_determinant(diagram) == flow_polynomial(diagram), (ctx, diagram.rows)
 
     def test_gr612_boundary_diagrams(self):
         # the 24 diagrams of the chart's numerators and denominators, with
         # up to six sources each
         ctx = BoxContext(6, 12)
-        net = build_rectangles_network(ctx)
         diagrams = {
             build(i, ctx)
             for i in range(ctx.n)
@@ -316,19 +326,16 @@ class TestDeterminantCrossCheck:
         }
         assert len(diagrams) == 24
         for diagram in diagrams:
-            assert flow_determinant(net, diagram) == flow_polynomial(
-                net, diagram
-            ), diagram.rows
+            assert flow_determinant(diagram) == flow_polynomial(diagram), diagram.rows
 
     def test_single_source_entry(self):
-        net = build_rectangles_network(CTX24)
         diagram = YoungDiagram(CTX24, (2, 1))
-        assert path_matrix_entry(net, 1, 1) == flow_polynomial(net, diagram)
+        assert path_matrix_entry(CTX24, 1, 1) == flow_polynomial(diagram)
 
 
 class TestThetaRestriction:
     def test_gr24_theta_table(self):
-        names = build_rectangles_network(CTX24).variable_names
+        names = _variable_names(CTX24)
         expected = [
             unit(names, (1, 0, 0, 0)),
             unit(names, (0, 0, 1, 0), (0, 1, 1, 0)),
@@ -339,7 +346,7 @@ class TestThetaRestriction:
             assert theta_restriction(i, CTX24) == poly, i
 
     def test_gr25_theta_spots(self):
-        names = build_rectangles_network(CTX25).variable_names
+        names = _variable_names(CTX25)
         assert theta_restriction(1, CTX25) == unit(
             names, (0, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0)
         )
@@ -354,9 +361,8 @@ class TestThetaRestriction:
 
     def test_theta_zero_equals_numerator(self):
         for ctx in (CTX24, CTX35):
-            net = build_rectangles_network(ctx)
             box = YoungDiagram(ctx, (1,))
-            assert theta_restriction(0, ctx) == flow_polynomial(net, box)
+            assert theta_restriction(0, ctx) == flow_polynomial(box)
 
     def test_theta_minimum_attained(self):
         for i in range(CTX24.n):
@@ -382,7 +388,7 @@ class TestThetaRestriction:
 
 class TestSuperpotential:
     def test_gr24_chart(self):
-        names = build_rectangles_network(CTX24).variable_names
+        names = _variable_names(CTX24)
         expected = LaurentPolynomial.from_dict(
             names,
             {
@@ -397,7 +403,7 @@ class TestSuperpotential:
         assert superpotential_chart(CTX24) == expected
 
     def test_smallest_case(self):
-        names = build_rectangles_network(CTX12).variable_names
+        names = _variable_names(CTX12)
         expected = LaurentPolynomial.from_dict(
             names, {(1,): 1, (-1,): QPolynomial.of(1, 1)}
         )
@@ -418,6 +424,14 @@ class TestSuperpotential:
             assert value.denominator == 1
             assert value > 0
 
+    def test_chart_emitters_build_no_face_table(self):
+        # the chart, its periods and its polytope read only the variable names
+        build_rectangles_network.cache_clear()
+        superpotential_chart(CTX25)
+        grass_periods(CTX25, 4)
+        nobody_polytope(CTX25)
+        assert build_rectangles_network.cache_info().currsize == 0
+
     def test_gr25_term_count(self):
         assert len(superpotential_chart(CTX25).terms) == 9
 
@@ -433,8 +447,8 @@ class TestSuperpotential:
 
     def test_gr_10_20_chart_within_budget(self):
         # over 6 s while each summand was a quotient of two enumerated flows;
-        # the network is rebuilt so that no cached weight table helps
-        build_rectangles_network.cache_clear()
+        # the names are rebuilt so that no cached closed form helps
+        _variable_names.cache_clear()
         start = time.perf_counter()
         terms = superpotential_chart(BoxContext(10, 20)).terms
         assert time.perf_counter() - start < 1.0

@@ -112,7 +112,6 @@ def test_qpolynomial_scalar_ops():
     assert p / 3 == QPolynomial.of(2)
     assert p / Fraction(1, 2) == QPolynomial.of(12)
     assert 2 * p == QPolynomial.of(12)
-    assert p.shift_q(2) == QPolynomial({2: Fraction(6)})
 
 
 def test_qpolynomial_rendering():

@@ -23,7 +23,6 @@ from fanoperiods.frobenius import (
     StructureTable,
     ThetaSeries,
 )
-from fanoperiods.grassmannian import GridNetwork, build_rectangles_network
 from fanoperiods.laurent import LaurentPolynomial, QPolynomial
 from fanoperiods.polytope import (
     Halfspace,
@@ -183,17 +182,6 @@ def test_keyword_construction():
     assert table.entries == {}
     assert table.entry(1, 1, 0) == QPolynomial.zero()
     assert StructureTable(total=3, entries={(1, 1, 2): 1}).entry(1, 1, 2) == QPolynomial.one()
-
-
-def test_grid_network_equality_is_identity():
-    net = build_rectangles_network(CTX24)
-    twin = GridNetwork(**{name: getattr(net, name) for name in GridNetwork._fields})
-    assert net == net
-    assert net != twin
-    assert len({net, twin}) == 2
-    assert hash(net) == object.__hash__(net)
-    assert repr(twin) == repr(net)
-    assert build_rectangles_network(CTX24) is net
 
 
 def test_halfspace_system_builds_its_chain_once(monkeypatch):
