@@ -24,7 +24,6 @@ from .laurent import (
     classical_periods,
     laurent_from_json,
     laurent_to_json,
-    support,
 )
 
 
@@ -173,7 +172,7 @@ def _cmd_period(args):
 
 def _cmd_polytope(args):
     f = laurent_from_json(_load_json(args.poly))
-    return _polytope_document(polytope.polar_from_support(support(f)), args.order)
+    return _polytope_document(polytope.polar_from_support(f.terms), args.order)
 
 
 def _cmd_grassmannian(args):

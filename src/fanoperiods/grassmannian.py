@@ -21,20 +21,24 @@ n+1-c, which makes the empty flow weightless and every boundary
 rectangle a unit monomial.  Everything is keyed by the box: its chart
 variables are a closed form, cached with both box limits;
 `build_rectangles_network` tabulates the face weights, and
-`flow_polynomial` takes a diagram, which carries its box.  A flow
+`flow_polynomial` takes a diagram, which carries its box.  A path is
+its non-increasing turn columns and its cells are one int mask.  A flow
 polynomial sums the weights of the cell-disjoint families of one path
 per source, walked from the bottom source up and pruned at the first
-shared cell.  The chart needs no flow and no face weight: its summands
-are closed forms over the variable names (`theta_restriction`), and the
-tests keep the flow quotients and valuation vectors as their oracles.
+shared cell; the valuation report counts those families by determinant
+first and is refused past MAX_FAMILY_ENTRIES.  The chart needs no flow
+and no face weight: its summands are closed forms over the variable
+names (`theta_restriction`), and the tests keep the flow quotients and
+valuation vectors as their oracles.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, combinations_with_replacement, pairwise, product
 from math import comb
 from operator import add, sub
+from typing import Collection
 
 from . import polytope
 from .laurent import (
@@ -42,7 +46,6 @@ from .laurent import (
     QPolynomial,
     classical_periods,
     min_exponent_vector,
-    support,
 )
 from .young import (
     BoxContext,
@@ -63,6 +66,10 @@ MAX_SINGLE_PATHS = 50_000
 # Cells k(n-k); a chart holds about 2 k^2 (n-k)^2 exponent entries.  On 2 vCPUs
 # Gr(2,502), at the limit, prints in 0.8 s at 160 MB; Gr(2,1001) took 4.4 s, 630 MB.
 MAX_CELLS = 1_000
+# Path families times cells k(n-k), the exponent entries a valuation report's
+# flows hold at most.  On 2 vCPUs Gr(3,25) (28.6 million) takes 6.3 s at 406 MB,
+# Gr(2,100) (31.7 million) 13 s at 333 MB; Gr(4,16) (36.9 million) took 601 MB.
+MAX_FAMILY_ENTRIES = 32_000_000
 
 
 def _rectangles(ctx: BoxContext) -> list[tuple[int, int]]:
@@ -108,47 +115,55 @@ def build_rectangles_network(ctx: BoxContext) -> dict[Cell, tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _single_paths(
     ctx: BoxContext, source_row: int, sink_column: int
-) -> tuple[tuple[frozenset[Cell], tuple[int, ...]], ...]:
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Monotone staircase paths from a source row to a sink column.
 
-    Each path is reported as (cells, weight) where cells holds every
-    grid cell the path passes through, turning cells included.
+    A path is its turn columns n-k >= j_s >= ... >= j_k = c: it leaves row
+    r heading south at column j_r, so row r holds columns j_r..j_{r-1},
+    with j_{s-1} = n-k.  Each path is reported as (cells, weight), where
+    bit (r-1)(n-k) + c of the int mask cells marks cell (r, c).
     """
-    k = ctx.k
+    k, width = ctx.k, ctx.n - ctx.k
     cell_weights = build_rectangles_network(ctx)
-    zero = (0,) * len(_variable_names(ctx))
-    results: list[tuple[frozenset[Cell], tuple[int, ...]]] = []
-
-    def extend(row: int, entry_column: int, cells: frozenset[Cell], weight) -> None:
-        passed: set[Cell] = set()
-        for turn_column in range(entry_column, sink_column - 1, -1):
-            here = cells | passed | {(row, turn_column)}
-            turned = tuple(map(add, weight, cell_weights[(row, turn_column)]))
-            if turn_column == sink_column:
-                tail = {(r, sink_column) for r in range(row + 1, k + 1)}
-                results.append((frozenset(here | tail), turned))
-            else:
-                for next_row in range(row + 1, k + 1):
-                    descent = here | {
-                        (r, turn_column) for r in range(row + 1, next_row + 1)
-                    }
-                    rejoined = tuple(
-                        map(sub, turned, cell_weights[(next_row, turn_column)])
-                    )
-                    extend(next_row, turn_column - 1, frozenset(descent), rejoined)
-            passed.add((row, turn_column))
-
-    extend(source_row, ctx.n - k, frozenset(), zero)
+    results: list[tuple[int, tuple[int, ...]]] = []
+    for turns in combinations_with_replacement(
+        range(width, sink_column - 1, -1), k - source_row
+    ):
+        columns = (width, *turns, sink_column)
+        weight, cells = cell_weights[source_row, columns[1]], 0
+        for row, (east, west) in enumerate(pairwise(columns), source_row):
+            cells |= ((2 << (east - west)) - 1) << ((row - 1) * width + west)
+            if row > source_row and west < east:
+                turn = map(sub, cell_weights[row, west], cell_weights[row, east])
+                weight = tuple(map(add, weight, turn))
+        results.append((cells, weight))
     return tuple(results)
 
 
-def _terminals(diagram: YoungDiagram) -> tuple[list[int], list[int]]:
-    """Source rows and sink columns of the flow labeled by `diagram`."""
-    ctx = diagram.context
-    west = to_steps(diagram)
+def _terminals(ctx: BoxContext, west: Collection[int]) -> tuple[list[int], list[int]]:
+    """Source rows and sink columns of the flow with west steps `west`."""
     sources = [r for r in range(1, ctx.k + 1) if r not in west]
     columns = sorted(ctx.n + 1 - s for s in west if s > ctx.k)
     return sources, columns
+
+
+def _family_count(ctx: BoxContext, west: Collection[int]) -> int:
+    """Cell-disjoint path families of the flow with west steps `west`: the
+    determinant of its single-path counts (Lindstrom-Gessel-Viennot), by
+    fraction-free elimination.  A leading minor counts the families of
+    another flow, and no flow is zero, so no pivot is zero."""
+    k, width = ctx.k, ctx.n - ctx.k
+    sources, columns = _terminals(ctx, west)
+    matrix = [[comb(width - c + k - s, k - s) for c in columns] for s in sources]
+    previous = pivot = 1
+    while matrix:  # Bareiss: each step drops the pivot's row and column
+        (pivot, *top), *rest = matrix
+        matrix = [
+            [(pivot * a - row[0] * b) // previous for a, b in zip(row[1:], top)]
+            for row in rest
+        ]
+        previous = pivot
+    return pivot
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +174,7 @@ def flow_polynomial(diagram: YoungDiagram) -> LaurentPolynomial:
     weighs 1."""
     ctx = diagram.context
     names = _variable_names(ctx)
-    sources, columns = _terminals(diagram)
+    sources, columns = _terminals(ctx, to_steps(diagram))
     # The network is planar with sources and sinks in boundary order, so only
     # the order-preserving pairing gives disjoint families, and in one each
     # path runs south-east of the path above it: a path that misses the path
@@ -168,15 +183,15 @@ def flow_polynomial(diagram: YoungDiagram) -> LaurentPolynomial:
     options = [_single_paths(ctx, s, c) for s, c in zip(sources, columns)]
     counts: dict[tuple[int, ...], int] = {}
 
-    def place(level: int, below: frozenset[Cell], total: tuple[int, ...]) -> None:
+    def place(level: int, below: int, total: tuple[int, ...]) -> None:
         if level < 0:
             counts[total] = counts.get(total, 0) + 1
             return
         for cells, weight in options[level]:
-            if below.isdisjoint(cells):
+            if not below & cells:
                 place(level - 1, cells, tuple(map(add, total, weight)))
 
-    place(len(options) - 1, frozenset(), (0,) * len(names))
+    place(len(options) - 1, 0, (0,) * len(names))
     terms = {total: QPolynomial.of(count) for total, count in counts.items()}
     return LaurentPolynomial(names, terms)
 
@@ -238,9 +253,20 @@ def verify_valuations(ctx: BoxContext) -> list[dict]:
     flow of mu_i and tropicalize coordinatewise to
     [variable label == mu_i] - [i == n-k].  Diagram records use keys
     lambda/expected/got; summand records use theta/expected/got.  An
-    empty list means every identity holds.
+    empty list means every identity holds.  Before any flow is built, a
+    box whose path families times cells pass MAX_FAMILY_ENTRIES raises
+    ValueError.
     """
-    _variable_names(ctx)  # refuses the box before any diagram is built
+    # the box limits refuse first, then the family count, before any diagram
+    families, cells = 0, len(_variable_names(ctx))
+    for west in combinations(range(1, ctx.n + 1), ctx.k):
+        families += _family_count(ctx, west)
+        if families * cells > MAX_FAMILY_ENTRIES:
+            raise ValueError(
+                f"Gr({ctx.k},{ctx.n}) has at least {families} path families of "
+                f"{cells} exponents each, {families * cells} in all, "
+                f"above the limit of {MAX_FAMILY_ENTRIES}"
+            )
     # the base face and the rectangles, in the order of the chart variables
     labels = [YoungDiagram(ctx, ())] + [
         YoungDiagram(ctx, (cols,) * rows) for rows, cols in _rectangles(ctx)
@@ -291,7 +317,7 @@ def nobody_polytope(ctx: BoxContext) -> polytope.HalfspaceSystem:
     cancels and its support is the joint support of the summands; the
     Novikov power on one summand changes coefficients, not exponents.
     """
-    return polytope.polar_from_support(support(superpotential_chart(ctx)))
+    return polytope.polar_from_support(superpotential_chart(ctx).terms)
 
 
 def grass_periods(ctx: BoxContext, order: int) -> list[QPolynomial]:

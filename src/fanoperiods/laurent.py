@@ -348,17 +348,11 @@ def _from_ints(coeffs: Mapping[int, int], scale: int) -> QPolynomial:
     return QPolynomial({p: Fraction(c, scale) for p, c in coeffs.items()})
 
 
-def support(f: LaurentPolynomial) -> list[ExponentVector]:
-    """Exponent vectors with nonzero coefficient, sorted lexicographically."""
-    return sorted(f.terms)
-
-
 def min_exponent_vector(f: LaurentPolynomial) -> tuple[ExponentVector, bool]:
     """Componentwise minimum of the support, and whether a single term attains it."""
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no minimal exponent vector")
-    vectors = list(f.terms)
-    lower = tuple(min(e[i] for e in vectors) for i in range(f.rank))
+    lower = tuple(map(min, zip(*f.terms)))
     return lower, lower in f.terms
 
 

@@ -656,6 +656,24 @@ class TestGrassmannianSubcommand:
             f"above the limit of {grassmannian.MAX_CELLS}\n"
         )
 
+    @pytest.mark.parametrize(
+        "k, n, families", [(7, 14, 653450), (10, 20, 321113), (2, 502, 32127)]
+    )
+    def test_valuation_report_above_the_family_limit_is_refused_at_once(self, k, n, families):
+        # both box limits admit these; the families are counted, not walked,
+        # and the count stops at the first partial sum past the limit
+        argv = ["grassmannian", "--k", str(k), "--n", str(n), "--emit", "valuations"]
+        start = time.perf_counter()
+        code, out, err = run_captured(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        cells = k * (n - k)
+        assert err == (
+            f"error: Gr({k},{n}) has at least {families} path families of {cells} "
+            f"exponents each, {families * cells} in all, "
+            f"above the limit of {grassmannian.MAX_FAMILY_ENTRIES}\n"
+        )
+
     @pytest.mark.parametrize("order", ["100000000", str(10**20)])
     def test_order_above_the_walk_limit_is_refused_at_once(self, order):
         argv = ["grassmannian", "--k", "2", "--n", "4", "--emit", "polytope", "--order", order]

@@ -5,11 +5,12 @@ heads frozen here were computed by hand from the staircase-path model
 (weights are products of the face variables at the turning cells)
 before the module was written, and cross-checked against the classical
 short Pluecker relations and a word count for the low period
-coefficients.  Three brute force routes are kept here as oracles:
+coefficients.  Four brute force routes are kept here as oracles:
+`walk_paths`, the recursive cell walk behind each turn-column path;
 `flow_determinant`, the path-matrix determinant route to the flow
-polynomial; `theta_by_flows`, the flow quotient behind each closed-form
-summand; and `face_by_valuations`, the diagonal statistic behind each
-closed-form face weight.
+polynomial, built on `walk_paths`; `theta_by_flows`, the flow quotient
+behind each closed-form summand; and `face_by_valuations`, the diagonal
+statistic behind each closed-form face weight.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import pytest
 
 from fanoperiods.grassmannian import (
     MAX_CELLS,
+    MAX_FAMILY_ENTRIES,
     MAX_SINGLE_PATHS,
+    _family_count,
     _single_paths,
     _terminals,
     _variable_names,
@@ -42,7 +45,6 @@ from fanoperiods.laurent import (
     QPolynomial,
     classical_periods,
     min_exponent_vector,
-    support,
 )
 from fanoperiods.polytope import geometry_flags, lattice_point_count
 from fanoperiods.young import (
@@ -53,6 +55,7 @@ from fanoperiods.young import (
     boundary_rectangle_box,
     from_steps,
     schur_dimension,
+    to_steps,
     valuation_vector,
 )
 
@@ -74,11 +77,49 @@ def rectangle_labels(ctx):
     return [YoungDiagram(ctx, ())] + rectangles[:-1]
 
 
+def walk_paths(ctx, source_row, sink_column):
+    """Oracle for _single_paths: a recursive walk of the grid, each path as
+    (frozenset of its cells, weight).  In each row it runs west from where it
+    entered, turns south at some cell (times that face) and, short of the
+    sink column, turns west again in a lower row (over that face)."""
+    k = ctx.k
+    cell_weights = build_rectangles_network(ctx)
+    zero = (0,) * len(_variable_names(ctx))
+    results = []
+
+    def extend(row, entry_column, cells, weight):
+        passed = set()
+        for turn_column in range(entry_column, sink_column - 1, -1):
+            here = cells | passed | {(row, turn_column)}
+            turned = tuple(map(add, weight, cell_weights[(row, turn_column)]))
+            if turn_column == sink_column:
+                tail = {(r, sink_column) for r in range(row + 1, k + 1)}
+                results.append((frozenset(here | tail), turned))
+            else:
+                for next_row in range(row + 1, k + 1):
+                    descent = here | {
+                        (r, turn_column) for r in range(row + 1, next_row + 1)
+                    }
+                    rejoined = tuple(
+                        map(sub, turned, cell_weights[(next_row, turn_column)])
+                    )
+                    extend(next_row, turn_column - 1, frozenset(descent), rejoined)
+            passed.add((row, turn_column))
+
+    extend(source_row, ctx.n - k, frozenset(), zero)
+    return results
+
+
+def cell_mask(ctx, cells):
+    """The int mask of a cell set: bit (r-1)(n-k) + c for cell (r, c)."""
+    return sum(1 << ((r - 1) * (ctx.n - ctx.k) + c) for r, c in cells)
+
+
 def path_matrix_entry(ctx, source_row, sink_column):
     """All single-path weights between one source and one sink."""
     terms = {}
     one = QPolynomial.one()
-    for _, weight in _single_paths(ctx, source_row, sink_column):
+    for _, weight in walk_paths(ctx, source_row, sink_column):
         terms[weight] = terms.get(weight, QPolynomial.zero()) + one
     return LaurentPolynomial(_variable_names(ctx), terms)
 
@@ -91,7 +132,7 @@ def flow_determinant(diagram):
     sources and ascending sink columns, with positive sign.
     """
     ctx = diagram.context
-    sources, columns = _terminals(diagram)
+    sources, columns = _terminals(ctx, to_steps(diagram))
     if not sources:
         return LaurentPolynomial.one(_variable_names(ctx))
     matrix = [[path_matrix_entry(ctx, s, c) for c in columns] for s in sources]
@@ -185,6 +226,15 @@ class TestNetworkShape:
                 for (s, c), count in counts.items():
                     assert count == comb((n - k - c) + (k - s), k - s), (k, n, s, c)
                 assert max(counts.values()) == counts[1, 1] == comb(n - 2, k - 1)
+
+    def test_turn_columns_give_the_walked_paths(self):
+        # the same cells and weights, path for path, on every pair with n <= 10
+        for n in range(2, 11):
+            for k in range(1, n):
+                ctx = BoxContext(k, n)
+                for s, c in product(range(1, k + 1), range(1, n - k + 1)):
+                    walked = [(cell_mask(ctx, cells), w) for cells, w in walk_paths(ctx, s, c)]
+                    assert sorted(_single_paths(ctx, s, c)) == sorted(walked), (k, n, s, c)
 
     def test_path_limit_admits_gr_10_20_and_refuses_gr_11_22(self):
         assert comb(18, 9) <= MAX_SINGLE_PATHS < comb(20, 10)
@@ -353,7 +403,7 @@ class TestThetaRestriction:
         assert theta_restriction(2, CTX25) == unit(
             names, (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 1, 0)
         )
-        assert support(theta_restriction(4, CTX25)) == [
+        assert sorted(theta_restriction(4, CTX25).terms) == [
             (0, 0, 0, 0, 0, 1),
             (0, 0, 0, 1, 0, 1),
             (0, 1, 0, 1, 0, 1),
@@ -477,6 +527,37 @@ class TestValuationReport:
 
     def test_report_is_a_list(self):
         assert isinstance(verify_valuations(CTX24), list)
+
+    def test_family_counts_match_the_flows_through_n_10(self):
+        # a flow's coefficients sum to its number of path families
+        for n in range(2, 11):
+            for k in range(1, n):
+                for diagram in all_diagrams(BoxContext(k, n)):
+                    terms = flow_polynomial(diagram).terms.values()
+                    families = sum(c.specialize_q(1) for c in terms)
+                    assert _family_count(diagram.context, to_steps(diagram)) == families
+
+    @pytest.mark.parametrize(
+        "k, n, families, admitted",
+        [(6, 12, 207_997, True), (2, 60, 34_279, True), (2, 100, 161_799, True),
+         (3, 25, 432_653, True), (4, 16, 769_730, False), (3, 26, 556_164, False)],
+    )
+    def test_family_limit_admits_gr_2_100_and_refuses_gr_4_16(self, k, n, families, admitted):
+        ctx = BoxContext(k, n)
+        total = sum(_family_count(ctx, west) for west in combinations(range(1, n + 1), k))
+        assert total == families
+        assert (total * k * (n - k) <= MAX_FAMILY_ENTRIES) == admitted
+
+    def test_gr_7_14_report_is_refused_before_any_flow(self):
+        # 10,094,282 families over 49 cells; the count stops past the limit
+        flow_polynomial.cache_clear()
+        message = (
+            r"^Gr\(7,14\) has at least 653450 path families of 49 exponents each, "
+            rf"32019050 in all, above the limit of {MAX_FAMILY_ENTRIES}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            verify_valuations(BoxContext(7, 14))
+        assert flow_polynomial.cache_info().currsize == 0
 
 
 class TestPolytope:

@@ -31,7 +31,6 @@ from fanoperiods.laurent import (
     laurent_to_json,
     min_exponent_vector,
     multiply,
-    support,
 )
 
 
@@ -254,7 +253,7 @@ def test_periods_keep_novikov_parameter():
 
 
 # ---------------------------------------------------------------------------
-# tropicalization, support, minimal exponents
+# tropicalization, minimal exponents
 
 
 def test_tropical_value_examples():
@@ -267,11 +266,6 @@ def test_tropical_value_examples():
 def test_tropical_value_of_zero_polynomial():
     with pytest.raises(ZeroPolynomialError):
         tropical_value(LaurentPolynomial.zero(("x", "y")), (Fraction(1), Fraction(1)))
-
-
-def test_support_sorted():
-    f = _p2_mirror()
-    assert support(f) == [(-1, -1), (0, 1), (1, 0)]
 
 
 def test_min_exponent_vector_attained():
@@ -421,10 +415,10 @@ def test_tropical_additivity_for_positive_coefficients(f, g, v):
 def test_product_support_within_sumset(f, g):
     sums = {
         tuple(a + b for a, b in zip(e, d))
-        for e in support(f)
-        for d in support(g)
+        for e in f.terms
+        for d in g.terms
     } if f.terms and g.terms else set()
-    assert set(support(multiply(f, g))) <= sums
+    assert set(multiply(f, g).terms) <= sums
 
 
 @settings(deadline=None, max_examples=20)

@@ -226,6 +226,13 @@ def test_polar_deduplicates_support():
     assert len(system.facets) == 3
 
 
+def test_polar_sorts_its_support():
+    # callers pass a polynomial's term keys in insertion order
+    terms = {(1, 0): 1, (-1, -1): 1, (0, 1): 1}
+    normals = [facet.normal for facet in polar_from_support(terms).facets]
+    assert normals == [(-1, -1), (0, 1), (1, 0)]
+
+
 def test_triangle_vertices():
     vs = vertices(_triangle())
     assert set(vs) == {
