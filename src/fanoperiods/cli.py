@@ -155,16 +155,6 @@ def _period_document(f: LaurentPolynomial, order: int) -> dict:
     return periods.periods_to_json(sequence)
 
 
-def _polytope_document(system, order: int) -> dict:
-    if order > polytope.MAX_WALK_NODES:
-        # refused before anything is built: a nonempty count walks at least one node
-        raise ValueError(
-            f"--order {order} is above {polytope.MAX_WALK_NODES}, the limit of "
-            "nodes that the lattice counts of one document walk together"
-        )
-    return polytope.build_document(system, order)
-
-
 def _cmd_period(args):
     f = laurent_from_json(_load_json(args.poly))
     return _period_document(_set_q_to_one(f) if args.q == "one" else f, args.order)
@@ -172,14 +162,14 @@ def _cmd_period(args):
 
 def _cmd_polytope(args):
     f = laurent_from_json(_load_json(args.poly))
-    return _polytope_document(polytope.polar_from_support(f.terms), args.order)
+    return polytope.build_document(polytope.polar_from_support(f.terms), args.order)
 
 
 def _cmd_grassmannian(args):
     ctx = young.BoxContext(args.k, args.n)
     if args.emit == "polytope":
         order = 1 if args.order is None else args.order
-        return _polytope_document(grassmannian.nobody_polytope(ctx), order)
+        return polytope.build_document(grassmannian.nobody_polytope(ctx), order)
     if args.emit == "valuations":
         return grassmannian.verify_valuations(ctx)
     chart = grassmannian.superpotential_chart(ctx)

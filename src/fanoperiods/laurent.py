@@ -183,14 +183,6 @@ class LaurentPolynomial(Record):
                     clean[exp_t] = coeff
         self._store(names_t, clean)
 
-    @property
-    def rank(self) -> int:
-        return len(self.names)
-
-    @classmethod
-    def zero(cls, names: Sequence[str]) -> LaurentPolynomial:
-        return cls(names)
-
     @classmethod
     def one(cls, names: Sequence[str]) -> LaurentPolynomial:
         return cls(names, {(0,) * len(names): QPolynomial.one()})
@@ -429,7 +421,6 @@ def laurent_from_json(data: Mapping) -> LaurentPolynomial:
         raise ValueError('"terms" must be a list')
     rank = len(names)
     accumulated: dict[ExponentVector, dict[int, Fraction]] = {}
-    seen: set[tuple[ExponentVector, int]] = set()
     for n, record in enumerate(records):
         where = f"term record {n}"
         if not isinstance(record, Mapping):
@@ -444,12 +435,10 @@ def laurent_from_json(data: Mapping) -> LaurentPolynomial:
         q_power = record.get("q", 0)
         if not isinstance(q_power, int) or isinstance(q_power, bool) or q_power < 0:
             raise ValueError(f"{where}: bad q-power {preview(q_power)}")
-        key = (tuple(exp), q_power)
-        if key in seen:
+        coeffs = accumulated.setdefault(tuple(exp), {})
+        if q_power in coeffs:
             raise ValueError(f"{where} repeats an earlier exponent vector and q-power")
-        seen.add(key)
-        value = parse_rational(record.get("coeff"))
-        accumulated.setdefault(tuple(exp), {})[q_power] = value
+        coeffs[q_power] = parse_rational(record.get("coeff"))
     return LaurentPolynomial(
         tuple(names),
         {e: QPolynomial(qs) for e, qs in accumulated.items()},

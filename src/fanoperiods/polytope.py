@@ -367,13 +367,25 @@ def lattice_point_count(
 def build_document(system: HalfspaceSystem, order: int = 0) -> dict:
     """The document of a polar polytope with its counts at dilations 1..order.
 
-    The counts are taken one dilation at a time and share one walk limit,
-    so an order far beyond what the limit allows is refused at the first
-    dilation that passes it.  On a chain of two levels the walk makes one
-    call at its root and one per value of the first coordinate, so that
-    refusal comes before any count.  Counts of an unbounded polytope are
-    refused (UnboundedPolytopeError); with order 0 its document has none.
+    The counts share one walk limit.  Refusals (ValueError), in the order
+    they run:
+    - an order above MAX_WALK_NODES, before anything is built, since a
+      count on a nonempty polytope walks at least one node;
+    - counts of an unbounded polytope (UnboundedPolytopeError); with
+      order 0 its document has none;
+    - on a chain of two levels, whose walk makes one call at its root and
+      one per value of the first coordinate, the dilation at which the
+      walks pass the limit, before any count;
+    - vertex enumeration past MAX_RAY_SCANS ray scans;
+    - while counting, one dilation at a time on one node counter, the
+      first count that passes the limit or stores more than
+      MAX_MEMO_STATES states.
     """
+    if order > MAX_WALK_NODES:
+        raise ValueError(
+            f"--order {order} is above {MAX_WALK_NODES}, the limit of "
+            "nodes that the lattice counts of one document walk together"
+        )
     if order >= 1:
         chain = system._chain
         if not chain.bounded:

@@ -142,7 +142,7 @@ def flow_determinant(diagram):
 def _determinant(matrix, names):
     if len(matrix) == 1:
         return matrix[0][0]
-    total = LaurentPolynomial.zero(names)
+    total = LaurentPolynomial(names)
     for j, entry in enumerate(matrix[0]):
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
         term = entry * _determinant(minor, names)

@@ -344,7 +344,8 @@ def test_each_count_of_a_document_has_its_own_state_limit(monkeypatch):
 def test_a_two_level_refusal_names_the_dilation_the_walk_would(monkeypatch, support, limit):
     # a planar polar has a two-level chain, whose document is refused from
     # the first level's ranges before any count; the dilation and message
-    # must be those at which one shared walk passes the limit
+    # must be those at which one shared walk passes the limit.  Each
+    # dilation walks two nodes at least, so an order of `limit` passes it
     monkeypatch.setattr(polytope, "MAX_WALK_NODES", limit)
     system = polar_from_support(support)
     assert len(system._chain.levels) == 2
@@ -354,23 +355,41 @@ def test_a_two_level_refusal_names_the_dilation_the_walk_would(monkeypatch, supp
             lattice_point_count(system, r, nodes=nodes)
     monkeypatch.setattr(polytope, "_count_points", None)
     with pytest.raises(ValueError) as refused:
-        build_document(system, 10**6)
+        build_document(system, limit)
     assert str(refused.value) == str(walked.value)
 
 
-def test_a_refused_order_materializes_no_dilations(monkeypatch):
-    # the counts run one dilation at a time, so a huge order costs only the
-    # walk up to the dilation that passes the limit
+def test_build_document_refuses_an_order_above_the_walk_limit_before_any_count(
+    monkeypatch,
+):
+    # a count on a nonempty polytope walks at least one node, so no order
+    # above the limit fits it; the P^1 polar walks exactly one per dilation
     monkeypatch.setattr(polytope, "MAX_WALK_NODES", 400)
+    system = polar_from_support([(1,), (-1,)])
+    assert build_document(system, 400)["lattice_counts"]["400"] == 801
+    monkeypatch.setattr(polytope, "_count_points", None)
+    with pytest.raises(ValueError) as refused:
+        build_document(system, 401)
+    assert str(refused.value) == (
+        "--order 401 is above 400, the limit of nodes that the lattice counts "
+        "of one document walk together"
+    )
+
+
+def test_a_refused_order_materializes_no_dilations(monkeypatch):
+    # the counts run one dilation at a time, so the largest order the limit
+    # admits costs only the walk up to the dilation that passes it: about
+    # 0.28 MB here, where a list of the 10,000 dilations alone takes 0.39 MB
+    monkeypatch.setattr(polytope, "MAX_WALK_NODES", 10_000)
     system = nobody_polytope(BoxContext(2, 4))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="dilation 2 .* limit of 400 nodes"):
-            build_document(system, 10**6)
+        with pytest.raises(ValueError, match="dilation 6 .* limit of 10000 nodes"):
+            build_document(system, 10_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4_000_000, f"peak {peak} bytes"
+    assert peak < 500_000, f"peak {peak} bytes"
 
 
 @pytest.mark.parametrize(

@@ -54,7 +54,7 @@ SAMPLES = [
     [StructureTable(3, {(1, 1, 0): 2, (0, 1, 0): 0}), StructureTable(1)],
     [
         LaurentPolynomial.from_dict(("x", "y"), {(1, 0): 1, (-1, -1): QPolynomial.of(2, 1)}),
-        LaurentPolynomial.zero(("x",)),
+        LaurentPolynomial(("x",)),
     ],
 ]
 RECORDS = [

@@ -3,11 +3,14 @@
 Dead-surface check: every function in the package has a caller in it.
 
 A function or method defined under src/fanoperiods (dunders excepted)
-must be referenced somewhere else in the package: by a name, an
-attribute, or an import.  Matching is by bare name, so a method counts
-as used when any attribute of that name is read; the check catches
-surface that nothing in production reaches, which then is either
-deleted or moved into the tests that still want it.
+must be referenced somewhere else in the package.  A function counts as
+used when its name is read bare, read as an attribute, or imported; a
+method (a def in a class body) only when its name is read as an
+attribute or imported, so a local variable of the same name does not
+keep it alive.  Matching is by bare name, so a method counts as used
+when any attribute of that name is read; the check catches surface that
+nothing in production reaches, which then is either deleted or moved
+into the tests that still want it.
 """
 
 from __future__ import annotations
@@ -27,27 +30,38 @@ PACKAGE = Path(fanoperiods.__file__).resolve().parent
 
 
 def _definitions_and_references():
-    definitions: list[tuple[str, int, str]] = []
-    references: set[str] = set()
+    """(module, line, name, is_method) per def; names read bare; names read
+    as an attribute or imported."""
+    definitions: list[tuple[str, int, str, bool]] = []
+    names: set[str] = set()
+    attributes: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {
+            child
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for child in node.body
+        }
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                definitions.append((path.name, node.lineno, node.name))
+                definitions.append((path.name, node.lineno, node.name, node in methods))
             elif isinstance(node, ast.Name):
-                references.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                references.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                references.add(node.name.rpartition(".")[2])
-    return definitions, references
+                attributes.add(node.name.rpartition(".")[2])
+    return definitions, names, attributes
 
 
 def test_every_function_is_referenced_in_the_package():
-    definitions, references = _definitions_and_references()
+    definitions, names, attributes = _definitions_and_references()
     unused = [
         f"{module}:{line} {name}"
-        for module, line, name in definitions
-        if name not in references
+        for module, line, name, is_method in definitions
+        if name not in attributes
+        and (is_method or name not in names)
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert not unused, f"never referenced in src/fanoperiods: {', '.join(unused)}"
