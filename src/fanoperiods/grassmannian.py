@@ -25,11 +25,12 @@ variables are a closed form, cached with both box limits;
 its non-increasing turn columns and its cells are one int mask.  A flow
 polynomial sums the weights of the cell-disjoint families of one path
 per source, walked from the bottom source up and pruned at the first
-shared cell; the valuation report counts those families by determinant
-first and is refused past MAX_FAMILY_ENTRIES.  The chart needs no flow
-and no face weight: its summands are closed forms over the variable
-names (`theta_restriction`), and the tests keep the flow quotients and
-valuation vectors as their oracles.
+shared cell (`_flow_counts`).  The valuation report counts those
+families by determinant, is refused past MAX_FAMILY_ENTRIES, and reads
+each minimum off the walk; only its 2n boundary diagrams become
+polynomials.  The chart needs no flow and no face weight: its summands
+are closed forms over the variable names (`theta_restriction`), and the
+tests keep the flow quotients and valuation vectors as their oracles.
 """
 
 from __future__ import annotations
@@ -38,22 +39,17 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, pairwise, product
 from math import comb
 from operator import add, sub
-from typing import Collection
+from typing import Collection, Mapping
 
 from . import polytope
-from .laurent import (
-    LaurentPolynomial,
-    QPolynomial,
-    classical_periods,
-    min_exponent_vector,
-)
+from .laurent import LaurentPolynomial, QPolynomial, classical_periods
 from .young import (
     BoxContext,
     YoungDiagram,
     _require_boundary_index,
-    all_diagrams,
     boundary_rectangle,
     boundary_rectangle_box,
+    from_steps,
     to_steps,
     valuation_vector,
 )
@@ -66,9 +62,9 @@ MAX_SINGLE_PATHS = 50_000
 # Cells k(n-k); a chart holds about 2 k^2 (n-k)^2 exponent entries.  On 2 vCPUs
 # Gr(2,502), at the limit, prints in 0.8 s at 160 MB; Gr(2,1001) took 4.4 s, 630 MB.
 MAX_CELLS = 1_000
-# Path families times cells k(n-k), the exponent entries a valuation report's
-# flows hold at most.  On 2 vCPUs Gr(3,25) (28.6 million) takes 6.3 s at 406 MB,
-# Gr(2,100) (31.7 million) 13 s at 333 MB; Gr(4,16) (36.9 million) took 601 MB.
+# Path families times cells k(n-k), the exponent entries a valuation report walks: a time
+# bound.  On 2 vCPUs Gr(3,25) (28.6 million) takes 3.1-3.9 s at 24 MB, Gr(2,100) (31.7
+# million) 12-16 s, mostly diagonal statistics; Gr(4,16) (36.9 million) took 4.3-5.0 s.
 MAX_FAMILY_ENTRIES = 32_000_000
 
 
@@ -166,15 +162,11 @@ def _family_count(ctx: BoxContext, west: Collection[int]) -> int:
     return pivot
 
 
-@lru_cache(maxsize=None)
-def flow_polynomial(diagram: YoungDiagram) -> LaurentPolynomial:
-    """Sum of the weights of cell-disjoint path families for `diagram` on
-    the network of its box, walked one path per source from the bottom
-    source up; the empty diagram has no sources and its one empty family
-    weighs 1."""
-    ctx = diagram.context
-    names = _variable_names(ctx)
-    sources, columns = _terminals(ctx, to_steps(diagram))
+def _flow_counts(ctx: BoxContext, west: Collection[int]) -> dict[tuple[int, ...], int]:
+    """{weight: number of families} over the cell-disjoint path families of
+    the flow with west steps `west`, walked one path per source from the
+    bottom source up; with no sources the one empty family weighs 1."""
+    sources, columns = _terminals(ctx, west)
     # The network is planar with sources and sinks in boundary order, so only
     # the order-preserving pairing gives disjoint families, and in one each
     # path runs south-east of the path above it: a path that misses the path
@@ -191,9 +183,25 @@ def flow_polynomial(diagram: YoungDiagram) -> LaurentPolynomial:
             if not below & cells:
                 place(level - 1, cells, tuple(map(add, total, weight)))
 
-    place(len(options) - 1, 0, (0,) * len(names))
-    terms = {total: QPolynomial.of(count) for total, count in counts.items()}
-    return LaurentPolynomial(names, terms)
+    place(len(options) - 1, 0, (0,) * len(_variable_names(ctx)))
+    return counts
+
+
+@lru_cache(maxsize=None)
+def flow_polynomial(diagram: YoungDiagram) -> LaurentPolynomial:
+    """Sum of the weights of cell-disjoint path families for `diagram` on
+    the network of its box (`_flow_counts`)."""
+    ctx = diagram.context
+    return LaurentPolynomial.from_dict(
+        _variable_names(ctx), _flow_counts(ctx, to_steps(diagram))
+    )
+
+
+def _min_exponent_vector(terms: Mapping) -> tuple[tuple[int, ...], bool]:
+    """Componentwise minimum of the exponent vectors keying `terms`, and
+    whether a single term attains it."""
+    lower = tuple(map(min, zip(*terms)))
+    return lower, lower in terms
 
 
 def _summand_exponents(i: int, ctx: BoxContext, rank: int) -> list[tuple[int, ...]]:
@@ -247,15 +255,16 @@ def verify_valuations(ctx: BoxContext) -> list[dict]:
     """Exhaustive check of the valuation identities; returns mismatches.
 
     Two batteries run over the whole box: the componentwise minimal
-    exponent vector of every flow polynomial must be attained and equal
+    weight of every diagram's path families must be attained and equal
     the diagonal statistic against the seed rectangles, and every theta
     summand must be the flow of the one-box variation of mu_i over the
     flow of mu_i and tropicalize coordinatewise to
     [variable label == mu_i] - [i == n-k].  Diagram records use keys
     lambda/expected/got; summand records use theta/expected/got.  An
-    empty list means every identity holds.  Before any flow is built, a
+    empty list means every identity holds.  Before any family is walked, a
     box whose path families times cells pass MAX_FAMILY_ENTRIES raises
-    ValueError.
+    ValueError.  The first battery keeps no flow: only the diagrams of the
+    second, two per summand, enter the `flow_polynomial` cache.
     """
     # the box limits refuse first, then the family count, before any diagram
     families, cells = 0, len(_variable_names(ctx))
@@ -272,10 +281,10 @@ def verify_valuations(ctx: BoxContext) -> list[dict]:
         YoungDiagram(ctx, (cols,) * rows) for rows, cols in _rectangles(ctx)
     ]
     mismatches: list[dict] = []
-    for diagram in all_diagrams(ctx):
-        poly = flow_polynomial(diagram)
+    for west in combinations(range(1, ctx.n + 1), ctx.k):
+        diagram = from_steps(ctx, west)
         expected = valuation_vector(diagram, labels)
-        got, attained = min_exponent_vector(poly)
+        got, attained = _min_exponent_vector(_flow_counts(ctx, west))
         if not attained:
             mismatches.append(
                 {
@@ -302,7 +311,7 @@ def verify_valuations(ctx: BoxContext) -> list[dict]:
             mismatches.append(
                 {"theta": i, "expected": "the flow quotient", "got": "another summand"}
             )
-        got_vec, _ = min_exponent_vector(theta)
+        got_vec, _ = _min_exponent_vector(theta.terms)
         if list(got_vec) != expected_vec:
             mismatches.append(
                 {"theta": i, "expected": expected_vec, "got": list(got_vec)}

@@ -24,10 +24,6 @@ class RankMismatchError(ValueError):
     """Raised when two polynomials do not share a variable context."""
 
 
-class ZeroPolynomialError(ValueError):
-    """Raised by operations undefined on the zero polynomial."""
-
-
 def _as_fraction(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -338,14 +334,6 @@ def _to_ints(value: QPolynomial, scale: int) -> dict[int, int]:
 def _from_ints(coeffs: Mapping[int, int], scale: int) -> QPolynomial:
     """The q-polynomial coeffs / scale; zero coefficients are dropped."""
     return QPolynomial({p: Fraction(c, scale) for p, c in coeffs.items()})
-
-
-def min_exponent_vector(f: LaurentPolynomial) -> tuple[ExponentVector, bool]:
-    """Componentwise minimum of the support, and whether a single term attains it."""
-    if f.is_zero():
-        raise ZeroPolynomialError("the zero polynomial has no minimal exponent vector")
-    lower = tuple(map(min, zip(*f.terms)))
-    return lower, lower in f.terms
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
@@ -29,6 +30,8 @@ from fanoperiods.grassmannian import (
     MAX_FAMILY_ENTRIES,
     MAX_SINGLE_PATHS,
     _family_count,
+    _flow_counts,
+    _min_exponent_vector,
     _single_paths,
     _terminals,
     _variable_names,
@@ -40,12 +43,7 @@ from fanoperiods.grassmannian import (
     theta_restriction,
     verify_valuations,
 )
-from fanoperiods.laurent import (
-    LaurentPolynomial,
-    QPolynomial,
-    classical_periods,
-    min_exponent_vector,
-)
+from fanoperiods.laurent import LaurentPolynomial, QPolynomial, classical_periods
 from fanoperiods.polytope import geometry_flags, lattice_point_count
 from fanoperiods.young import (
     BoxContext,
@@ -333,7 +331,7 @@ class TestFlowPolynomials:
     def test_flow_minimum_matches_diagonal_statistic(self):
         for ctx in (CTX24, CTX25, CTX35):
             for diagram in all_diagrams(ctx):
-                vec, attained = min_exponent_vector(flow_polynomial(diagram))
+                vec, attained = _min_exponent_vector(flow_polynomial(diagram).terms)
                 assert attained, (ctx, diagram.rows)
                 assert vec == valuation_vector(diagram, rectangle_labels(ctx))
 
@@ -416,7 +414,7 @@ class TestThetaRestriction:
 
     def test_theta_minimum_attained(self):
         for i in range(CTX24.n):
-            _, attained = min_exponent_vector(theta_restriction(i, CTX24))
+            _, attained = _min_exponent_vector(theta_restriction(i, CTX24).terms)
             assert attained, i
 
     @pytest.mark.parametrize("ctx", [CTX24, CTX35], ids=["2-4", "3-5"])
@@ -520,13 +518,49 @@ class TestValuationReport:
             assert verify_valuations(ctx) == [], ctx
 
     def test_empty_for_gr_6_12_within_budget(self):
-        # 924 flow polynomials with up to six sources each
+        # 924 diagrams' path families, up to six sources each, walked without
+        # building their flow polynomials
         start = time.perf_counter()
         assert verify_valuations(BoxContext(6, 12)) == []
         assert time.perf_counter() - start < 20.0
 
     def test_report_is_a_list(self):
         assert isinstance(verify_valuations(CTX24), list)
+
+    def test_min_exponent_vector_attained(self):
+        vec, attained = _min_exponent_vector({(2, 0): 1, (2, 3): 5})
+        assert vec == (2, 0)
+        assert attained is True
+
+    def test_min_exponent_vector_not_attained(self):
+        vec, attained = _min_exponent_vector({(2, 0): 1, (0, 3): 1})
+        assert vec == (0, 0)
+        assert attained is False
+
+    def test_min_exponent_vector_p2_mirror_attained(self):
+        vec, attained = _min_exponent_vector({(1, 0): 1, (0, 1): 1, (-1, -1): 1})
+        assert vec == (-1, -1)
+        assert attained is True
+
+    @pytest.mark.parametrize("k, n", [(3, 6), (4, 9), (5, 10)])
+    def test_report_caches_only_the_boundary_flows(self, k, n):
+        # the flow-quotient battery builds the flows of mu_i and its one-box
+        # variation; every other diagram's families are read off the walk
+        flow_polynomial.cache_clear()
+        assert verify_valuations(BoxContext(k, n)) == []
+        assert flow_polynomial.cache_info().currsize <= 2 * n
+
+    def test_gr_5_10_report_peak_memory(self):
+        # about 0.4 MB; 4.5 MB while every flow was kept as a polynomial
+        for cache in (flow_polynomial, _single_paths, build_rectangles_network, _variable_names):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            assert verify_valuations(BoxContext(5, 10)) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
 
     def test_family_counts_match_the_flows_through_n_10(self):
         # a flow's coefficients sum to its number of path families
@@ -535,7 +569,9 @@ class TestValuationReport:
                 for diagram in all_diagrams(BoxContext(k, n)):
                     terms = flow_polynomial(diagram).terms.values()
                     families = sum(c.specialize_q(1) for c in terms)
-                    assert _family_count(diagram.context, to_steps(diagram)) == families
+                    ctx, west = diagram.context, to_steps(diagram)
+                    assert _family_count(ctx, west) == families
+                    assert sum(_flow_counts(ctx, west).values()) == families
 
     @pytest.mark.parametrize(
         "k, n, families, admitted",

@@ -20,7 +20,6 @@ from fanoperiods.laurent import (
     LaurentPolynomial,
     QPolynomial,
     RankMismatchError,
-    ZeroPolynomialError,
     _add_product,
     _as_fraction,
     _common_denominator,
@@ -29,7 +28,6 @@ from fanoperiods.laurent import (
     classical_periods,
     laurent_from_json,
     laurent_to_json,
-    min_exponent_vector,
     multiply,
 )
 
@@ -42,7 +40,7 @@ def constant_term(f):
 def tropical_value(f, direction):
     """min over the support of the pairing with `direction`."""
     if f.is_zero():
-        raise ZeroPolynomialError("the zero polynomial has no tropicalization")
+        raise ValueError("the zero polynomial has no tropicalization")
     v = tuple(_as_fraction(c) for c in direction)
     if len(v) != len(f.names):
         raise RankMismatchError(
@@ -253,7 +251,7 @@ def test_periods_keep_novikov_parameter():
 
 
 # ---------------------------------------------------------------------------
-# tropicalization, minimal exponents
+# tropicalization
 
 
 def test_tropical_value_examples():
@@ -264,33 +262,8 @@ def test_tropical_value_examples():
 
 
 def test_tropical_value_of_zero_polynomial():
-    with pytest.raises(ZeroPolynomialError):
+    with pytest.raises(ValueError, match="no tropicalization"):
         tropical_value(LaurentPolynomial(("x", "y")), (Fraction(1), Fraction(1)))
-
-
-def test_min_exponent_vector_attained():
-    f = _poly(("x", "y"), {(2, 0): 1, (2, 3): 5})
-    vec, attained = min_exponent_vector(f)
-    assert vec == (2, 0)
-    assert attained is True
-
-
-def test_min_exponent_vector_not_attained():
-    f = _poly(("x", "y"), {(2, 0): 1, (0, 3): 1})
-    vec, attained = min_exponent_vector(f)
-    assert vec == (0, 0)
-    assert attained is False
-
-
-def test_min_exponent_vector_p2_mirror_attained():
-    vec, attained = min_exponent_vector(_p2_mirror())
-    assert vec == (-1, -1)
-    assert attained is True
-
-
-def test_min_exponent_vector_of_zero():
-    with pytest.raises(ZeroPolynomialError):
-        min_exponent_vector(LaurentPolynomial(("x",)))
 
 
 # ---------------------------------------------------------------------------
