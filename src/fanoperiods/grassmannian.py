@@ -26,8 +26,9 @@ its non-increasing turn columns and its cells are one int mask.  A flow
 polynomial sums the weights of the cell-disjoint families of one path
 per source, walked from the bottom source up and pruned at the first
 shared cell (`_flow_counts`).  The valuation report counts those
-families by determinant, is refused past MAX_FAMILY_ENTRIES, and reads
-each minimum off the walk; only its 2n boundary diagrams become
+families by determinant, is refused past MAX_FAMILY_ENTRIES, reads
+each minimum off the walk and each diagram's valuations off two Durfee
+profiles (`_rectangle_valuations`); only its 2n boundary diagrams become
 polynomials.  The chart needs no flow and no face weight: its summands
 are closed forms over the variable names (`theta_restriction`), and the
 tests keep the flow quotients and valuation vectors as their oracles.
@@ -51,10 +52,7 @@ from .young import (
     boundary_rectangle_box,
     from_steps,
     to_steps,
-    valuation_vector,
 )
-
-Cell = tuple[int, int]
 
 # Paths from one source to one sink, C(n-2, k-1) at most; Gr(10,20) has 48,620,
 # Gr(11,22) 184,756.  Flows enumerate them; every emitter is refused past this.
@@ -63,14 +61,39 @@ MAX_SINGLE_PATHS = 50_000
 # Gr(2,502), at the limit, prints in 0.8 s at 160 MB; Gr(2,1001) took 4.4 s, 630 MB.
 MAX_CELLS = 1_000
 # Path families times cells k(n-k), the exponent entries a valuation report walks: a time
-# bound.  On 2 vCPUs Gr(3,25) (28.6 million) takes 3.1-3.9 s at 24 MB, Gr(2,100) (31.7
-# million) 12-16 s, mostly diagonal statistics; Gr(4,16) (36.9 million) took 4.3-5.0 s.
+# bound.  On 2 vCPUs Gr(3,25) (28.6 million) takes 2.5-3.6 s at 21 MB, Gr(2,100) (31.7
+# million) 3.0-3.3 s at 24 MB; Gr(4,16) (36.9 million) took 4.0-4.5 s in process.
 MAX_FAMILY_ENTRIES = 32_000_000
 
 
 def _rectangles(ctx: BoxContext) -> list[tuple[int, int]]:
     """(rows, length) of every rectangle in the box but the full one, which comes last."""
     return list(product(range(1, ctx.n - ctx.k + 1), range(1, ctx.k + 1)))[:-1]
+
+
+def _rectangle_valuations(ctx: BoxContext, rows: tuple[int, ...]) -> tuple[int, ...]:
+    """`young.max_diag` of the diagram `rows` against the empty diagram (x0)
+    and each of `_rectangles`, in closed form.
+
+    With D(p) = #{s >= 1 : p_s >= s}, the Durfee size of a non-increasing
+    p (a prefix, so the count stops at the first s that fails), the
+    statistic against a rows of length b is max(D(lam_1 - b, lam_2 - b,
+    ...), D(lam_{a+1}, lam_{a+2}, ...)), and against the empty diagram
+    D(lam).  Proof from `young`'s merge formula: with x_t = lam_t - t,
+    #{j : mu_j - j >= x_t} = min(a, max(0, b - x_t)) + max(0, -x_t - a),
+    so each term t - #{...} is max(min(t, lam_t - b), min(t - a, lam_t));
+    the largest over t is the larger Durfee size.  So k + 1 "right" and
+    n - k + 1 "below" sizes give every entry.
+    """
+    def durfee(start: int, shift: int) -> int:
+        s = 0
+        while start + s < len(rows) and rows[start + s] - shift > s:
+            s += 1
+        return s
+
+    right = [durfee(0, b) for b in range(ctx.k + 1)]
+    below = [durfee(a, 0) for a in range(ctx.n - ctx.k + 1)]
+    return (right[0], *(max(below[a], right[b]) for a, b in _rectangles(ctx)))
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +116,7 @@ def _variable_names(ctx: BoxContext) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def build_rectangles_network(ctx: BoxContext) -> dict[Cell, tuple[int, ...]]:
+def build_rectangles_network(ctx: BoxContext) -> dict[tuple[int, int], tuple[int, ...]]:
     """Face weights of the rectangles-seed network of Gr(k, n): each grid
     cell maps to the exponent vector of its face monomial over the chart
     variables.  The box limits refuse it as they refuse the chart."""
@@ -256,66 +279,50 @@ def verify_valuations(ctx: BoxContext) -> list[dict]:
 
     Two batteries run over the whole box: the componentwise minimal
     weight of every diagram's path families must be attained and equal
-    the diagonal statistic against the seed rectangles, and every theta
-    summand must be the flow of the one-box variation of mu_i over the
-    flow of mu_i and tropicalize coordinatewise to
-    [variable label == mu_i] - [i == n-k].  Diagram records use keys
-    lambda/expected/got; summand records use theta/expected/got.  An
-    empty list means every identity holds.  Before any family is walked, a
-    box whose path families times cells pass MAX_FAMILY_ENTRIES raises
-    ValueError.  The first battery keeps no flow: only the diagrams of the
-    second, two per summand, enter the `flow_polynomial` cache.
+    its diagonal statistics against the seed rectangles, in closed form
+    (`_rectangle_valuations`), and every theta summand must be the flow
+    of the one-box variation of mu_i over the flow of mu_i and
+    tropicalize coordinatewise to [variable label == mu_i] - [i == n-k].
+    Diagram records use keys lambda/expected/got; summand records use
+    theta/expected/got.  An empty list means every identity holds.
+    Before any family is walked, a box whose path families times cells
+    pass MAX_FAMILY_ENTRIES raises ValueError.  The first battery keeps
+    no flow: only the diagrams of the second, two per summand, enter the
+    `flow_polynomial` cache.
     """
     # the box limits refuse first, then the family count, before any diagram
     families, cells = 0, len(_variable_names(ctx))
     for west in combinations(range(1, ctx.n + 1), ctx.k):
         families += _family_count(ctx, west)
         if families * cells > MAX_FAMILY_ENTRIES:
-            raise ValueError(
-                f"Gr({ctx.k},{ctx.n}) has at least {families} path families of "
-                f"{cells} exponents each, {families * cells} in all, "
-                f"above the limit of {MAX_FAMILY_ENTRIES}"
-            )
-    # the base face and the rectangles, in the order of the chart variables
-    labels = [YoungDiagram(ctx, ())] + [
-        YoungDiagram(ctx, (cols,) * rows) for rows, cols in _rectangles(ctx)
-    ]
+            raise ValueError(f"Gr({ctx.k},{ctx.n}) has at least {families} path "
+                             f"families of {cells} exponents each, {families * cells} "
+                             f"in all, above the limit of {MAX_FAMILY_ENTRIES}")
     mismatches: list[dict] = []
     for west in combinations(range(1, ctx.n + 1), ctx.k):
-        diagram = from_steps(ctx, west)
-        expected = valuation_vector(diagram, labels)
+        lam = from_steps(ctx, west).rows
+        expected = _rectangle_valuations(ctx, lam)
         got, attained = _min_exponent_vector(_flow_counts(ctx, west))
         if not attained:
-            mismatches.append(
-                {
-                    "lambda": list(diagram.rows),
-                    "expected": "attained minimum",
-                    "got": "unattained minimum",
-                }
-            )
+            mismatches.append({"lambda": list(lam), "expected": "attained minimum",
+                               "got": "unattained minimum"})
         if got != expected:
-            mismatches.append(
-                {
-                    "lambda": list(diagram.rows),
-                    "expected": list(expected),
-                    "got": list(got),
-                }
-            )
+            mismatches.append({"lambda": list(lam), "expected": list(expected),
+                               "got": list(got)})
+    # the rows of the base face and the rectangles, in the order of the chart variables
+    labels = [()] + [(cols,) * rows for rows, cols in _rectangles(ctx)]
     for i in range(ctx.n):
         mu = boundary_rectangle(i, ctx)
         drop = 1 if i == ctx.n - ctx.k else 0
-        expected_vec = [(1 if label == mu else 0) - drop for label in labels]
+        expected_vec = [(1 if label == mu.rows else 0) - drop for label in labels]
         theta = theta_restriction(i, ctx)
         box = flow_polynomial(boundary_rectangle_box(i, ctx))
         if box != theta * flow_polynomial(mu):
-            mismatches.append(
-                {"theta": i, "expected": "the flow quotient", "got": "another summand"}
-            )
+            mismatches.append({"theta": i, "expected": "the flow quotient",
+                               "got": "another summand"})
         got_vec, _ = _min_exponent_vector(theta.terms)
         if list(got_vec) != expected_vec:
-            mismatches.append(
-                {"theta": i, "expected": expected_vec, "got": list(got_vec)}
-            )
+            mismatches.append({"theta": i, "expected": expected_vec, "got": list(got_vec)})
     return mismatches
 
 

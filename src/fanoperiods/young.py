@@ -164,13 +164,6 @@ def sigma_reflect(diagram: YoungDiagram) -> YoungDiagram:
     return YoungDiagram(BoxContext(m, ctx.n), rows)
 
 
-def valuation_vector(
-    diagram: YoungDiagram, seed: Sequence[YoungDiagram]
-) -> tuple[int, ...]:
-    """The diagonal statistic of `diagram` against each seed diagram in order."""
-    return tuple(max_diag(diagram, mu) for mu in seed)
-
-
 def theta_valuation_delta(i: int, j: int, ctx: BoxContext) -> int:
     """max_diag difference between the one-box variation and the frozen
     rectangle at boundary index i, measured against rectangle j.

@@ -5,12 +5,14 @@ heads frozen here were computed by hand from the staircase-path model
 (weights are products of the face variables at the turning cells)
 before the module was written, and cross-checked against the classical
 short Pluecker relations and a word count for the low period
-coefficients.  Four brute force routes are kept here as oracles:
+coefficients.  Five brute force routes are kept here as oracles:
 `walk_paths`, the recursive cell walk behind each turn-column path;
 `flow_determinant`, the path-matrix determinant route to the flow
 polynomial, built on `walk_paths`; `theta_by_flows`, the flow quotient
-behind each closed-form summand; and `face_by_valuations`, the diagonal
-statistic behind each closed-form face weight.
+behind each closed-form summand; `valuation_vector`, one `max_diag`
+merge per chart label, behind the report's closed-form valuations; and
+`face_by_valuations`, the diagonal statistic behind each closed-form
+face weight.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ from math import comb, factorial
 from operator import add, sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fanoperiods import grassmannian
 from fanoperiods.grassmannian import (
     MAX_CELLS,
     MAX_FAMILY_ENTRIES,
@@ -32,6 +37,8 @@ from fanoperiods.grassmannian import (
     _family_count,
     _flow_counts,
     _min_exponent_vector,
+    _rectangle_valuations,
+    _rectangles,
     _single_paths,
     _terminals,
     _variable_names,
@@ -52,9 +59,9 @@ from fanoperiods.young import (
     boundary_rectangle,
     boundary_rectangle_box,
     from_steps,
+    max_diag,
     schur_dimension,
     to_steps,
-    valuation_vector,
 )
 
 CTX12 = BoxContext(1, 2)
@@ -73,6 +80,12 @@ def rectangle_labels(ctx):
     k, m = ctx.k, ctx.n - ctx.k
     rectangles = [YoungDiagram(ctx, (c,) * r) for r in range(1, m + 1) for c in range(1, k + 1)]
     return [YoungDiagram(ctx, ())] + rectangles[:-1]
+
+
+def valuation_vector(diagram, labels):
+    """Oracle for _rectangle_valuations: the diagonal statistic of `diagram`
+    against each label in order, one `max_diag` merge each."""
+    return tuple(max_diag(diagram, mu) for mu in labels)
 
 
 def walk_paths(ctx, source_row, sink_column):
@@ -512,6 +525,45 @@ class TestSuperpotential:
         assert chart.terms[(-1,) * 999] == QPolynomial.of(1, 1)
 
 
+class TestRectangleValuations:
+    def test_closed_form_matches_max_diag_through_n_12(self):
+        # all 8,166 diagrams of the boxes with n <= 12, against every label
+        for n in range(2, 13):
+            for k in range(1, n):
+                ctx = BoxContext(k, n)
+                labels = rectangle_labels(ctx)
+                for diagram in all_diagrams(ctx):
+                    got = _rectangle_valuations(ctx, diagram.rows)
+                    assert got == valuation_vector(diagram, labels), (k, n, diagram.rows)
+
+    @settings(max_examples=400, deadline=1000)
+    @given(
+        st.lists(st.integers(0, 15), max_size=15),
+        st.integers(1, 12),
+        st.integers(1, 12),
+    )
+    def test_closed_form_matches_max_diag_on_any_rectangle(self, rows, a, b):
+        # a box one row deeper than both, so that the a x b rectangle, which
+        # may be larger than the diagram, is a chart label
+        rows = sorted(rows, reverse=True)
+        k = max([b, *rows])
+        ctx = BoxContext(k, k + max(a, len(rows)) + 1)
+        diagram = YoungDiagram(ctx, rows)
+        vector = _rectangle_valuations(ctx, diagram.rows)
+        assert vector[0] == max_diag(diagram, YoungDiagram(ctx, ()))
+        rectangle = YoungDiagram(ctx, (b,) * a)
+        assert vector[_rectangles(ctx).index((a, b)) + 1] == max_diag(diagram, rectangle)
+
+    def test_hand_cases(self):
+        # Gr(5,7), labels x0, 1 x 1 .. 1 x 5, 2 x 1 .. 2 x 4: (5) minus 1 x 1
+        # leaves one cell on each of four diagonals, and (5) keeps a cell
+        # against every label but 1 x 5
+        vector = _rectangle_valuations(BoxContext(5, 7), (5,))
+        assert vector == (1, 1, 1, 1, 1, 0, 1, 1, 1, 1)
+        for ctx in SMALL_CONTEXTS:
+            assert _rectangle_valuations(ctx, ()) == (0,) * len(_variable_names(ctx))
+
+
 class TestValuationReport:
     def test_empty_for_small_contexts(self):
         for ctx in SMALL_CONTEXTS:
@@ -583,6 +635,51 @@ class TestValuationReport:
         total = sum(_family_count(ctx, west) for west in combinations(range(1, n + 1), k))
         assert total == families
         assert (total * k * (n - k) <= MAX_FAMILY_ENTRIES) == admitted
+
+    def test_a_raised_expected_entry_is_reported(self, monkeypatch):
+        closed_form = grassmannian._rectangle_valuations
+
+        def raised(ctx, rows):
+            vector = closed_form(ctx, rows)
+            return (vector[0] + 1, *vector[1:]) if rows == (2, 1) else vector
+
+        monkeypatch.setattr(grassmannian, "_rectangle_valuations", raised)
+        assert verify_valuations(CTX24) == [
+            {"lambda": [2, 1], "expected": [2, 1, 1, 1], "got": [1, 1, 1, 1]}
+        ]
+
+    def test_an_unattained_minimum_is_reported(self, monkeypatch):
+        # Gr(3,7), (3,3,2,1): without the family that attains its minimum the
+        # other seven families keep the same componentwise minimum
+        walk = grassmannian._flow_counts
+
+        def dropped(ctx, west):
+            counts = walk(ctx, west)
+            if sorted(west) == [3, 5, 7]:
+                del counts[_min_exponent_vector(counts)[0]]
+            return counts
+
+        monkeypatch.setattr(grassmannian, "_flow_counts", dropped)
+        assert verify_valuations(BoxContext(3, 7)) == [
+            {"lambda": [3, 3, 2, 1], "expected": "attained minimum",
+             "got": "unattained minimum"}
+        ]
+
+    def test_a_shifted_summand_is_reported(self, monkeypatch):
+        closed_form = grassmannian.theta_restriction
+
+        def shifted(i, ctx):
+            theta = closed_form(i, ctx)
+            if i != 1:
+                return theta
+            terms = {(e[0] + 1, *e[1:]): c for e, c in theta.terms.items()}
+            return LaurentPolynomial(theta.names, terms)
+
+        monkeypatch.setattr(grassmannian, "theta_restriction", shifted)
+        assert verify_valuations(CTX24) == [
+            {"theta": 1, "expected": "the flow quotient", "got": "another summand"},
+            {"theta": 1, "expected": [0, 0, 1, 0], "got": [1, 0, 1, 0]},
+        ]
 
     def test_gr_7_14_report_is_refused_before_any_flow(self):
         # 10,094,282 families over 49 cells; the count stops past the limit

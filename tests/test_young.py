@@ -37,7 +37,6 @@ from fanoperiods.young import (
     sigma_reflect,
     theta_valuation_delta,
     to_steps,
-    valuation_vector,
 )
 
 CTX24 = BoxContext(2, 4)
@@ -305,9 +304,10 @@ def test_max_diag_matches_cell_oracle_across_boxes(lam, mu):
 
 
 def test_valuation_vector():
+    # the diagonal statistic against each seed diagram in order
     seed = [_d(CTX24), _d(CTX24, 1), _d(CTX24, 2, 2)]
-    assert valuation_vector(_d(CTX24, 2, 2), seed) == (2, 1, 0)
-    assert valuation_vector(_d(CTX24), seed) == (0, 0, 0)
+    assert [max_diag(_d(CTX24, 2, 2), mu) for mu in seed] == [2, 1, 0]
+    assert [max_diag(_d(CTX24), mu) for mu in seed] == [0, 0, 0]
 
 
 THETA_DELTA_24 = {
